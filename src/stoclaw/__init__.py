@@ -14,7 +14,7 @@ from .model import (
 from .noise import (
     JumpPath, LevyIntensity, PositionMeasure, SizeMeasure,
     TruncationRequiredError, compensated_increment, martingale_term,
-    read_events, refine_path, sample_jump_path, write_events,
+    read_events, sample_jump_path, write_events,
 )
 from .quadrature import QuadratureError, adaptive_simpson, batch_simpson
 from .solver import (

@@ -204,7 +204,8 @@ class DiagnosticsReport:
 
 # Coefficient of the discretization allowance C * (eps + h + dt) for the
 # entropy residual, calibrated once on three linear noiseless (h, dt, eps)
-# triples by ``calibrate_entropy_tolerance`` (safety factor 6) and frozen.
+# triples by ``calibrate_entropy_tolerance`` (default safety factor 3) and
+# frozen.
 # The factor covers the strongly degenerate catalog members, whose worst
 # negative residual was verified to vanish under joint (eps, h, dt)
 # refinement while staying far below the inequality's O(1) scale.

@@ -20,7 +20,7 @@ from .quadrature import adaptive_simpson
 __all__ = [
     "PositionMeasure", "SizeMeasure", "LevyIntensity", "JumpPath",
     "TruncationRequiredError", "sample_jump_path", "compensated_increment",
-    "martingale_term", "refine_path", "write_events", "read_events",
+    "martingale_term", "write_events", "read_events",
 ]
 
 _GL64 = np.polynomial.legendre.leggauss(64)
@@ -255,15 +255,6 @@ def sample_jump_path(intensity: LevyIntensity, horizon: float,
     return JumpPath(times, ys, vs, seed, horizon, intensity)
 
 
-def refine_path(path: JumpPath, finer_time_grid=None) -> JumpPath:
-    """Identity on events: the path is grid-free by construction.
-
-    Exists to state the coupling contract explicitly: refining the time grid
-    of any solve never changes the driving events.
-    """
-    return path
-
-
 def compensated_increment(path: JumpPath, spec, grid, u_n: np.ndarray,
                           t0: float, t1: float,
                           gx: Optional[np.ndarray] = None) -> np.ndarray:
@@ -326,11 +317,13 @@ def martingale_term(path: JumpPath, spec, grid, traj, triple, psi,
         raise ValueError("theta_rule must be 'exact' or 'gl16'")
 
     total = 0.0
-    for t_j, v_j in zip(path.times, path.sizes):
-        n = min(int(t_j / dt), n_steps - 1)
+    for n in range(n_steps):
+        # the window the solver's compensated_increment used for step n
+        sl = path.window(n * dt, (n + 1) * dt)
         u = traj.fields[n]
-        amp = gx * spec.eta.sigma(u) * float(np.asarray(spec.eta.h(np.asarray([v_j])))[0])
-        total += float(np.sum(jump(u, amp) * psi(t_j, coords))) * vol
+        for t_j, v_j in zip(path.times[sl], path.sizes[sl]):
+            amp = gx * spec.eta.sigma(u) * float(np.asarray(spec.eta.h(np.asarray([v_j])))[0])
+            total += float(np.sum(jump(u, amp) * psi(t_j, coords))) * vol
 
     nodes, weights = path.intensity.size.quad_nodes()
     pos_mass = path.intensity.position.mass

@@ -10,10 +10,11 @@ div f(u) optionally switches to an Engquist-Osher monotone form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu, spsolve
 
 from .model import Grid, ProblemSpec
@@ -39,18 +40,23 @@ class StepFailureError(RuntimeError):
         super().__init__(message)
         self.history = list(history)
 
+    def __reduce__(self):
+        # rebuilt from both arguments, so it crosses a process pool intact
+        return type(self), (str(self), self.history)
+
 
 # ---------------------------------------------------------------------------
 # Grid operators
 
 def _neighbor(u: np.ndarray, axis: int, step: int, grid: Grid) -> np.ndarray:
-    nb = np.roll(u, -step, axis=axis)
+    """Value of the +1 (step > 0) or -1 neighbour of every cell along axis."""
+    cols_p, cols_m, ghost_p, ghost_m = _stencil(grid)[0][axis]
+    cols, ghost = (cols_p, ghost_p) if step > 0 else (cols_m, ghost_m)
+    uf = u.ravel()
+    nb = uf[cols]
     if grid.bc == "dirichlet":
-        sl = [slice(None)] * u.ndim
-        sl[axis] = -1 if step > 0 else 0
-        sl = tuple(sl)
-        nb[sl] = -u[sl]  # odd reflection: zero value at the boundary face
-    return nb
+        nb[ghost] = -uf[ghost]  # odd reflection: zero value at the boundary face
+    return nb.reshape(u.shape)
 
 
 def laplacian(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -122,10 +128,22 @@ _STENCIL_CACHE: dict = {}
 
 
 def _stencil(grid: Grid):
+    """Neighbour indices per axis and the CSC pattern of I - dt J, per grid.
+
+    ``axes[ax] = (cols_p, cols_m, ghost_p, ghost_m)``: flat index of the +1
+    and -1 neighbour of every cell (wrapping), and the Dirichlet cells whose
+    neighbour on that side is the odd-reflection ghost.  The pattern holds
+    the diagonal and every non-ghost neighbour entry; ``perm`` gathers its
+    values, column by column with sorted rows, from the coefficients stacked
+    as [diag, plus_0, minus_0, plus_1, minus_1, ...].
+    """
     key = (grid.dim, grid.cells, grid.bc)
     if key not in _STENCIL_CACHE:
-        idx = np.arange(grid.cells ** grid.dim).reshape(grid.shape)
+        n = grid.cells ** grid.dim
+        idx = np.arange(n).reshape(grid.shape)
         axes = []
+        cols = [idx.ravel()]
+        keep = [np.ones(n, dtype=bool)]
         for ax in range(grid.dim):
             cols_p = np.roll(idx, -1, axis=ax).ravel()
             cols_m = np.roll(idx, +1, axis=ax).ravel()
@@ -138,87 +156,142 @@ def _stencil(grid: Grid):
                 sl[ax] = 0
                 ghost_m[tuple(sl)] = True
             axes.append((cols_p, cols_m, ghost_p.ravel(), ghost_m.ravel()))
-        _STENCIL_CACHE[key] = (idx.ravel(), axes)
+            cols += [cols_p, cols_m]
+            keep += [~ghost_p.ravel(), ~ghost_m.ravel()]
+        rows = np.tile(idx.ravel(), len(cols))
+        cols = np.concatenate(cols)
+        kept = np.flatnonzero(np.concatenate(keep))
+        # at least 4 cells per axis, so no two entries share a slot
+        perm = kept[np.lexsort((rows[kept], cols[kept]))]
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(cols[perm], minlength=n))])
+        _STENCIL_CACHE[key] = (axes, (rows[perm], indptr, perm))
     return _STENCIL_CACHE[key]
 
 
 def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid,
                        viscous_only: bool = False):
-    """Sparse Jacobian of u -> lap phi(u) + eps lap u + div f(u)."""
-    rows_idx, axes = _stencil(grid)
-    n = u.size
+    """Stencil coefficients of the Jacobian of u -> lap phi(u) + eps lap u
+    + div f(u).
+
+    Returns ``(diag, [(plus, minus), ...])``: row i of the Jacobian holds
+    ``diag[i]`` on the diagonal and, per axis, ``plus[i]`` / ``minus[i]`` in
+    the columns ``cols_p[i]`` / ``cols_m[i]`` of :func:`_stencil` (zero
+    where that neighbour is a Dirichlet ghost, which folds into the diagonal).
+    """
+    axes, _ = _stencil(grid)
     h = grid.h
     h2 = h * h
     eps = spec.epsilon
     uf = u.ravel()
+    dirichlet = grid.bc == "dirichlet"
 
     if viscous_only:
         dphi = np.zeros_like(uf)
-        dphi_ghost = np.zeros_like(uf)
+        dphi_ghost = dphi
         with_flux = False
     else:
         dphi = np.asarray(spec.phi.dphi(uf), dtype=float)
-        dphi_ghost = np.asarray(spec.phi.dphi(-uf), dtype=float)
+        dphi_ghost = (np.asarray(spec.phi.dphi(-uf), dtype=float)
+                      if dirichlet else None)
         with_flux = spec.flux.c_f > 0.0
 
-    diag = np.zeros(n)
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
-
-    def put(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
+    diag = np.zeros(uf.size)
+    coefs = []
     for ax, (cols_p, cols_m, ghost_p, ghost_m) in enumerate(axes):
-        coef_p = (dphi[cols_p] + eps) / h2
-        coef_m = (dphi[cols_m] + eps) / h2
+        plus = (dphi[cols_p] + eps) / h2
+        minus = (dphi[cols_m] + eps) / h2
         diag += -2.0 * (dphi + eps) / h2
-        if grid.bc == "dirichlet":
+        if dirichlet:
             ghost_coef = -(dphi_ghost + eps) / h2
             diag += np.where(ghost_p, ghost_coef, 0.0)
             diag += np.where(ghost_m, ghost_coef, 0.0)
-            coef_p = np.where(ghost_p, 0.0, coef_p)
-            coef_m = np.where(ghost_m, 0.0, coef_m)
-        put(rows_idx, cols_p, coef_p)
-        put(rows_idx, cols_m, coef_m)
+            plus = np.where(ghost_p, 0.0, plus)
+            minus = np.where(ghost_m, 0.0, minus)
 
-        if not with_flux:
-            continue
-        comp = spec.flux.components[ax]
-        if spec.flux_form == "central":
-            fp = np.asarray(comp.df(uf[cols_p]), dtype=float) / (2.0 * h)
-            fm = -np.asarray(comp.df(uf[cols_m]), dtype=float) / (2.0 * h)
-            if grid.bc == "dirichlet":
-                dg = np.asarray(comp.df(-uf), dtype=float)
-                diag += np.where(ghost_p, -dg / (2.0 * h), 0.0)
-                diag += np.where(ghost_m, dg / (2.0 * h), 0.0)
-                fp = np.where(ghost_p, 0.0, fp)
-                fm = np.where(ghost_m, 0.0, fm)
-            put(rows_idx, cols_p, fp)
-            put(rows_idx, cols_m, fm)
-        else:
-            dfp = np.asarray(comp.dfplus(uf), dtype=float)
-            dfm = np.asarray(comp.dfminus(uf), dtype=float)
-            diag += (dfp - dfm) / h
-            up = np.asarray(comp.dfminus(uf[cols_p]), dtype=float) / h
-            dn = -np.asarray(comp.dfplus(uf[cols_m]), dtype=float) / h
-            if grid.bc == "dirichlet":
-                diag += np.where(
-                    ghost_p, -np.asarray(comp.dfminus(-uf), dtype=float) / h, 0.0)
-                diag += np.where(
-                    ghost_m, np.asarray(comp.dfplus(-uf), dtype=float) / h, 0.0)
-                up = np.where(ghost_p, 0.0, up)
-                dn = np.where(ghost_m, 0.0, dn)
-            put(rows_idx, cols_p, up)
-            put(rows_idx, cols_m, dn)
+        if with_flux:
+            comp = spec.flux.components[ax]
+            if spec.flux_form == "central":
+                fp = np.asarray(comp.df(uf[cols_p]), dtype=float) / (2.0 * h)
+                fm = -np.asarray(comp.df(uf[cols_m]), dtype=float) / (2.0 * h)
+                if dirichlet:
+                    dg = np.asarray(comp.df(-uf), dtype=float)
+                    diag += np.where(ghost_p, -dg / (2.0 * h), 0.0)
+                    diag += np.where(ghost_m, dg / (2.0 * h), 0.0)
+                    fp = np.where(ghost_p, 0.0, fp)
+                    fm = np.where(ghost_m, 0.0, fm)
+            else:
+                dfp = np.asarray(comp.dfplus(uf), dtype=float)
+                dfm = np.asarray(comp.dfminus(uf), dtype=float)
+                diag += (dfp - dfm) / h
+                fp = np.asarray(comp.dfminus(uf[cols_p]), dtype=float) / h
+                fm = -np.asarray(comp.dfplus(uf[cols_m]), dtype=float) / h
+                if dirichlet:
+                    diag += np.where(
+                        ghost_p, -np.asarray(comp.dfminus(-uf), dtype=float) / h,
+                        0.0)
+                    diag += np.where(
+                        ghost_m, np.asarray(comp.dfplus(-uf), dtype=float) / h,
+                        0.0)
+                    fp = np.where(ghost_p, 0.0, fp)
+                    fm = np.where(ghost_m, 0.0, fm)
+            plus = plus + fp
+            minus = minus + fm
+        coefs.append((plus, minus))
+    return diag, coefs
 
-    put(rows_idx, rows_idx, diag)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    return mat.tocsc()
+
+def _shifted_matrix(diag, coefs, grid: Grid, dt: float) -> sp.csc_matrix:
+    """I - dt J as a CSC matrix on the cached pattern of :func:`_stencil`."""
+    _, (indices, indptr, perm) = _stencil(grid)
+    stacked = np.concatenate(
+        [1.0 - dt * diag] + [-dt * c for pair in coefs for c in pair])
+    n = diag.size
+    return sp.csc_matrix((stacked[perm], indices, indptr), shape=(n, n))
+
+
+def _solve_tridiagonal(d, up, lo, rhs, periodic: bool) -> np.ndarray:
+    """Solve lo[i] x[i-1] + d[i] x[i] + up[i] x[i+1] = rhs[i] with LAPACK
+    ``dgtsv`` (Gaussian elimination with partial pivoting).
+
+    With ``periodic`` the indices wrap, so ``lo[0]`` and ``up[-1]`` are the
+    corner entries; they are removed by a Sherman-Morrison correction
+    (Numerical Recipes 2.7) whose second right-hand side rides in the same
+    ``dgtsv`` call.  Otherwise ``lo[0]`` and ``up[-1]`` are ignored.
+    """
+    if not periodic:
+        _, _, _, x, info = dgtsv(lo[1:], d, up[:-1], rhs)
+    else:
+        # A = T + w v^T, w = (gamma, 0.., alpha), v = (1, 0.., beta/gamma).
+        # gamma opposes d[0] in sign and |gamma| >= |d[0]| + |beta|, so t[0]
+        # cannot cancel and |alpha beta / gamma| <= |alpha|.
+        alpha, beta = up[-1], lo[0]
+        gamma = -np.copysign(abs(d[0]) + abs(alpha) + abs(beta), d[0])
+        t = d.copy()
+        t[0] -= gamma
+        t[-1] -= alpha * beta / gamma
+        b = np.zeros((d.size, 2), order="F")
+        b[:, 0] = rhs
+        b[0, 1] = gamma
+        b[-1, 1] = alpha
+        _, _, _, yz, info = dgtsv(lo[1:], t, up[:-1], b)
+        y, z = yz[:, 0], yz[:, 1]
+        x = y - ((y[0] + beta * y[-1] / gamma)
+                 / (1.0 + z[0] + beta * z[-1] / gamma)) * z
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            "tridiagonal Newton matrix is singular (dgtsv info %d)" % info)
+    return x
+
+
+def _newton_direction(diag, coefs, grid: Grid, dt: float,
+                      rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - dt J) x = rhs: banded LAPACK in 1D, SuperLU otherwise."""
+    if grid.dim == 1:
+        plus, minus = coefs[0]
+        return _solve_tridiagonal(1.0 - dt * diag, -dt * plus, -dt * minus,
+                                  rhs, grid.bc == "periodic")
+    return spsolve(_shifted_matrix(diag, coefs, grid, dt), rhs)
 
 
 def _step_operator(u: np.ndarray, spec: ProblemSpec, grid: Grid) -> np.ndarray:
@@ -266,8 +339,10 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
                   return_stats: bool = False):
     """Solve u - dt*(lap phi(u) + eps lap u + div f(u)) = u_n + noise_inc.
 
-    Damped Newton with an analytic sparse Jacobian; a Picard sweep on the
-    factorized viscous operator is the fallback. The accepted state satisfies
+    Damped Newton with an analytic stencil Jacobian, solved as a (cyclic)
+    tridiagonal system in 1D and by SuperLU on a cached CSC pattern
+    otherwise; a Picard sweep on the factorized viscous operator is the
+    fallback. The accepted state satisfies
     ||F(u)||_2 <= 1e-10 (1 + ||u_n||_2) in the discrete L2 norm.
 
     Raises
@@ -291,11 +366,14 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
     converged = res_norm <= tol
 
     while not converged and newton_iters < NEWTON_MAX_ITER:
-        jac = sp.identity(u.size, format="csc") - dt * _operator_jacobian(
-            u, spec, grid)
-        delta = spsolve(jac, -res.ravel()).reshape(u.shape)
+        diag, coefs = _operator_jacobian(u, spec, grid)
         lam = 1.0
         accepted = False
+        try:
+            delta = _newton_direction(diag, coefs, grid, dt,
+                                      -res.ravel()).reshape(u.shape)
+        except np.linalg.LinAlgError:
+            lam = 0.0  # singular Newton matrix: go to the fallback
         while lam >= ARMIJO_FLOOR:
             trial = u + lam * delta
             trial_res = residual(trial)
@@ -316,9 +394,8 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
     used_fallback = False
     if not converged:
         used_fallback = True
-        visc = sp.identity(u.size, format="csc") - dt * _operator_jacobian(
-            u, spec, grid, viscous_only=True)
-        lu = splu(visc)
+        diag, coefs = _operator_jacobian(u, spec, grid, viscous_only=True)
+        lu = splu(_shifted_matrix(diag, coefs, grid, dt))
         u = u_n.copy()
         for picard_iters in range(1, PICARD_MAX_ITER + 1):
             rhs = x_rhs + dt * (

@@ -2,9 +2,11 @@ import os
 
 import pytest
 
+import stoclaw.solver as solver_mod
 from stoclaw.cli import main
 from stoclaw.config import ConfigError, ExperimentConfig
 from stoclaw.harness import path_seed, replay, run_experiment
+from stoclaw.solver import StepFailureError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -144,6 +146,24 @@ def test_worker_count_invariance(tmp_path):
     run_experiment(cfg, out_dir=str(tmp_path / "w2"), workers=2)
     assert (tmp_path / "w1" / "report.csv").read_bytes() == \
         (tmp_path / "w2" / "report.csv").read_bytes()
+
+
+def test_worker_step_failure_reaches_caller(tmp_path, monkeypatch):
+    # the limits reach the pool workers through fork; the failure must come
+    # back as StepFailureError with its history, not as a broken pool
+    monkeypatch.setattr(solver_mod, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(solver_mod, "PICARD_MAX_ITER", 1)
+    cfg = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
+    cfg.set("run", "paths", 2)
+    cfg.set("run", "steps", 4)
+    cfg.set("grid", "cells", 32)
+    cfg.set("diagnostics", "checks", ("energy",))
+    with pytest.raises(StepFailureError, match="step 1 of 4") as err:
+        run_experiment(cfg, out_dir=str(tmp_path / "run"), workers=2)
+    assert len(err.value.history) >= 2
+    assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--workers", "2", "--out", str(tmp_path / "cli")]) == 1
 
 
 def test_seed_override_changes_outputs(tmp_path):

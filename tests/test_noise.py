@@ -243,6 +243,40 @@ def test_martingale_single_jump_closed_form():
     np.testing.assert_allclose(got, jump_oracle - comp, atol=1e-10)
 
 
+def test_event_on_knot_lands_in_one_step():
+    # dt = 1/9 is not a binary fraction: t = 7 dt divides back to just
+    # under 7, yet the solver's window [7 dt, 8 dt) holds the event, so the
+    # martingale term must read the state of step 7 as well
+    levy = atom_intensity(pos_mass=1.0, atoms=((0.7, 1.0),))
+    spec = separable_spec(levy=levy)
+    grid = sc.Grid(dim=1, half_width=2.0, cells=16)
+    n_steps, k = 9, 7
+    dt = spec.horizon / n_steps
+    t_knot = k * dt
+    assert int(t_knot / dt) == k - 1
+    path = JumpPath(np.array([t_knot]), np.zeros(1), np.array([0.7]),
+                    0, 1.0, levy)
+    empty = JumpPath(np.empty(0), np.empty(0), np.empty(0), 0, 1.0, levy)
+    traj = sc.solve_path(spec, grid, n_steps, path)
+    gx = spec.eta.g(grid.coords())
+    for n in (k - 1, k):
+        compensator = sc.compensated_increment(
+            empty, spec, grid, traj.fields[n], n * dt, (n + 1) * dt)
+        jump = traj.increments[n] - compensator
+        np.testing.assert_allclose(jump, gx * 0.7 if n == k else 0.0,
+                                   atol=1e-14)
+
+    triple = sc.make_quadratic(phi=spec.phi, flux=spec.flux)
+    psi = make_uniform_psi()
+    on_knot = sc.martingale_term(path, spec, grid, traj, triple, psi)
+    inside = JumpPath(np.array([np.nextafter(t_knot, 1.0)]), np.zeros(1),
+                      np.array([0.7]), 0, 1.0, levy)
+    assert int(inside.times[0] / dt) == k
+    np.testing.assert_allclose(
+        on_knot, sc.martingale_term(inside, spec, grid, traj, triple, psi),
+        rtol=1e-12)
+
+
 def test_martingale_empty_path_sign():
     levy = atom_intensity(pos_mass=1.0, atoms=((1.0, 2.0),))
     spec = separable_spec(levy=levy)
@@ -272,12 +306,6 @@ def test_theta_rule_cross_check():
 
 # ---------------------------------------------------------------------------
 # Coupling and replay
-
-def test_refine_path_is_identity():
-    levy = atom_intensity()
-    path = sc.sample_jump_path(levy, 1.0, 2)
-    assert sc.refine_path(path) is path
-
 
 def test_coupling_contract_same_events_across_dt():
     levy = atom_intensity(pos_mass=2.0)

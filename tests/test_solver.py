@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -127,6 +129,8 @@ def test_step_failure_carries_history(monkeypatch):
     with pytest.raises(StepFailureError) as err:
         sc.implicit_step(spec, grid, u, np.zeros_like(u), 0.4)
     assert len(err.value.history) >= 2
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert str(copy) == str(err.value) and copy.history == err.value.history
 
 
 def test_step_failure_propagates_step_index(monkeypatch):
@@ -138,6 +142,87 @@ def test_step_failure_propagates_step_index(monkeypatch):
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
     with pytest.raises(StepFailureError, match="step 1 of 4"):
         sc.solve_path(spec, grid, 4, empty_path(silent_levy(), 2.0))
+
+
+# ---------------------------------------------------------------------------
+# Newton matrix
+
+def away_from_kinks(rng, shape):
+    # |u| in [0.05, 0.95] or [1.05, 2]: off the stefan kinks at +-1 and the
+    # upwind kink at 0, where a central difference of the residual is exact
+    # up to round-off
+    mag = np.where(rng.uniform(size=shape) < 0.5,
+                   rng.uniform(0.05, 0.95, shape), rng.uniform(1.05, 2.0, shape))
+    return np.where(rng.uniform(size=shape) < 0.5, -mag, mag)
+
+
+@pytest.mark.parametrize("dim,cells,bc", [
+    (1, 48, "periodic"), (1, 48, "dirichlet"),
+    (2, 32, "periodic"), (2, 32, "dirichlet")])
+@pytest.mark.parametrize("flux_form", ["central", "engquist_osher"])
+def test_newton_matrix_matches_finite_difference(dim, cells, bc, flux_form):
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.05, dim=dim,
+                     flux_form=flux_form)
+    grid = sc.Grid(dim=dim, half_width=2.0, cells=cells, bc=bc)
+    dt = 0.01
+    u = away_from_kinks(np.random.default_rng(3), grid.shape).ravel()
+    diag, coefs = solver_mod._operator_jacobian(u.reshape(grid.shape), spec,
+                                                grid)
+    mat = solver_mod._shifted_matrix(diag, coefs, grid, dt).toarray()
+
+    def residual(v):
+        v = v.reshape(grid.shape)
+        return (v - dt * solver_mod._step_operator(v, spec, grid)).ravel()
+
+    step = 1e-5
+    fd = np.empty_like(mat)
+    for j in range(u.size):
+        e = np.zeros(u.size)
+        e[j] = step
+        fd[:, j] = (residual(u + e) - residual(u - e)) / (2.0 * step)
+    np.testing.assert_allclose(mat, fd, rtol=0.0,
+                               atol=1e-8 * np.max(np.abs(mat)))
+
+
+def test_periodic_newton_solve_matches_dense():
+    # cyclic tridiagonal solve of a nonlinear, nonsymmetric Newton matrix
+    # against a dense solve with both corner entries in place
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.05,
+                     flux_form="engquist_osher")
+    grid = sc.Grid(dim=1, half_width=2.0, cells=96)
+    rng = np.random.default_rng(11)
+    u = away_from_kinks(rng, grid.shape)
+    dt = 0.02
+    diag, [(plus, minus)] = solver_mod._operator_jacobian(u, spec, grid)
+    m = grid.cells
+    mat = np.eye(m) - dt * np.diag(diag)
+    for i in range(m):
+        mat[i, (i + 1) % m] -= dt * plus[i]
+        mat[i, (i - 1) % m] -= dt * minus[i]
+    assert mat[0, -1] != 0.0 and mat[-1, 0] != 0.0
+    assert not np.allclose(mat, mat.T)
+    rhs = rng.uniform(-1, 1, m)
+    ours = solver_mod._newton_direction(diag, [(plus, minus)], grid, dt, rhs)
+    oracle = np.linalg.solve(mat, rhs)
+    assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_singular_newton_matrix_falls_back_to_picard(monkeypatch):
+    zeros = np.zeros(8)
+    with pytest.raises(np.linalg.LinAlgError):
+        solver_mod._solve_tridiagonal(zeros, zeros, zeros, np.ones(8), False)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(solver_mod, "_newton_direction", singular)
+    spec = make_spec(phi="porous", eps=0.1)
+    grid = sc.Grid(dim=1, half_width=2.0, cells=32)
+    u = sc.discretize_initial(spec, grid)
+    _, stats = sc.implicit_step(spec, grid, u, np.zeros_like(u), 0.01,
+                                return_stats=True)
+    assert stats.used_fallback and stats.newton_iterations == 1
+    assert stats.residual <= 1e-10 * (1.0 + norm_l2(u, grid))
 
 
 # ---------------------------------------------------------------------------
