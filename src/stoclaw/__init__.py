@@ -3,8 +3,8 @@ conservation laws driven by compensated Poisson jump noise."""
 
 from .entropy import (
     BETA_M1, BETA_M2, EntropyTriple, F_beta, I_beta, ibeta_identities,
-    kirchhoff, kirchhoff_G, kruzkov_F, make_beta_theta, make_h_delta,
-    make_quadratic, phi_beta,
+    kirchhoff, kruzkov_F, make_beta_theta, make_h_delta, make_quadratic,
+    phi_beta,
 )
 from .model import (
     DomainTooSmallError, Grid, InvalidSpecError, ProblemSpec,
@@ -12,14 +12,14 @@ from .model import (
     validate_assumptions,
 )
 from .noise import (
-    JumpPath, LevyIntensity, PositionMeasure, SizeMeasure,
-    TruncationRequiredError, compensated_increment, martingale_term,
-    read_events, sample_jump_path, write_events,
+    JumpPath, LevyIntensity, SizeMeasure, TruncationRequiredError,
+    compensated_increment, martingale_term, read_events, sample_jump_path,
+    write_events,
 )
 from .quadrature import QuadratureError, adaptive_simpson, batch_simpson
 from .solver import (
-    EnergyReport, Interpolants, StepFailureError, Trajectory,
-    build_interpolants, discrete_energy_report, implicit_step, solve_path,
+    EnergyReport, StepFailureError, Trajectory, discrete_energy_report,
+    implicit_step, solve_path,
 )
 
 __version__ = "0.1.0"

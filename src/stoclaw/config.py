@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .model import (Grid, ProblemSpec, eta_family, flux_family, init_family,
                     phi_family)
-from .noise import LevyIntensity, PositionMeasure, SizeMeasure
+from .noise import LevyIntensity, SizeMeasure
 
 __all__ = ["ConfigError", "ExperimentConfig"]
 
@@ -85,11 +85,7 @@ _SCHEMA = {
         "sigma_scale": (float, 1.0, None),
         "sigma_cap": (float, 1.0, None),
         "h": (str, "identity", ("identity", "const")),
-        "position": (str, "atom", ("atom", "uniform")),
         "position_mass": (float, 1.0, None),
-        "position_point": (float, 0.0, None),
-        "position_lo": (float, 0.0, None),
-        "position_hi": (float, 1.0, None),
         "size": (str, "atoms", ("atoms", "uniform", "alpha_stable")),
         "size_atoms": (_parse_atoms, ((1.0, 1.0),), None),
         "size_lo": (float, 0.5, None),
@@ -258,22 +254,19 @@ class ExperimentConfig:
 
     def build_intensity(self) -> LevyIntensity:
         n = self.values["noise"]
-        if n["position"] == "atom":
-            pos = PositionMeasure("atom", mass=n["position_mass"],
-                                  point=n["position_point"])
-        else:
-            pos = PositionMeasure("uniform", mass=n["position_mass"],
-                                  lo=n["position_lo"], hi=n["position_hi"])
-        if n["size"] == "atoms":
-            size = SizeMeasure("atoms", atoms=n["size_atoms"])
-        elif n["size"] == "uniform":
-            size = SizeMeasure("uniform", lo=n["size_lo"], hi=n["size_hi"],
-                               mass=n["size_mass"])
-        else:
-            size = SizeMeasure("alpha_stable", alpha=n["alpha"],
-                               z_min=n["z_min"], v_max=n["v_max"],
-                               strength=n["strength"])
-        return LevyIntensity(position=pos, size=size)
+        try:
+            if n["size"] == "atoms":
+                size = SizeMeasure("atoms", atoms=n["size_atoms"])
+            elif n["size"] == "uniform":
+                size = SizeMeasure("uniform", lo=n["size_lo"],
+                                   hi=n["size_hi"], mass=n["size_mass"])
+            else:
+                size = SizeMeasure("alpha_stable", alpha=n["alpha"],
+                                   z_min=n["z_min"], v_max=n["v_max"],
+                                   strength=n["strength"])
+            return LevyIntensity(position_mass=n["position_mass"], size=size)
+        except ValueError as err:
+            raise ConfigError("[noise] %s" % (err,)) from err
 
     def build_spec(self) -> ProblemSpec:
         m = self.values["model"]

@@ -4,7 +4,7 @@ contraction, moment growth, the sup bound under compactly supported noise,
 and the small-viscosity limit.
 
 Space-time integrals against a test function use the trajectory's own grid
-(midpoint in space, trapezoid in time at the interpolation knots); test
+(midpoint in space, trapezoid in time at the step knots); test
 function derivatives are analytic, never differenced.
 """
 
@@ -20,8 +20,7 @@ import numpy as np
 from .entropy import EntropyTriple, kirchhoff
 from .model import Grid, InitFamily, ProblemSpec, discretize_initial
 from .noise import JumpPath, martingale_term, sample_jump_path
-from .solver import (Interpolants, Trajectory, build_interpolants, grad_sq,
-                     l2_sq, norm_l1, solve_path)
+from .solver import Trajectory, l2_sq, norm_l1, solve_path
 
 __all__ = [
     "TestFunction", "bump_test_function", "uniform_test_function",
@@ -223,8 +222,8 @@ def _trapezoid_weights(n_steps: int, dt: float) -> np.ndarray:
     return w
 
 
-def entropy_residual(traj: Trajectory, interp: Interpolants, path: JumpPath,
-                     triple: EntropyTriple, psi: TestFunction,
+def entropy_residual(traj: Trajectory, path: JumpPath, triple: EntropyTriple,
+                     psi: TestFunction,
                      kirchhoff_fn: Optional[Callable] = None) -> float:
     """Residual of the entropy inequality along one path.
 
@@ -310,7 +309,7 @@ def _ito_correction(traj: Trajectory, triple: EntropyTriple,
     dt = traj.dt
     intensity = traj.spec.levy
     nodes, weights = intensity.size.quad_nodes()
-    pos_mass = intensity.position.mass
+    pos_mass = intensity.position_mass
     total = 0.0
     for k in range(traj.n_steps):
         u = traj.fields[k]
@@ -344,14 +343,12 @@ def calibrate_entropy_tolerance(samples: Sequence[tuple],
         path = sample_jump_path(spec.levy, spec.horizon, seed=0) \
             if spec.levy is not None else None
         traj = solve_path(spec, grid, n_steps, path)
-        interp = build_interpolants(traj)
         G = kirchhoff(spec.phi)
         for th in triples_thetas:
             triple = make_beta_theta(th, phi=spec.phi, flux=spec.flux)
             for psi in test_function_catalog(grid.half_width, spec.horizon,
                                              grid.dim):
-                r = entropy_residual(traj, interp, path, triple, psi,
-                                     kirchhoff_fn=G)
+                r = entropy_residual(traj, path, triple, psi, kirchhoff_fn=G)
                 scale = spec.epsilon + grid.h + traj.dt
                 worst = max(worst, -r / scale)
     return max(worst * safety, 0.05)
@@ -588,7 +585,7 @@ def linear_moment_rate(spec: ProblemSpec, p: int, dt: float) -> float:
     if spec.eta.g_lip != 0.0:
         raise ValueError("closed-form rate needs spatially constant g")
     a = spec.eta.params["sigma_scale"] * spec.eta.g_inf
-    lam = spec.levy.position.mass
+    lam = spec.levy.position_mass
     h = spec.eta.h
     r = {j: lam * spec.levy.size.integral(lambda v: h(v) ** j)
          for j in (1, 2, 3, 4)}
@@ -618,25 +615,22 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
 
-def max_principle_test(spec: ProblemSpec, grid: Grid, m_cap: float,
-                       path_seeds: Sequence[int],
-                       n_steps: int) -> BoundReport:
+def max_principle_test(spec: ProblemSpec, m_cap: float,
+                       per_path_max: Sequence[float]) -> BoundReport:
     """Cellwise |u_n| <= max(M + M1, ||u0||_inf) + tol at every step and path.
 
-    Needs the compact-support noise family (sigma vanishing beyond the cap);
-    M1 is the declared sup of |eta|.
+    ``per_path_max`` holds each path's max |u_n(x)| over cells and steps.
+    Needs a bounded noise amplitude; M is sigma's cap when the family
+    declares one and ``m_cap`` otherwise, M1 the declared sup of |eta|.
     """
     m1 = spec.m1
     if m1 is None:
         raise ValueError("max principle test needs bounded noise amplitude")
+    if spec.eta.sigma_cap is not None:
+        m_cap = spec.eta.sigma_cap
     bound = max(m_cap + m1, spec.u0.linf)
     tol = 1e-6 * bound
-    per_path = []
-    for seed in path_seeds:
-        path = sample_jump_path(spec.levy, spec.horizon, int(seed))
-        traj = solve_path(spec, grid, n_steps, path)
-        per_path.append(float(np.max(np.abs(traj.fields))))
-    per_path = np.asarray(per_path)
+    per_path = np.asarray(per_path_max, dtype=float)
     worst = float(np.max(per_path))
     return BoundReport(bound=bound, tolerance=tol, worst=worst,
                        per_path_max=per_path, passed=bool(worst <= bound + tol),

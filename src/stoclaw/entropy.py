@@ -21,7 +21,7 @@ __all__ = [
     "EntropyTriple", "BETA_M1", "BETA_M2",
     "base_beta", "base_dbeta", "base_d2beta",
     "make_beta_theta", "make_h_delta", "make_quadratic",
-    "kirchhoff", "kirchhoff_G",
+    "kirchhoff",
     "phi_beta", "F_beta", "kruzkov_F", "I_beta", "ibeta_identities",
 ]
 
@@ -251,11 +251,6 @@ def kirchhoff(phi, tol: float = 1e-10):
         return vals if u.ndim else float(vals[0])
 
     return G
-
-
-def kirchhoff_G(phi, u):
-    """Kirchhoff transform of ``phi`` evaluated at ``u`` (scalar or array)."""
-    return kirchhoff(phi)(u)
 
 
 # ---------------------------------------------------------------------------

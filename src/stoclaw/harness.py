@@ -27,8 +27,7 @@ from .entropy import (BETA_M1, BETA_M2, identity_check_batch, kirchhoff,
                       make_beta_theta)
 from .model import validate_assumptions
 from .noise import sample_jump_path, write_events
-from .solver import (build_interpolants, discrete_energy_report,
-                     mass_outside, norm_l1, solve_path)
+from .solver import discrete_energy_report, mass_outside, norm_l1, solve_path
 
 __all__ = ["run_experiment", "convergence_study", "replay", "path_seed"]
 
@@ -61,7 +60,6 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
         out["grad_u_sq"] = rep.grad_u_sq
         out["grad_g_sq"] = rep.grad_g_sq
     if need_residual:
-        interp = build_interpolants(traj)
         thetas = cfg.get("diagnostics", "theta_values")
         psis = test_function_catalog(grid.half_width, spec.horizon, grid.dim)
         worst = math.inf
@@ -69,8 +67,7 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
         for th in thetas:
             triple = make_beta_theta(th, phi=spec.phi, flux=spec.flux)
             for psi in psis:
-                r = entropy_residual(traj, interp, path, triple, psi,
-                                     kirchhoff_fn=G)
+                r = entropy_residual(traj, path, triple, psi, kirchhoff_fn=G)
                 if r < worst:
                     worst, worst_tag = r, "theta=%g %s" % (th, psi.name)
         out["residual_min"] = worst
@@ -222,27 +219,23 @@ def _check_residual(cfg, spec, grid, results, report):
         extras={"worst_case": tag, "coefficient": coeff}))
 
 
-def _check_max_principle(cfg, spec, grid, results, report):
-    m1 = spec.m1
-    if m1 is None:
+def _check_max_principle(cfg, spec, results, report):
+    if spec.m1 is None:
         report.add(CheckResult(
             name="max_principle", value=float("nan"), bound=float("nan"),
             margin=float("nan"), passed=None,
             statement="sup bound requires a noise amplitude with compact "
                       "u-support"))
         return
-    m_cap = spec.eta.sigma_cap if spec.eta.sigma_cap is not None else \
-        cfg.get("diagnostics", "max_principle_cap")
-    u0_linf = spec.u0.linf
-    bound = max(m_cap + m1, u0_linf)
-    tol = 1e-6 * bound
-    worst = max(r["max_abs"] for r in results)
+    rep = max_principle_test(spec, cfg.get("diagnostics", "max_principle_cap"),
+                             [r["max_abs"] for r in results])
+    limit = rep.bound + rep.tolerance
     report.add(CheckResult(
-        name="max_principle", value=worst, bound=bound + tol,
-        margin=bound + tol - worst, passed=bool(worst <= bound + tol),
+        name="max_principle", value=rep.worst, bound=limit,
+        margin=limit - rep.worst, passed=rep.passed,
         statement="|u_n(x)| <= max(M + M1, ||u0||_inf) cellwise at every "
                   "step on every path",
-        extras={"m_cap": m_cap, "m1": m1}))
+        extras=rep.extras))
 
 
 def _check_moments(cfg, spec, grid, seeds, report):
@@ -290,7 +283,7 @@ def _check_isometry(cfg, spec, grid, report):
     rate = spec.levy.compensator_rate(h)
     w = total - spec.horizon * rate
     var_emp = float(np.var(w, ddof=1))
-    var_pred = spec.horizon * spec.levy.position.mass * \
+    var_pred = spec.horizon * spec.levy.position_mass * \
         spec.levy.size.integral(lambda v: h(v) ** 2)
     centered_sq = (w - np.mean(w)) ** 2
     se = float(np.std(centered_sq, ddof=1) / math.sqrt(n_paths))
@@ -464,7 +457,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     if "entropy_residual" in selected:
         _check_residual(cfg, spec, grid, results, report)
     if "max_principle" in selected:
-        _check_max_principle(cfg, spec, grid, results, report)
+        _check_max_principle(cfg, spec, results, report)
     if "moments" in selected:
         _check_moments(cfg, spec, grid, seeds, report)
     if "isometry" in selected:

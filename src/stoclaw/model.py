@@ -92,9 +92,6 @@ class EtaFamily:
     is_zero: bool = False
     params: dict = field(default_factory=dict)
 
-    def eval(self, gx, u, hv):
-        return gx * self.sigma(u) * hv
-
     def depends_on_x(self) -> bool:
         return self.g_lip > 0.0
 
@@ -105,7 +102,6 @@ class InitFamily:
     u0: Callable  # coords (..., d) -> values (...)
     support_radius: Optional[float]  # None = covers the whole domain
     linf: float
-    l1_scale: float  # one-dimensional L1 mass scale, informational
     params: dict = field(default_factory=dict)
 
 
@@ -378,14 +374,13 @@ def init_family(name: str, *, height: float = 1.0, center: float = 0.0,
     if name == "zero":
         return InitFamily(
             "zero", lambda x: np.zeros(np.asarray(x, dtype=float).shape[:-1]),
-            support_radius=0.0, linf=0.0, l1_scale=0.0)
+            support_radius=0.0, linf=0.0)
     hgt = _as_float("u0 height", height)
     if name == "constant":
         return InitFamily(
             "constant",
             lambda x: np.full(np.asarray(x, dtype=float).shape[:-1], hgt),
-            support_radius=None, linf=abs(hgt), l1_scale=abs(hgt),
-            params={"height": hgt})
+            support_radius=None, linf=abs(hgt), params={"height": hgt})
     w = _as_float("u0 width", width)
     if w <= 0.0:
         raise InvalidSpecError("u0 width must be positive")
@@ -394,7 +389,6 @@ def init_family(name: str, *, height: float = 1.0, center: float = 0.0,
         u0 = _bump_profile(hgt, c, w)
         radius = float(np.max(np.abs(c))) + w
         return InitFamily("bump", u0, support_radius=radius, linf=abs(hgt),
-                          l1_scale=abs(hgt) * w * 16.0 / 15.0,
                           params={"height": hgt, "center": center, "width": w})
     if name == "box":
         def u0(x):
@@ -404,7 +398,6 @@ def init_family(name: str, *, height: float = 1.0, center: float = 0.0,
 
         radius = float(np.max(np.abs(c))) + w
         return InitFamily("box", u0, support_radius=radius, linf=abs(hgt),
-                          l1_scale=abs(hgt) * 2.0 * w,
                           params={"height": hgt, "center": center, "width": w})
     raise InvalidSpecError("unknown u0 family %r" % (name,))
 
@@ -467,10 +460,6 @@ class ProblemSpec:
         if self.eta.sigma_cap is None and self.eta.params.get("sigma") != "const":
             return None
         return self.eta.g_inf * self.eta.sigma_sup_box * self.h_max()
-
-    def eta_eval(self, gx, u, v):
-        """eta(x, u; z) on precomputed g(x) values and mark sizes v."""
-        return self.eta.eval(gx, u, self.eta.h(v))
 
     def with_u0(self, u0: InitFamily) -> "ProblemSpec":
         return replace(self, u0=u0)

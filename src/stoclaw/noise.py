@@ -18,7 +18,7 @@ import numpy as np
 from .quadrature import adaptive_simpson
 
 __all__ = [
-    "PositionMeasure", "SizeMeasure", "LevyIntensity", "JumpPath",
+    "SizeMeasure", "LevyIntensity", "JumpPath",
     "TruncationRequiredError", "sample_jump_path", "compensated_increment",
     "martingale_term", "write_events", "read_events",
 ]
@@ -32,34 +32,6 @@ class TruncationRequiredError(ValueError):
 
 
 @dataclass(frozen=True)
-class PositionMeasure:
-    """Jump-position intensity on an interval of the line.
-
-    kind = "atom": all positions at ``point``; kind = "uniform": uniform
-    density on [lo, hi]. ``mass`` is the total (finite) measure.
-    """
-
-    kind: str
-    mass: float
-    point: float = 0.0
-    lo: float = 0.0
-    hi: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("atom", "uniform"):
-            raise ValueError("unknown position measure %r" % (self.kind,))
-        if self.mass < 0.0 or not np.isfinite(self.mass):
-            raise ValueError("position mass must be finite and nonnegative")
-        if self.kind == "uniform" and not self.hi > self.lo:
-            raise ValueError("uniform position measure needs hi > lo")
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind == "atom":
-            return np.full(n, self.point)
-        return rng.uniform(self.lo, self.hi, n)
-
-
-@dataclass(frozen=True)
 class SizeMeasure:
     """Jump-size intensity on R* (zero excluded).
 
@@ -67,8 +39,7 @@ class SizeMeasure:
     density on an interval away from 0; kind = "alpha_stable": density
     c |v|^(-1-alpha) restricted to z_min <= |v| <= v_max on both sides. The
     restriction keeps the total mass finite so events can be simulated
-    exactly; the discarded small-jump activity is reported through
-    :meth:`truncation_second_moment`.
+    exactly.
     """
 
     kind: str
@@ -177,35 +148,32 @@ class SizeMeasure:
             probe = np.concatenate([-half, half])
         return float(np.max(np.abs(fn(probe))))
 
-    def truncation_second_moment(self) -> float:
-        """int_{|v| < z_min} v^2 dmu of the untruncated density (0 for finite kinds)."""
-        if self.kind != "alpha_stable":
-            return 0.0
-        a, c = self.alpha, self.strength
-        return 2.0 * c * self.z_min ** (2.0 - a) / (2.0 - a)
-
 
 @dataclass(frozen=True)
 class LevyIntensity:
-    """Product intensity m = lambda x mu on E = O x R*."""
+    """Product intensity m = lambda x mu on E = O x R*.
 
-    position: PositionMeasure
+    The catalog amplitude never reads the jump position, so the position
+    measure lambda enters only through its total mass lambda(O).
+    """
+
+    position_mass: float
     size: SizeMeasure
+
+    def __post_init__(self):
+        if self.position_mass < 0.0 or not np.isfinite(self.position_mass):
+            raise ValueError("position mass must be finite and nonnegative")
 
     @property
     def total_mass(self) -> float:
-        return self.position.mass * self.size.total_mass
-
-    @property
-    def z_min(self) -> float:
-        return self.size.z_min if self.size.kind == "alpha_stable" else 0.0
+        return self.position_mass * self.size.total_mass
 
     def sample_sizes(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.size.sample(rng, n)
 
     def compensator_rate(self, h: Callable) -> float:
         """lambda-mass times int h(v) mu(dv) over the truncated support."""
-        return self.position.mass * self.size.integral(h)
+        return self.position_mass * self.size.integral(h)
 
 
 @dataclass(frozen=True)
@@ -217,7 +185,6 @@ class JumpPath:
     """
 
     times: np.ndarray
-    positions: np.ndarray
     sizes: np.ndarray
     seed: int
     horizon: float
@@ -245,14 +212,11 @@ def sample_jump_path(intensity: LevyIntensity, horizon: float,
             "total intensity mass is not finite; truncate the size measure")
     rng = np.random.default_rng(seed)
     if lam == 0.0:
-        empty = np.empty(0)
-        return JumpPath(empty, empty.copy(), empty.copy(), seed, horizon,
-                        intensity)
+        return JumpPath(np.empty(0), np.empty(0), seed, horizon, intensity)
     n = int(rng.poisson(lam * horizon))
     times = np.sort(rng.uniform(0.0, horizon, n))
-    ys = intensity.position.sample(rng, n)
     vs = intensity.size.sample(rng, n)
-    return JumpPath(times, ys, vs, seed, horizon, intensity)
+    return JumpPath(times, vs, seed, horizon, intensity)
 
 
 def compensated_increment(path: JumpPath, spec, grid, u_n: np.ndarray,
@@ -326,7 +290,7 @@ def martingale_term(path: JumpPath, spec, grid, traj, triple, psi,
             total += float(np.sum(jump(u, amp) * psi(t_j, coords))) * vol
 
     nodes, weights = path.intensity.size.quad_nodes()
-    pos_mass = path.intensity.position.mass
+    pos_mass = path.intensity.position_mass
     comp = 0.0
     for n in range(n_steps):
         u = traj.fields[n]
@@ -342,7 +306,8 @@ def martingale_term(path: JumpPath, spec, grid, traj, triple, psi,
 
 
 # ---------------------------------------------------------------------------
-# Event-file replay format: one event per line, 17 significant digits.
+# Event-file replay format: one "t v" line (time, mark size) per event,
+# 17 significant digits.
 
 def write_events(path: JumpPath, stream) -> None:
     own = isinstance(stream, str)
@@ -350,8 +315,8 @@ def write_events(path: JumpPath, stream) -> None:
     try:
         fh.write("# jump path: seed=%d horizon=%.17g count=%d\n"
                  % (path.seed, path.horizon, path.count))
-        for t, y, v in zip(path.times, path.positions, path.sizes):
-            fh.write("%.17g %.17g %.17g\n" % (t, y, v))
+        for t, v in zip(path.times, path.sizes):
+            fh.write("%.17g %.17g\n" % (t, v))
     finally:
         if own:
             fh.close()
@@ -370,10 +335,14 @@ def read_events(stream, intensity: Optional[LevyIntensity] = None) -> JumpPath:
             fh.close()
     if rows:
         arr = np.asarray(rows, dtype=float)
-        times, ys, vs = arr[:, 0], arr[:, 1], arr[:, 2]
+        if arr.shape[1] != 2:
+            # files with a position column predate position_mass
+            raise ValueError("event lines must read 't v', got %d columns"
+                             % arr.shape[1])
+        times, vs = arr[:, 0], arr[:, 1]
     else:
-        times = ys = vs = np.empty(0)
-    return JumpPath(times, ys, vs, int(meta["seed"]), float(meta["horizon"]),
+        times = vs = np.empty(0)
+    return JumpPath(times, vs, int(meta["seed"]), float(meta["horizon"]),
                     intensity)
 
 

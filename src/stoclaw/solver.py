@@ -1,7 +1,6 @@
 """Implicit time discretization of the viscous problem: one nonlinear
 elliptic solve per step, driven by windowed compensated jump increments,
-plus the piecewise-constant / piecewise-linear interpolants and the discrete
-energy bookkeeping.
+plus the discrete energy bookkeeping.
 
 Spatial operators are second-order central differences on cell centers;
 div f(u) optionally switches to an Engquist-Osher monotone form.
@@ -21,9 +20,8 @@ from .model import Grid, ProblemSpec
 from .noise import JumpPath, compensated_increment
 
 __all__ = [
-    "StepFailureError", "StepStats", "Trajectory", "Interpolants",
-    "implicit_step", "solve_path", "build_interpolants",
-    "discrete_energy_report", "EnergyReport",
+    "StepFailureError", "StepStats", "Trajectory", "implicit_step",
+    "solve_path", "discrete_energy_report", "EnergyReport",
     "l2_sq", "norm_l2", "norm_l1", "grad_sq", "laplacian", "divergence",
     "mass_outside",
 ]
@@ -490,67 +488,6 @@ def solve_path(spec: ProblemSpec, grid: Grid, n_steps: int, path: JumpPath,
         stats.append(st)
     return Trajectory(fields=fields, increments=incs, dt=dt, grid=grid,
                       spec=spec, stats=stats)
-
-
-@dataclass
-class Interpolants:
-    """The three time interpolants attached to a trajectory.
-
-    ``piecewise(t)`` holds u_k on [(k-1) dt, k dt) (u_0 for t < 0), the
-    linear interpolant joins the knots, and the noise accumulator joins the
-    partial sums B_k of the compensated increments.
-    """
-
-    trajectory: Trajectory
-    b_knots: np.ndarray
-    gap_sq: float     # exact squared L2(0,T; L2) distance between the two
-    gap_bound: float  # dt * sum ||u_{k+1} - u_k||^2
-
-    @property
-    def dt(self) -> float:
-        return self.trajectory.dt
-
-    def piecewise(self, t: float) -> np.ndarray:
-        tr = self.trajectory
-        if t < 0.0:
-            return tr.fields[0]
-        k = int(np.floor(t / tr.dt)) + 1
-        return tr.fields[min(k, tr.n_steps)]
-
-    def linear(self, t: float) -> np.ndarray:
-        return self._lin(self.trajectory.fields, t)
-
-    def noise_accumulator(self, t: float) -> np.ndarray:
-        return self._lin(self.b_knots, t)
-
-    def _lin(self, knots: np.ndarray, t: float) -> np.ndarray:
-        tr = self.trajectory
-        n = tr.n_steps
-        if t <= 0.0:
-            return knots[0]
-        if t >= tr.horizon:
-            return knots[n]
-        k = int(np.floor(t / tr.dt))
-        s = (t - k * tr.dt) / tr.dt
-        return (1.0 - s) * knots[k] + s * knots[k + 1]
-
-
-def build_interpolants(traj: Trajectory, increments: Optional[np.ndarray] = None
-                       ) -> Interpolants:
-    """Assemble the interpolants and their exact separation.
-
-    On each step the constant and linear interpolants differ by
-    (1 - s)(u_k - u_{k-1}), so the squared L2(0,T) gap is
-    (dt/3) sum ||u_k - u_{k-1}||^2, below the dt * sum bound.
-    """
-    incs = traj.increments if increments is None else increments
-    b = np.concatenate([np.zeros((1,) + traj.grid.shape),
-                        np.cumsum(incs, axis=0)], axis=0)
-    diffs = [l2_sq(traj.fields[k + 1] - traj.fields[k], traj.grid)
-             for k in range(traj.n_steps)]
-    gap_sq = traj.dt / 3.0 * float(np.sum(diffs))
-    return Interpolants(trajectory=traj, b_knots=b, gap_sq=gap_sq,
-                        gap_bound=traj.dt * float(np.sum(diffs)))
 
 
 # ---------------------------------------------------------------------------

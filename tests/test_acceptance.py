@@ -180,11 +180,10 @@ def test_criterion_07_contraction():
 def test_criterion_08_max_principle():
     cfg = load("maxprinciple")
     spec = cfg.build_spec()
-    grid = cfg.build_grid()
     seeds = [path_seed(cfg.get("run", "seed"), k) for k in range(100)]
-    rep = max_principle_test(spec, grid,
-                             cfg.get("diagnostics", "max_principle_cap"),
-                             seeds, cfg.get("run", "steps"))
+    results = _run_paths(cfg, seeds, ("max_principle",), workers=1)
+    rep = max_principle_test(spec, cfg.get("diagnostics", "max_principle_cap"),
+                             [r["max_abs"] for r in results])
     ok = rep.passed and rep.bound == pytest.approx(1.5)
     assert _report(8, "max_principle", ok,
                    "worst |u| %.6f vs %.6f" % (rep.worst, rep.bound))
@@ -222,7 +221,7 @@ def test_criterion_10_isometry():
         path = sc.sample_jump_path(spec.levy, T, path_seed(515, k))
         samples[k] = sc.compensated_increment(path, spec, grid, zeros, 0.0, T)
     var_emp = samples.var(axis=0, ddof=1)
-    var_pred = T * gx ** 2 * spec.levy.position.mass * \
+    var_pred = T * gx ** 2 * spec.levy.position_mass * \
         spec.levy.size.integral(lambda v: h(v) ** 2)
     centered_sq = (samples - samples.mean(axis=0)) ** 2
     band = 3.0 * centered_sq.std(axis=0, ddof=1) / np.sqrt(n)

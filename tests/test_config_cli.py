@@ -43,6 +43,10 @@ def test_unknown_section():
 def test_unknown_key_names_the_key():
     with pytest.raises(ConfigError, match="model.viscosity"):
         ExperimentConfig.from_text("[model]\nviscosity = 2\n")
+    # the jump-position measure is reduced to its mass; manifests that
+    # still name a position kind are rejected, not silently reinterpreted
+    with pytest.raises(ConfigError, match="unknown key noise.position"):
+        ExperimentConfig.from_text("[noise]\nposition = atom\n")
 
 
 def test_bad_value_names_the_key():
@@ -184,11 +188,18 @@ def write_config(tmp_path, cfg):
     return str(p)
 
 
-def test_cli_invalid_config_exit_2(tmp_path):
+def test_cli_invalid_config_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("[model]\nphi = cubic\n")
     assert main(["validate", "--config", str(p)]) == 2
     assert main(["run", "--config", str(p)]) == 2
+    # parameters the noise measures reject are invalid input as well
+    for text in ("[noise]\nposition_mass = -1\n",
+                 "[noise]\nsize = alpha_stable\nalpha = 3.0\n",
+                 "[noise]\nsize = uniform\nsize_lo = 2.0\n"):
+        p.write_text(text)
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "[noise]" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_2():

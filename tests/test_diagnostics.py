@@ -3,18 +3,16 @@ import pytest
 
 import stoclaw as sc
 from stoclaw import diagnostics as dg
-from stoclaw.noise import JumpPath, LevyIntensity, PositionMeasure, SizeMeasure
+from stoclaw.noise import JumpPath, LevyIntensity, SizeMeasure
 from stoclaw.solver import l2_sq
 
 
 def silent_levy():
-    return LevyIntensity(PositionMeasure("atom", mass=0.0),
-                         SizeMeasure("atoms", atoms=((1.0, 0.0),)))
+    return LevyIntensity(0.0, SizeMeasure("atoms", atoms=((1.0, 0.0),)))
 
 
 def atom_levy(mass=2.0, v=1.0):
-    return LevyIntensity(PositionMeasure("atom", mass=mass),
-                         SizeMeasure("atoms", atoms=((v, 1.0),)))
+    return LevyIntensity(mass, SizeMeasure("atoms", atoms=((v, 1.0),)))
 
 
 def make_spec(phi="linear", flux="zero", eps=0.1, eta=None, levy=None,
@@ -29,7 +27,7 @@ def make_spec(phi="linear", flux="zero", eps=0.1, eta=None, levy=None,
 
 
 def empty_path(levy, horizon=0.5):
-    return JumpPath(np.empty(0), np.empty(0), np.empty(0), 0, horizon, levy)
+    return JumpPath(np.empty(0), np.empty(0), 0, horizon, levy)
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +101,9 @@ def test_residual_constant_state_near_zero():
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
     path = empty_path(silent_levy())
     traj = sc.solve_path(spec, grid, 32, path)
-    interp = sc.build_interpolants(traj)
     triple = sc.make_beta_theta(0.1, phi=spec.phi, flux=spec.flux)
     for psi in dg.test_function_catalog(2.0, 0.5)[:2]:
-        r = dg.entropy_residual(traj, interp, path, triple, psi)
+        r = dg.entropy_residual(traj, path, triple, psi)
         assert abs(r) <= 5e-3  # time-quadrature noise only
 
 
@@ -116,10 +113,9 @@ def test_residual_zero_for_disjoint_test_function():
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
     path = empty_path(silent_levy())
     traj = sc.solve_path(spec, grid, 8, path)
-    interp = sc.build_interpolants(traj)
     triple = sc.make_beta_theta(0.1, phi=spec.phi, flux=spec.flux)
     far = dg.bump_test_function(np.array([3.5]), 0.4, 0.4)
-    assert dg.entropy_residual(traj, interp, path, triple, far) == 0.0
+    assert dg.entropy_residual(traj, path, triple, far) == 0.0
 
 
 def test_residual_heat_dissipation_reconciles_with_energy():
@@ -131,10 +127,9 @@ def test_residual_heat_dissipation_reconciles_with_energy():
     path = empty_path(silent_levy())
     n = 16
     traj = sc.solve_path(spec, grid, n, path)
-    interp = sc.build_interpolants(traj)
     triple = sc.make_quadratic(phi=spec.phi, flux=spec.flux)
     psi = dg.uniform_test_function(t_cut=0.45)
-    r = dg.entropy_residual(traj, interp, path, triple, psi)
+    r = dg.entropy_residual(traj, path, triple, psi)
     assert r >= -1e-12
 
     # bookkeeping oracle: beta(u) = u^2/2 balances the viscous dissipation
@@ -160,15 +155,14 @@ def test_residual_theta_stability():
     grid = sc.Grid(dim=1, half_width=3.0, cells=96)
     path = sc.sample_jump_path(levy, 0.5, 4)
     traj = sc.solve_path(spec, grid, 16, path)
-    interp = sc.build_interpolants(traj)
     psi = dg.test_function_catalog(3.0, 0.5)[0]
     c_star = 0.0
     for theta in (0.4, 0.2, 0.1):
         r1 = dg.entropy_residual(
-            traj, interp, path,
+            traj, path,
             sc.make_beta_theta(theta, phi=spec.phi, flux=spec.flux), psi)
         r2 = dg.entropy_residual(
-            traj, interp, path,
+            traj, path,
             sc.make_beta_theta(theta / 2, phi=spec.phi, flux=spec.flux), psi)
         c_star = max(c_star, abs(r1 - r2) / theta)
     assert c_star <= 5.0
@@ -312,10 +306,20 @@ def test_max_principle_bound_value():
     spec = make_spec(phi="stefan", flux="burgers", eps=0.05, eta=eta,
                      levy=levy, flux_form="engquist_osher",
                      u0=sc.init_family("bump", height=5.0, width=1.0))
-    grid = sc.Grid(dim=1, half_width=3.0, cells=48)
-    rep = dg.max_principle_test(spec, grid, 1.0, [0, 1], 8)
+    rep = dg.max_principle_test(spec, 1.0, [4.9, 5.0 + 1e-7])
     # ||u0||_inf = 5 dominates M + M1 = 1.5
     assert rep.bound == pytest.approx(5.0)
+    assert rep.worst == 5.0 + 1e-7 and rep.passed
+    # sigma's own cap is M; the caller's m_cap applies only without one
+    small = spec.with_u0(sc.init_family("bump", height=0.2, width=1.0))
+    assert dg.max_principle_test(small, 7.0, [0.1]).bound == \
+        pytest.approx(1.5)
+    const = make_spec(levy=levy, eta=sc.eta_family(
+        "separable", g_kind="const", g_height=1.0, sigma_kind="const",
+        sigma_scale=0.5))
+    rep = dg.max_principle_test(const, 2.0, [0.1, 3.0])
+    assert rep.bound == pytest.approx(2.5)
+    assert rep.passed is False
 
 
 def test_max_principle_requires_bounded_noise():
@@ -323,9 +327,8 @@ def test_max_principle_requires_bounded_noise():
     eta = sc.eta_family("separable", g_kind="const", g_height=1.0,
                         sigma_kind="linear", sigma_scale=0.5)
     spec = make_spec(eta=eta, levy=levy)
-    grid = sc.Grid(dim=1, half_width=2.0, cells=32)
     with pytest.raises(ValueError):
-        dg.max_principle_test(spec, grid, 1.0, [0], 4)
+        dg.max_principle_test(spec, 1.0, [0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,15 @@ import pytest
 import stoclaw as sc
 from stoclaw.model import (DomainTooSmallError, InvalidSpecError, PhiFamily,
                            ValidationReport)
-from stoclaw.noise import LevyIntensity, PositionMeasure, SizeMeasure
+from stoclaw.noise import LevyIntensity, SizeMeasure
 
 
 def silent_levy():
-    return LevyIntensity(PositionMeasure("atom", mass=0.0),
-                         SizeMeasure("atoms", atoms=((1.0, 0.0),)))
+    return LevyIntensity(0.0, SizeMeasure("atoms", atoms=((1.0, 0.0),)))
 
 
 def atom_levy(mass=2.0, v=1.0):
-    return LevyIntensity(PositionMeasure("atom", mass=mass),
-                         SizeMeasure("atoms", atoms=((v, 1.0),)))
+    return LevyIntensity(mass, SizeMeasure("atoms", atoms=((v, 1.0),)))
 
 
 def make_spec(phi="linear", flux="zero", eta=None, u0=None, levy=None,

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import stoclaw as sc
-from stoclaw.noise import (JumpPath, LevyIntensity, PositionMeasure,
-                           SizeMeasure, path_to_text, read_events)
+from stoclaw.noise import (JumpPath, LevyIntensity, SizeMeasure,
+                           path_to_text, read_events)
 
 
 def atom_intensity(pos_mass=1.0, atoms=((1.0, 3.0),)):
-    return LevyIntensity(PositionMeasure("atom", mass=pos_mass),
-                         SizeMeasure("atoms", atoms=atoms))
+    return LevyIntensity(pos_mass, SizeMeasure("atoms", atoms=atoms))
 
 
 def separable_spec(sigma_kind="const", sigma_scale=1.0, g_kind="bump",
@@ -28,9 +27,15 @@ def separable_spec(sigma_kind="const", sigma_scale=1.0, g_kind="bump",
 # ---------------------------------------------------------------------------
 # Sampling
 
+def test_position_mass_must_be_finite_nonnegative():
+    size = SizeMeasure("atoms", atoms=((1.0, 1.0),))
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="position mass"):
+            LevyIntensity(bad, size)
+
+
 def test_zero_mass_gives_empty_path():
-    levy = LevyIntensity(PositionMeasure("atom", mass=0.0),
-                         SizeMeasure("atoms", atoms=((1.0, 0.0),)))
+    levy = LevyIntensity(0.0, SizeMeasure("atoms", atoms=((1.0, 0.0),)))
     path = sc.sample_jump_path(levy, 1.0, 7)
     assert path.count == 0
 
@@ -53,7 +58,6 @@ def test_same_seed_bitwise_identical():
     p1 = sc.sample_jump_path(levy, 2.0, 1234)
     p2 = sc.sample_jump_path(levy, 2.0, 1234)
     assert np.array_equal(p1.times, p2.times)
-    assert np.array_equal(p1.positions, p2.positions)
     assert np.array_equal(p1.sizes, p2.sizes)
 
 
@@ -74,16 +78,14 @@ def test_times_sorted_and_in_range():
 def test_alpha_stable_truncation():
     size = SizeMeasure("alpha_stable", alpha=0.8, z_min=0.05, v_max=2.0,
                        strength=0.3)
-    levy = LevyIntensity(PositionMeasure("atom", mass=1.0), size)
+    levy = LevyIntensity(1.0, size)
     path = sc.sample_jump_path(levy, 1.0, 3)
     assert np.all(np.abs(path.sizes) >= 0.05)
     assert np.all(np.abs(path.sizes) <= 2.0)
-    # closed-form mass and the discarded small-jump second moment
+    # closed-form mass of the truncated window
     a, c, z = 0.8, 0.3, 0.05
     np.testing.assert_allclose(size.total_mass,
                                2 * c * (z ** -a - 2.0 ** -a) / a, rtol=1e-12)
-    np.testing.assert_allclose(size.truncation_second_moment(),
-                               2 * c * z ** (2 - a) / (2 - a), rtol=1e-12)
     with pytest.raises(Exception):
         SizeMeasure("alpha_stable", alpha=0.8, z_min=0.05, v_max=np.inf)
 
@@ -115,13 +117,13 @@ def test_pure_compensator_without_jumps():
     spec = separable_spec()
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
     levy = spec.levy
-    empty = JumpPath(np.empty(0), np.empty(0), np.empty(0), 0, 1.0, levy)
+    empty = JumpPath(np.empty(0), np.empty(0), 0, 1.0, levy)
     u = np.zeros(32)
     dt = 0.25
     inc = sc.compensated_increment(empty, spec, grid, u, 0.0, dt)
     gx = spec.eta.g(grid.coords())
     # eta = g(x) h(z): increment is exactly -dt g(x) int h dm
-    expect = -dt * gx * levy.position.mass * 3.0  # atom at v=1, mass 3
+    expect = -dt * gx * levy.position_mass * 3.0  # atom at v=1, mass 3
     np.testing.assert_allclose(inc, expect, atol=1e-14)
 
 
@@ -129,20 +131,19 @@ def test_single_jump_event_sum_oracle():
     spec = separable_spec()
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
     levy = spec.levy
-    path = JumpPath(np.array([0.1]), np.array([0.0]), np.array([0.7]),
-                    0, 1.0, levy)
+    path = JumpPath(np.array([0.1]), np.array([0.7]), 0, 1.0, levy)
     u = np.zeros(32)
     dt = 0.5
     inc = sc.compensated_increment(path, spec, grid, u, 0.0, dt)
     gx = spec.eta.g(grid.coords())
-    oracle = gx * (0.7 - dt * levy.position.mass * 3.0)
+    oracle = gx * (0.7 - dt * levy.position_mass * 3.0)
     np.testing.assert_allclose(inc, oracle, atol=1e-14)
 
 
 def test_window_selection():
     levy = atom_intensity()
-    path = JumpPath(np.array([0.1, 0.4, 0.8]), np.zeros(3),
-                    np.array([1.0, 1.0, 1.0]), 0, 1.0, levy)
+    path = JumpPath(np.array([0.1, 0.4, 0.8]), np.array([1.0, 1.0, 1.0]),
+                    0, 1.0, levy)
     assert path.window(0.0, 0.5) == slice(0, 2)
     assert path.window(0.4, 0.8) == slice(1, 2)
     assert path.window(0.8, 1.0) == slice(2, 3)
@@ -214,8 +215,7 @@ def test_martingale_single_jump_closed_form():
     spec = separable_spec(levy=levy)
     grid = sc.Grid(dim=1, half_width=2.0, cells=16)
     t_jump = 0.26
-    path = JumpPath(np.array([t_jump]), np.array([0.0]), np.array([0.7]),
-                    0, 1.0, levy)
+    path = JumpPath(np.array([t_jump]), np.array([0.7]), 0, 1.0, levy)
     traj = sc.solve_path(spec, grid, 4, path)
     triple = sc.make_quadratic(phi=spec.phi, flux=spec.flux)
 
@@ -254,9 +254,8 @@ def test_event_on_knot_lands_in_one_step():
     dt = spec.horizon / n_steps
     t_knot = k * dt
     assert int(t_knot / dt) == k - 1
-    path = JumpPath(np.array([t_knot]), np.zeros(1), np.array([0.7]),
-                    0, 1.0, levy)
-    empty = JumpPath(np.empty(0), np.empty(0), np.empty(0), 0, 1.0, levy)
+    path = JumpPath(np.array([t_knot]), np.array([0.7]), 0, 1.0, levy)
+    empty = JumpPath(np.empty(0), np.empty(0), 0, 1.0, levy)
     traj = sc.solve_path(spec, grid, n_steps, path)
     gx = spec.eta.g(grid.coords())
     for n in (k - 1, k):
@@ -269,8 +268,8 @@ def test_event_on_knot_lands_in_one_step():
     triple = sc.make_quadratic(phi=spec.phi, flux=spec.flux)
     psi = make_uniform_psi()
     on_knot = sc.martingale_term(path, spec, grid, traj, triple, psi)
-    inside = JumpPath(np.array([np.nextafter(t_knot, 1.0)]), np.zeros(1),
-                      np.array([0.7]), 0, 1.0, levy)
+    inside = JumpPath(np.array([np.nextafter(t_knot, 1.0)]), np.array([0.7]),
+                      0, 1.0, levy)
     assert int(inside.times[0] / dt) == k
     np.testing.assert_allclose(
         on_knot, sc.martingale_term(inside, spec, grid, traj, triple, psi),
@@ -281,7 +280,7 @@ def test_martingale_empty_path_sign():
     levy = atom_intensity(pos_mass=1.0, atoms=((1.0, 2.0),))
     spec = separable_spec(levy=levy)
     grid = sc.Grid(dim=1, half_width=2.0, cells=16)
-    empty = JumpPath(np.empty(0), np.empty(0), np.empty(0), 0, 1.0, levy)
+    empty = JumpPath(np.empty(0), np.empty(0), 0, 1.0, levy)
     traj = sc.solve_path(spec, grid, 4, empty)
     triple = sc.make_quadratic(phi=spec.phi, flux=spec.flux)
     psi = make_uniform_psi()
@@ -324,10 +323,18 @@ def test_coupling_contract_same_events_across_dt():
 def test_event_file_roundtrip():
     levy = atom_intensity(pos_mass=4.0, atoms=((1.0, 1.0), (-0.25, 0.5)))
     path = sc.sample_jump_path(levy, 1.5, 77)
+    assert path.count > 0
     text = path_to_text(path)
     back = read_events(io.StringIO(text), intensity=levy)
     assert back.seed == path.seed
     assert back.horizon == path.horizon
     np.testing.assert_array_equal(back.times, path.times)
-    np.testing.assert_array_equal(back.positions, path.positions)
     np.testing.assert_array_equal(back.sizes, path.sizes)
+    # one "t v" line per event below the header
+    lines = text.splitlines()
+    assert len(lines) == 1 + path.count
+    assert all(len(line.split()) == 2 for line in lines[1:])
+    # a "t y v" file from before position_mass is rejected, not misread
+    old = lines[0] + "\n0.25 0 1\n"
+    with pytest.raises(ValueError, match="'t v'"):
+        read_events(io.StringIO(old), intensity=levy)

@@ -6,19 +6,16 @@ from scipy.linalg import solve_banded
 
 import stoclaw as sc
 import stoclaw.solver as solver_mod
-from stoclaw.noise import JumpPath, LevyIntensity, PositionMeasure, SizeMeasure
-from stoclaw.solver import (StepFailureError, Trajectory, grad_sq,
-                            laplacian, norm_l2)
+from stoclaw.noise import JumpPath, LevyIntensity, SizeMeasure
+from stoclaw.solver import StepFailureError, grad_sq, laplacian, norm_l2
 
 
 def silent_levy():
-    return LevyIntensity(PositionMeasure("atom", mass=0.0),
-                         SizeMeasure("atoms", atoms=((1.0, 0.0),)))
+    return LevyIntensity(0.0, SizeMeasure("atoms", atoms=((1.0, 0.0),)))
 
 
 def atom_levy(mass=2.0):
-    return LevyIntensity(PositionMeasure("atom", mass=mass),
-                         SizeMeasure("atoms", atoms=((1.0, 1.0),)))
+    return LevyIntensity(mass, SizeMeasure("atoms", atoms=((1.0, 1.0),)))
 
 
 def make_spec(phi="zero", flux="zero", eps=0.0, eta=None, levy=None,
@@ -35,7 +32,7 @@ def make_spec(phi="zero", flux="zero", eps=0.0, eta=None, levy=None,
 
 
 def empty_path(levy, horizon=0.5):
-    return JumpPath(np.empty(0), np.empty(0), np.empty(0), 0, horizon, levy)
+    return JumpPath(np.empty(0), np.empty(0), 0, horizon, levy)
 
 
 # ---------------------------------------------------------------------------
@@ -296,58 +293,6 @@ def test_2d_solver_smoke():
 
 
 # ---------------------------------------------------------------------------
-# Interpolants
-
-def test_interpolants_constant_trajectory():
-    spec = make_spec(eps=0.1)
-    grid = sc.Grid(dim=1, half_width=1.0, cells=8)
-    fields = np.ones((5, 8)) * 0.4
-    traj = Trajectory(fields=fields, increments=np.zeros((4, 8)), dt=0.125,
-                      grid=grid, spec=spec, stats=[])
-    interp = sc.build_interpolants(traj)
-    assert interp.gap_sq == 0.0
-    for t in (0.0, 0.1, 0.3, 0.49):
-        np.testing.assert_array_equal(interp.piecewise(t), fields[0])
-        np.testing.assert_array_equal(interp.linear(t), fields[0])
-
-
-def test_interpolant_gap_closed_form():
-    # u0 = 0, u1 = 1 with unit discrete mass: gap integral dt / 3
-    spec = make_spec()
-    grid = sc.Grid(dim=1, half_width=0.5, cells=4)  # h = 0.25, 4 cells
-    dt = 0.2
-    fields = np.stack([np.zeros(4), np.ones(4)])
-    traj = Trajectory(fields=fields, increments=np.zeros((1, 4)), dt=dt,
-                      grid=grid, spec=spec, stats=[])
-    interp = sc.build_interpolants(traj)
-    np.testing.assert_allclose(interp.gap_sq, dt / 3.0, atol=1e-15)
-    assert interp.gap_sq <= interp.gap_bound + 1e-15
-
-
-def test_interpolants_knot_exactness():
-    levy = atom_levy()
-    eta = sc.eta_family("separable", g_kind="const", g_height=0.5,
-                        sigma_kind="const", sigma_scale=1.0)
-    spec = make_spec(phi="linear", eps=0.1, eta=eta, levy=levy)
-    grid = sc.Grid(dim=1, half_width=2.0, cells=32)
-    path = sc.sample_jump_path(levy, 0.5, 3)
-    traj = sc.solve_path(spec, grid, 8, path)
-    interp = sc.build_interpolants(traj)
-    b = np.concatenate([np.zeros((1,) + grid.shape),
-                        np.cumsum(traj.increments, axis=0)])
-    for k in range(9):
-        t = k * traj.dt
-        np.testing.assert_allclose(interp.linear(t), traj.fields[k],
-                                   atol=1e-14)
-        np.testing.assert_allclose(interp.noise_accumulator(t), b[k],
-                                   atol=1e-14)
-    # piecewise-constant convention: u_k on [(k-1) dt, k dt), u_0 before 0
-    np.testing.assert_array_equal(interp.piecewise(-0.1), traj.fields[0])
-    np.testing.assert_array_equal(interp.piecewise(0.5 * traj.dt),
-                                  traj.fields[1])
-
-
-# ---------------------------------------------------------------------------
 # Energy bookkeeping
 
 def test_energy_zero_data():
@@ -420,7 +365,6 @@ def test_initial_condition_time_average():
                      flux_form="engquist_osher")
     grid = sc.Grid(dim=1, half_width=2.0, cells=128)
     traj = sc.solve_path(spec, grid, 64, empty_path(silent_levy()))
-    interp = sc.build_interpolants(traj)
     u0 = traj.fields[0]
     psi = np.maximum(1.0 - (grid.coords()[..., 0] / 1.5) ** 2, 0.0) ** 2
     vals = []
