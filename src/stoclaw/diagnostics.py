@@ -256,10 +256,9 @@ def entropy_residual(traj: Trajectory, path: JumpPath, triple: EntropyTriple,
         g_u = np.asarray(G(u), dtype=float)
         t_diss += w_t[k] * _face_dissipation(g_u, u, triple, psi, tk, grid)
 
-    t_mart = martingale_term(path, spec, grid, traj, triple, psi)
-    t_ito = _ito_correction(traj, triple, psi)
+    t_noise = martingale_term(path, spec, grid, traj, triple, psi)
     t_init = float(np.sum(triple.beta(traj.fields[0]) * psi(0.0, coords))) * vol
-    return t_time + t_lap + t_flux + t_mart + t_ito - t_diss + t_init
+    return t_time + t_lap + t_flux + t_noise - t_diss + t_init
 
 
 def _face_dissipation(g_u, u, triple, psi, t, grid) -> float:
@@ -296,36 +295,6 @@ def _face_dissipation(g_u, u, triple, psi, t, grid) -> float:
     return total
 
 
-def _ito_correction(traj: Trajectory, triple: EntropyTriple,
-                    psi: TestFunction) -> float:
-    """Compensator-side quadratic term: the Taylor remainder of beta across
-    each potential jump, integrated dt x m(dz) with trapezoidal psi weights."""
-    spec, grid = traj.spec, traj.grid
-    if spec.eta.is_zero:
-        return 0.0
-    coords = grid.coords()
-    gx = spec.eta.g(coords)
-    vol = grid.cell_volume
-    dt = traj.dt
-    intensity = traj.spec.levy
-    nodes, weights = intensity.size.quad_nodes()
-    pos_mass = intensity.position_mass
-    total = 0.0
-    for k in range(traj.n_steps):
-        u = traj.fields[k]
-        psi_bar = 0.5 * (psi(k * dt, coords) + psi((k + 1) * dt, coords))
-        sig = spec.eta.sigma(u)
-        beta_u = triple.beta(u)
-        dbeta_u = triple.dbeta(u)
-        acc = 0.0
-        for v_q, w_q in zip(nodes, weights):
-            amp = gx * sig * float(np.asarray(spec.eta.h(np.asarray([v_q])))[0])
-            rem = triple.beta(u + amp) - beta_u - amp * dbeta_u
-            acc += w_q * float(np.sum(rem * psi_bar))
-        total += dt * pos_mass * acc * vol
-    return total
-
-
 def calibrate_entropy_tolerance(samples: Sequence[tuple],
                                 triples_thetas=(1.0, 0.1, 0.01),
                                 safety: float = 3.0) -> float:
@@ -341,7 +310,8 @@ def calibrate_entropy_tolerance(samples: Sequence[tuple],
     worst = 0.0
     for spec, grid, n_steps in samples:
         path = sample_jump_path(spec.levy, spec.horizon, seed=0) \
-            if spec.levy is not None else None
+            if spec.levy is not None \
+            else JumpPath(np.empty(0), np.empty(0), 0, spec.horizon)
         traj = solve_path(spec, grid, n_steps, path)
         G = kirchhoff(spec.phi)
         for th in triples_thetas:
@@ -585,10 +555,7 @@ def linear_moment_rate(spec: ProblemSpec, p: int, dt: float) -> float:
     if spec.eta.g_lip != 0.0:
         raise ValueError("closed-form rate needs spatially constant g")
     a = spec.eta.params["sigma_scale"] * spec.eta.g_inf
-    lam = spec.levy.position_mass
-    h = spec.eta.h
-    r = {j: lam * spec.levy.size.integral(lambda v: h(v) ** j)
-         for j in (1, 2, 3, 4)}
+    r = {j: spec.levy.h_moment(spec.eta.h_power, j) for j in (1, 2, 3, 4)}
     k2 = dt * r[2]
     if p == 2:
         growth = 1.0 + a * a * k2

@@ -280,11 +280,9 @@ def _check_isometry(cfg, spec, grid, report):
     for k in range(n_paths):
         path = sample_jump_path(spec.levy, spec.horizon, path_seed(base, k))
         total[k] = float(np.sum(h(path.sizes))) if path.count else 0.0
-    rate = spec.levy.compensator_rate(h)
-    w = total - spec.horizon * rate
+    w = total - spec.horizon * spec.levy.h_moment(spec.eta.h_power)
     var_emp = float(np.var(w, ddof=1))
-    var_pred = spec.horizon * spec.levy.position_mass * \
-        spec.levy.size.integral(lambda v: h(v) ** 2)
+    var_pred = spec.horizon * spec.levy.h_moment(spec.eta.h_power, 2)
     centered_sq = (w - np.mean(w)) ** 2
     se = float(np.std(centered_sq, ddof=1) / math.sqrt(n_paths))
     dev = abs(var_emp - var_pred)

@@ -89,6 +89,7 @@ class EtaFamily:
     sigma_sup_box: float
     sigma_cap: Optional[float]  # sigma vanishes for |u| > cap, if not None
     h: Callable
+    h_power: Optional[int]  # h(v) = v^h_power; None for the silent family
     is_zero: bool = False
     params: dict = field(default_factory=dict)
 
@@ -292,7 +293,7 @@ def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
                          sigma=zu, dsigma=zu, sigma_lip=0.0,
                          sigma_sup_box=0.0, sigma_cap=None,
                          h=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
-                         is_zero=True)
+                         h_power=None, is_zero=True)
     if name != "separable":
         raise InvalidSpecError("unknown eta family %r" % (name,))
 
@@ -352,9 +353,9 @@ def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
         raise InvalidSpecError("unknown eta sigma kind %r" % (sigma_kind,))
 
     if h_kind == "identity":
-        h = lambda v: np.asarray(v, dtype=float)
+        h, h_power = lambda v: np.asarray(v, dtype=float), 1
     elif h_kind == "const":
-        h = lambda v: np.ones_like(np.asarray(v, dtype=float))
+        h, h_power = lambda v: np.ones_like(np.asarray(v, dtype=float)), 0
     else:
         raise InvalidSpecError("unknown eta h kind %r" % (h_kind,))
 
@@ -362,7 +363,7 @@ def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
         "separable:%s*%s*%s" % (g_kind, sigma_kind, h_kind),
         g=g, g_inf=g_inf, g_lip=g_lip,
         sigma=sigma, dsigma=dsigma, sigma_lip=lip,
-        sigma_sup_box=sup_box, sigma_cap=support, h=h,
+        sigma_sup_box=sup_box, sigma_cap=support, h=h, h_power=h_power,
         params={"g": g_kind, "sigma": sigma_kind, "h": h_kind,
                 "sigma_scale": s, "sigma_cap": cap, "g_height": g_height,
                 "g_center": g_center, "g_width": g_width})

@@ -1,6 +1,6 @@
-"""Compensated Poisson random measure on O x R*: catalog intensities,
-exact path sampling, windowed compensated increments, and the entropy
-inequality's stochastic integral for a single path.
+"""Compensated Poisson random measure on O x R*: catalog intensities with
+closed-form size moments, exact path sampling, windowed compensated
+increments, and the entropy inequality's noise term for a single path.
 
 Paths are continuous-time objects (sorted events), so the same path drives
 every time discretization; that is the common-random-numbers contract all
@@ -15,16 +15,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
-
 __all__ = [
     "SizeMeasure", "LevyIntensity", "JumpPath",
     "TruncationRequiredError", "sample_jump_path", "compensated_increment",
     "martingale_term", "write_events", "read_events",
 ]
-
-_GL64 = np.polynomial.legendre.leggauss(64)
-_GL16 = np.polynomial.legendre.leggauss(16)
 
 
 class TruncationRequiredError(ValueError):
@@ -100,41 +95,17 @@ class SizeMeasure:
         lo_a, hi_a = self.z_min ** -a, self.v_max ** -a
         return sgn * (lo_a - u * (lo_a - hi_a)) ** (-1.0 / a)
 
-    def integral(self, fn: Callable) -> float:
-        """int fn(v) d(mu restricted to the truncated support)."""
+    def moment(self, j: int) -> float:
+        """int v^j dmu over the truncated support, in closed form."""
         if self.kind == "atoms":
-            return float(sum(m * float(np.asarray(fn(np.asarray([v])))[0])
-                             for v, m in self.atoms))
+            return float(sum(m * v ** j for v, m in self.atoms))
         if self.kind == "uniform":
             dens = self.mass / (self.hi - self.lo)
-            return dens * adaptive_simpson(fn, self.lo, self.hi, tol=1e-12)
-        a, c = self.alpha, self.strength
-        total = 0.0
-        for sgn in (1.0, -1.0):
-            total += adaptive_simpson(
-                lambda v: fn(sgn * v) * c * v ** (-1.0 - a),
-                self.z_min, self.v_max, tol=1e-12)
-        return total
-
-    def quad_nodes(self, n: int = 64) -> tuple:
-        """Nodes and weights with sum(w_q fn(v_q)) ~ int fn dmu."""
-        if self.kind == "atoms":
-            return (np.array([v for v, _ in self.atoms]),
-                    np.array([m for _, m in self.atoms]))
-        s, w = _GL64 if n >= 64 else _GL16
-        if self.kind == "uniform":
-            dens = self.mass / (self.hi - self.lo)
-            mid, half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
-            return mid + half * s, dens * half * w
-        a, c = self.alpha, self.strength
-        nodes, weights = [], []
-        for sgn in (1.0, -1.0):
-            mid = 0.5 * (self.v_max + self.z_min)
-            half = 0.5 * (self.v_max - self.z_min)
-            v = mid + half * s
-            nodes.append(sgn * v)
-            weights.append(c * v ** (-1.0 - a) * half * w)
-        return np.concatenate(nodes), np.concatenate(weights)
+            return dens * (self.hi ** (j + 1) - self.lo ** (j + 1)) / (j + 1)
+        if j % 2:
+            return 0.0  # the density is symmetric in v
+        p = j - self.alpha  # never 0: alpha lies in (0, 2)
+        return 2.0 * self.strength * (self.v_max ** p - self.z_min ** p) / p
 
     def sup_abs(self, fn: Callable) -> float:
         """sup |fn| over the support (dense probe for continuous kinds)."""
@@ -171,9 +142,12 @@ class LevyIntensity:
     def sample_sizes(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.size.sample(rng, n)
 
-    def compensator_rate(self, h: Callable) -> float:
-        """lambda-mass times int h(v) mu(dv) over the truncated support."""
-        return self.position_mass * self.size.integral(h)
+    def h_moment(self, h_power: int, j: int = 1) -> float:
+        """lambda(O) int h(v)^j mu(dv) for the catalog h(v) = v^h_power.
+
+        At j = 1 this is the compensator rate of the jump sum of h.
+        """
+        return self.position_mass * self.size.moment(h_power * j)
 
 
 @dataclass(frozen=True)
@@ -236,35 +210,20 @@ def compensated_increment(path: JumpPath, spec, grid, u_n: np.ndarray,
     sig = spec.eta.sigma(u_n)
     sl = path.window(t0, t1)
     jump_factor = float(np.sum(spec.eta.h(path.sizes[sl]))) if sl.stop > sl.start else 0.0
-    rate = path.intensity.compensator_rate(spec.eta.h)
+    rate = path.intensity.h_moment(spec.eta.h_power)
     return gx * sig * (jump_factor - (t1 - t0) * rate)
 
 
-def _entropy_jump(beta, u, amp):
-    # int_0^1 amp * beta'(u + theta * amp) dtheta, integrated exactly
-    return beta(u + amp) - beta(u)
+def martingale_term(path: JumpPath, spec, grid, traj, triple, psi) -> float:
+    """Noise term of the entropy inequality along one path: the compensated
+    jump integral plus the Ito correction.
 
-
-def _entropy_jump_gl16(dbeta, u, amp):
-    s, w = _GL16
-    theta = 0.5 * (s + 1.0)
-    acc = np.zeros_like(u)
-    for t, wt in zip(theta, 0.5 * w):
-        acc = acc + wt * amp * dbeta(u + t * amp)
-    return acc
-
-
-def martingale_term(path: JumpPath, spec, grid, traj, triple, psi,
-                    theta_rule: str = "exact") -> float:
-    """Stochastic integral of the entropy inequality along one path.
-
-    Jump sum of the theta-averaged entropy increment against psi (noise
-    evaluated at the state of the step window containing each event), minus
-    the dt x m(dz) compensator with trapezoidal time weights at the knots.
-
-    ``theta_rule``: "exact" integrates the theta average in closed form
-    (the increment is a full Taylor remainder of beta); "gl16" uses a fixed
-    16-point Gauss rule for cross-checking.
+    In their sum the compensator's beta(u + eta) terms cancel, leaving the
+    jump sum of beta(u_n + eta_j) - beta(u_n) against psi(t_j), with u_n the
+    state of the step window containing event j, minus the linear
+    compensator dt x rate x sum_n g sigma(u_n) beta'(u_n) psibar_n, where
+    psibar_n is the trapezoid average of psi over step n and rate is the
+    lambda(O) int h dmu that ``compensated_increment`` subtracts.
     """
     if spec.eta.is_zero:
         return 0.0
@@ -272,37 +231,21 @@ def martingale_term(path: JumpPath, spec, grid, traj, triple, psi,
     gx = spec.eta.g(coords)
     vol = grid.cell_volume
     dt = traj.dt
-    n_steps = traj.fields.shape[0] - 1
-    if theta_rule == "exact":
-        jump = lambda u, amp: _entropy_jump(triple.beta, u, amp)
-    elif theta_rule == "gl16":
-        jump = lambda u, amp: _entropy_jump_gl16(triple.dbeta, u, amp)
-    else:
-        raise ValueError("theta_rule must be 'exact' or 'gl16'")
+    rate = path.intensity.h_moment(spec.eta.h_power)
 
-    total = 0.0
-    for n in range(n_steps):
+    jumps = comp = 0.0
+    for n in range(traj.n_steps):
+        u = traj.fields[n]
+        amp_u = gx * spec.eta.sigma(u)
         # the window the solver's compensated_increment used for step n
         sl = path.window(n * dt, (n + 1) * dt)
-        u = traj.fields[n]
         for t_j, v_j in zip(path.times[sl], path.sizes[sl]):
-            amp = gx * spec.eta.sigma(u) * float(np.asarray(spec.eta.h(np.asarray([v_j])))[0])
-            total += float(np.sum(jump(u, amp) * psi(t_j, coords))) * vol
-
-    nodes, weights = path.intensity.size.quad_nodes()
-    pos_mass = path.intensity.position_mass
-    comp = 0.0
-    for n in range(n_steps):
-        u = traj.fields[n]
-        t0, t1 = n * dt, (n + 1) * dt
-        psi_bar = 0.5 * (psi(t0, coords) + psi(t1, coords))
-        sig = spec.eta.sigma(u)
-        step_val = 0.0
-        for v_q, w_q in zip(nodes, weights):
-            amp = gx * sig * float(np.asarray(spec.eta.h(np.asarray([v_q])))[0])
-            step_val += w_q * float(np.sum(jump(u, amp) * psi_bar))
-        comp += dt * pos_mass * step_val * vol
-    return total - comp
+            amp = amp_u * float(spec.eta.h(v_j))
+            jumps += float(np.sum((triple.beta(u + amp) - triple.beta(u))
+                                  * psi(t_j, coords))) * vol
+        psi_bar = 0.5 * (psi(n * dt, coords) + psi((n + 1) * dt, coords))
+        comp += float(np.sum(amp_u * triple.dbeta(u) * psi_bar))
+    return jumps - dt * rate * comp * vol
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,6 @@ def test_criterion_10_isometry():
     spec = cfg.build_spec()
     grid = sc.Grid(dim=1, half_width=2.0, cells=8)
     gx = spec.eta.g(grid.coords())
-    h = spec.eta.h
     T = spec.horizon
     n = 10_000
     tic = time.time()
@@ -221,8 +220,7 @@ def test_criterion_10_isometry():
         path = sc.sample_jump_path(spec.levy, T, path_seed(515, k))
         samples[k] = sc.compensated_increment(path, spec, grid, zeros, 0.0, T)
     var_emp = samples.var(axis=0, ddof=1)
-    var_pred = T * gx ** 2 * spec.levy.position_mass * \
-        spec.levy.size.integral(lambda v: h(v) ** 2)
+    var_pred = T * gx ** 2 * spec.levy.h_moment(spec.eta.h_power, 2)
     centered_sq = (samples - samples.mean(axis=0)) ** 2
     band = 3.0 * centered_sq.std(axis=0, ddof=1) / np.sqrt(n)
     elapsed = time.time() - tic

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,15 @@ def test_tolerance_formula():
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
     tol = dg.entropy_tolerance(spec, grid, 0.01, coeff=0.2)
     np.testing.assert_allclose(tol, 0.2 * (0.05 + grid.h + 0.01))
+
+
+def test_calibration_runs_without_noise_intensity():
+    # a noiseless spec may carry no intensity at all; an empty path stands
+    # for the silent noise
+    spec = dataclasses.replace(make_spec(), levy=None)
+    grid = sc.Grid(dim=1, half_width=2.0, cells=16)
+    coeff = dg.calibrate_entropy_tolerance([(spec, grid, 4)])
+    assert np.isfinite(coeff) and coeff >= 0.05
 
 
 # ---------------------------------------------------------------------------

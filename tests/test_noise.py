@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import stoclaw as sc
+from stoclaw.diagnostics import bump_test_function
 from stoclaw.noise import (JumpPath, LevyIntensity, SizeMeasure,
                            path_to_text, read_events)
+from stoclaw.quadrature import adaptive_simpson
 
 
 def atom_intensity(pos_mass=1.0, atoms=((1.0, 3.0),)):
@@ -13,10 +15,10 @@ def atom_intensity(pos_mass=1.0, atoms=((1.0, 3.0),)):
 
 
 def separable_spec(sigma_kind="const", sigma_scale=1.0, g_kind="bump",
-                   g_height=1.0, levy=None, flux="zero"):
+                   g_height=1.0, levy=None, flux="zero", h_kind="identity"):
     eta = sc.eta_family("separable", g_kind=g_kind, g_height=g_height,
                         g_width=1.0, sigma_kind=sigma_kind,
-                        sigma_scale=sigma_scale, h_kind="identity")
+                        sigma_scale=sigma_scale, h_kind=h_kind)
     return sc.ProblemSpec(
         phi=sc.phi_family("linear", 0.5), flux=sc.flux_family(flux, 1),
         eta=eta, u0=sc.init_family("bump"),
@@ -90,12 +92,28 @@ def test_alpha_stable_truncation():
         SizeMeasure("alpha_stable", alpha=0.8, z_min=0.05, v_max=np.inf)
 
 
-def test_size_measure_integral_quadrature():
-    size = SizeMeasure("uniform", lo=0.5, hi=1.5, mass=2.0)
-    np.testing.assert_allclose(size.integral(lambda v: v), 2.0, atol=1e-10)
-    nodes, weights = size.quad_nodes()
-    np.testing.assert_allclose(np.sum(weights * nodes ** 2),
-                               size.integral(lambda v: v ** 2), atol=1e-10)
+def test_size_measure_moments_match_quadrature():
+    atoms = ((1.0, 3.0), (-0.5, 1.5), (0.25, 0.5))
+    point = SizeMeasure("atoms", atoms=atoms)
+    uniform = SizeMeasure("uniform", lo=0.5, hi=1.5, mass=2.0)
+    a, c, z, vmax = 0.8, 0.3, 0.05, 2.0
+    stable = SizeMeasure("alpha_stable", alpha=a, z_min=z, v_max=vmax,
+                         strength=c)
+    for j in range(5):
+        np.testing.assert_allclose(point.moment(j),
+                                   sum(m * v ** j for v, m in atoms),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(
+            uniform.moment(j),
+            2.0 * adaptive_simpson(lambda v: v ** j, 0.5, 1.5, tol=1e-12),
+            rtol=1e-10, atol=1e-10)
+        # each side of the power law, with v = e^s to smooth the v = z_min end
+        side = c * adaptive_simpson(lambda s: np.exp((j - a) * s),
+                                    np.log(z), np.log(vmax), tol=1e-11)
+        np.testing.assert_allclose(stable.moment(j), side + (-1) ** j * side,
+                                   rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(stable.moment(0), stable.total_mass,
+                               rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +143,21 @@ def test_pure_compensator_without_jumps():
     # eta = g(x) h(z): increment is exactly -dt g(x) int h dm
     expect = -dt * gx * levy.position_mass * 3.0  # atom at v=1, mass 3
     np.testing.assert_allclose(inc, expect, atol=1e-14)
+
+
+def test_alpha_stable_const_h_compensator_exact():
+    # h = 1: the compensator rate is lambda(O) times the total size mass
+    size = SizeMeasure("alpha_stable", alpha=0.8, z_min=0.05, v_max=2.0,
+                       strength=0.3)
+    levy = LevyIntensity(1.5, size)
+    spec = separable_spec(g_kind="const", levy=levy, h_kind="const")
+    grid = sc.Grid(dim=1, half_width=2.0, cells=16)
+    empty = JumpPath(np.empty(0), np.empty(0), 0, 1.0, levy)
+    inc = sc.compensated_increment(empty, spec, grid, np.zeros(16), 0.0, 0.25)
+    np.testing.assert_allclose(inc, -0.25 * 1.5 * size.total_mass,
+                               rtol=1e-14)
+    np.testing.assert_allclose(levy.h_moment(spec.eta.h_power),
+                               1.5 * size.total_mass, rtol=1e-14)
 
 
 def test_single_jump_event_sum_oracle():
@@ -229,17 +262,15 @@ def test_martingale_single_jump_closed_form():
     jump_oracle = float(np.sum(amp * (u_pre + amp / 2.0)
                                * psi(t_jump, grid.coords()))) \
         * grid.cell_volume
-    # compensator with the same closed-form theta average, step by step;
-    # single size atom at v = 0.7 with mass 1
+    # linear compensator dt sum amp beta'(u) psibar, beta'(u) = u; single
+    # size atom at v = 0.7 with mass 1
     comp = 0.0
     dt = traj.dt
     for n in range(4):
         u = traj.fields[n]
-        amp_n = gx * 0.7
         a_bar = 0.5 * (psi(n * dt, grid.coords())
                        + psi((n + 1) * dt, grid.coords()))
-        comp += dt * 1.0 * float(np.sum(amp_n * (u + amp_n / 2.0) * a_bar)) \
-            * grid.cell_volume
+        comp += dt * float(np.sum(amp * u * a_bar)) * grid.cell_volume
     np.testing.assert_allclose(got, jump_oracle - comp, atol=1e-10)
 
 
@@ -289,18 +320,59 @@ def test_martingale_empty_path_sign():
     assert val < 0.0
 
 
-def test_theta_rule_cross_check():
-    levy = atom_intensity(pos_mass=1.0, atoms=((0.7, 1.0),))
-    spec = separable_spec(levy=levy)
+def _two_loop_noise_term(path, spec, grid, traj, triple, psi, nodes,
+                         weights):
+    # the compensated jump integral and the Ito correction as two separate
+    # loops over size nodes: jump sum - dt m(dz)[beta(u + eta) - beta(u)]
+    # + dt m(dz)[beta(u + eta) - beta(u) - eta beta'(u)]
+    coords = grid.coords()
+    gx = spec.eta.g(coords)
+    vol = grid.cell_volume
+    dt = traj.dt
+    lam = path.intensity.position_mass
+    jump = comp = ito = 0.0
+    for n in range(traj.n_steps):
+        u = traj.fields[n]
+        amp_u = gx * spec.eta.sigma(u)
+        sl = path.window(n * dt, (n + 1) * dt)
+        for t_j, v_j in zip(path.times[sl], path.sizes[sl]):
+            amp = amp_u * float(spec.eta.h(v_j))
+            jump += float(np.sum((triple.beta(u + amp) - triple.beta(u))
+                                 * psi(t_j, coords))) * vol
+        psi_bar = 0.5 * (psi(n * dt, coords) + psi((n + 1) * dt, coords))
+        for v_q, w_q in zip(nodes, weights):
+            amp = amp_u * float(spec.eta.h(v_q))
+            inc = triple.beta(u + amp) - triple.beta(u)
+            comp += dt * lam * w_q * float(np.sum(inc * psi_bar)) * vol
+            ito += dt * lam * w_q * float(
+                np.sum((inc - amp * triple.dbeta(u)) * psi_bar)) * vol
+    return jump - comp + ito
+
+
+def test_noise_term_matches_two_loop_form():
+    s, w = np.polynomial.legendre.leggauss(64)
+    cases = [
+        (SizeMeasure("atoms", atoms=((0.7, 1.0), (-0.4, 2.0))),
+         np.array([0.7, -0.4]), np.array([1.0, 2.0])),
+        # GL64 integrates h(v) = v exactly against the uniform density
+        (SizeMeasure("uniform", lo=0.2, hi=1.2, mass=3.0),
+         0.7 + 0.5 * s, 3.0 * 0.5 * w),
+    ]
     grid = sc.Grid(dim=1, half_width=2.0, cells=16)
-    path = sc.sample_jump_path(levy, 1.0, 11)
-    traj = sc.solve_path(spec, grid, 8, path)
-    psi = make_uniform_psi()
-    smooth = sc.make_beta_theta(1.0, phi=spec.phi, flux=spec.flux)
-    exact = sc.martingale_term(path, spec, grid, traj, smooth, psi)
-    gauss = sc.martingale_term(path, spec, grid, traj, smooth, psi,
-                               theta_rule="gl16")
-    np.testing.assert_allclose(exact, gauss, atol=1e-10)
+    psi = bump_test_function(np.array([0.2]), 1.2, 0.9)
+    for size, nodes, weights in cases:
+        levy = LevyIntensity(2.0, size)
+        spec = separable_spec(sigma_kind="linear", sigma_scale=0.8,
+                              levy=levy)
+        path = sc.sample_jump_path(levy, 1.0, 11)
+        assert path.count > 0
+        traj = sc.solve_path(spec, grid, 8, path)
+        for theta in (1.0, 0.1, 0.01):
+            triple = sc.make_beta_theta(theta, phi=spec.phi, flux=spec.flux)
+            got = sc.martingale_term(path, spec, grid, traj, triple, psi)
+            ref = _two_loop_noise_term(path, spec, grid, traj, triple, psi,
+                                       nodes, weights)
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
