@@ -3,7 +3,7 @@ conservation laws driven by compensated Poisson jump noise."""
 
 from .entropy import (
     BETA_M1, BETA_M2, EntropyTriple, F_beta, I_beta, ibeta_identities,
-    kirchhoff, kruzkov_F, make_beta_theta, make_h_delta, make_quadratic,
+    kirchhoff, kruzkov_F, make_beta_theta, make_quadratic,
     phi_beta,
 )
 from .model import (

@@ -1,10 +1,16 @@
 """Convex entropy machinery: the Kirchhoff transform, the smoothed-absolute-value
-entropy family, polynomial moment entropies, entropy flux pairs, and the
-quadratic interaction form with its exchange identities.
+entropy family, the quadratic entropy, entropy flux pairs, and the quadratic
+interaction form with its exchange identities.
 
 The base profile is a fixed polynomial spline ``B`` with B'' supported on
 [-1, 1], giving exact constants M1 = 5/16 and M2 = 15/8 for the scaled family
 ``theta * B(r / theta)``.
+
+Every integral the checks and residuals use (``kirchhoff``, ``zeta``, ``nu``
+and ``identity_check_batch``) is a piecewise polynomial over the coefficient
+catalog and is computed exactly by one fixed Gauss rule on each piece. The
+scalar kit (``I_beta``, ``phi_beta``, ``F_beta``, ``ibeta_identities``) keeps
+adaptive Simpson: it is the independent reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -14,13 +20,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import (QuadratureError, adaptive_simpson, batch_simpson,
-                         inward_offset)
+from .quadrature import adaptive_simpson, batch_simpson
 
 __all__ = [
     "EntropyTriple", "BETA_M1", "BETA_M2",
     "base_beta", "base_dbeta", "base_d2beta",
-    "make_beta_theta", "make_h_delta", "make_quadratic",
+    "make_beta_theta", "make_quadratic",
     "kirchhoff",
     "phi_beta", "F_beta", "kruzkov_F", "I_beta", "ibeta_identities",
 ]
@@ -72,88 +77,57 @@ class EntropyTriple:
     params: dict = field(default_factory=dict)
 
 
-def _primitive_pair(dbeta, dbeta_kinks, fam, tol=1e-10):
-    """Vectorized r -> int_0^r beta'(s) g'(s) ds for one coefficient family."""
-    kinks = tuple(fam.kinks) + tuple(dbeta_kinks)
+# ---------------------------------------------------------------------------
+# One exact rule for every catalog integral
+#
+# 4-point Gauss-Legendre is exact for polynomials of degree <= 7. On
+# [-theta, theta] beta_theta' has degree 5 and beta_theta'' degree 4 (outside:
+# +-1 and 0; the quadratic entropy's are r and 1); between their kinks the
+# catalog's phi', sqrt(phi') and f_k' have degree <= 2. So every integrand
+# below, nested ones included, has degree <= 7 on each piece between the
+# breakpoints passed with it. The nodes lie strictly inside each piece, so
+# jumps of phi' on piece edges are never sampled.
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
+
+def _gauss(f, a, b):
+    """The 4-point rule for ``f`` over the signed intervals [a, b] (arrays)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[..., None] + half[..., None] * _GL_NODES
+    return half * (np.asarray(f(x), dtype=float) @ _GL_WEIGHTS)
+
+
+def _primitive(integrand, kinks):
+    """Vectorized r -> int_0^r integrand, exact for an integrand that is a
+    polynomial of degree <= 7 between consecutive ``kinks``."""
+    knots = np.unique(np.append(np.asarray(kinks, dtype=float), 0.0))
+    # int_0 at every knot, tabulated once
+    at_knots = np.concatenate(
+        [[0.0], np.cumsum(_gauss(integrand, knots[:-1], knots[1:]))])
+    at_knots -= at_knots[np.searchsorted(knots, 0.0)]
 
     def prim(r):
         r = np.asarray(r, dtype=float)
-        flat = r.reshape(-1)
-        out = batch_simpson(
-            lambda s: dbeta(s) * fam.derivative(s),
-            np.zeros_like(flat), flat, tol=tol, breakpoints=kinks)
-        return out.reshape(r.shape)
+        left = np.clip(np.searchsorted(knots, r, side="right") - 1,
+                       0, knots.size - 1)
+        return at_knots[left] + _gauss(integrand, knots[left], r)
 
     return prim
 
 
-def _beta_theta_primitive(theta, dbeta, fam, tol=1e-10):
-    # beta_theta' is exactly +-1 outside [-theta, theta]: quadrature is only
-    # ever needed on the smoothing window.
-    kinks = tuple(fam.kinks)
-
-    def band(r_flat):
-        return batch_simpson(
-            lambda s: dbeta(s) * fam.derivative(s),
-            np.zeros_like(r_flat), r_flat, tol=tol, breakpoints=kinks)
-
-    c_plus = float(band(np.asarray([theta]))[0])
-    c_minus = float(band(np.asarray([-theta]))[0])
-    g = fam.value
-    g_p = float(np.asarray(g(np.asarray(theta)), dtype=float))
-    g_m = float(np.asarray(g(np.asarray(-theta)), dtype=float))
-
-    def prim(r):
-        r = np.asarray(r, dtype=float)
-        flat = r.reshape(-1)
-        out = np.empty_like(flat)
-        mid = np.abs(flat) <= theta
-        if np.any(mid):
-            out[mid] = band(flat[mid])
-        hi = flat > theta
-        lo = flat < -theta
-        if np.any(hi):
-            out[hi] = c_plus + np.asarray(g(flat[hi]), dtype=float) - g_p
-        if np.any(lo):
-            out[lo] = c_minus - (np.asarray(g(flat[lo]), dtype=float) - g_m)
-        return out.reshape(r.shape)
-
-    return prim
-
-
-class _ScalarCoefficient:
-    """Adapter giving (value, derivative, kinks) access to one scalar map."""
-
-    def __init__(self, value, derivative, kinks=()):
-        self.value = value
-        self.derivative = derivative
-        self.kinks = tuple(kinks)
-
-
-def _flux_components(flux):
-    return [_ScalarCoefficient(c.f, c.df, flux.kinks) for c in flux.components]
-
-
-def _stack_vector(prims):
-    def zeta(r):
-        r = np.asarray(r, dtype=float)
-        return np.stack([p(r) for p in prims], axis=-1)
-    return zeta
-
-
-def _attach_fluxes(dbeta, dbeta_kinks, phi, flux, theta=None):
+def _attach_fluxes(dbeta, dbeta_kinks, phi, flux):
     zeta = nu = None
     if phi is not None:
-        coeff = _ScalarCoefficient(phi.phi, phi.dphi, phi.kinks)
-        nu = (_beta_theta_primitive(theta, dbeta, coeff) if theta is not None
-              else _primitive_pair(dbeta, dbeta_kinks, coeff))
+        nu = _primitive(lambda s: dbeta(s) * phi.dphi(s),
+                        tuple(phi.kinks) + tuple(dbeta_kinks))
     if flux is not None:
-        comps = _flux_components(flux)
-        if theta is not None:
-            prims = [_beta_theta_primitive(theta, dbeta, c) for c in comps]
-        else:
-            prims = [_primitive_pair(dbeta, dbeta_kinks, c) for c in comps]
-        zeta = _stack_vector(prims)
+        kinks = tuple(flux.kinks) + tuple(dbeta_kinks)
+        prims = [_primitive(lambda s, df=c.df: dbeta(s) * df(s), kinks)
+                 for c in flux.components]
+        zeta = lambda r: np.stack([p(r) for p in prims], axis=-1)
     return zeta, nu
 
 
@@ -176,50 +150,11 @@ def make_beta_theta(theta: float, phi=None, flux=None) -> EntropyTriple:
     def d2beta(r):
         return base_d2beta(np.asarray(r, dtype=float) / th) / th
 
-    zeta, nu = _attach_fluxes(dbeta, (-th, th), phi, flux, theta=th)
+    zeta, nu = _attach_fluxes(dbeta, (-th, th), phi, flux)
     return EntropyTriple(
         name="beta_theta(%g)" % th, family="beta_theta",
         beta=beta, dbeta=dbeta, d2beta=d2beta, d2_support=th,
         zeta=zeta, nu=nu, theta=th, params={"theta": th})
-
-
-def make_h_delta(p: int, delta: float, phi=None, flux=None) -> EntropyTriple:
-    """Smooth even convex approximation of |r|^p / (p(p-1)).
-
-    The second derivative is |r|^{p-2} capped at (1/delta)^{p-2}; the entropy
-    and its slope are the exact double and single primitives of that cap.
-    """
-    if p < 2 or (p & (p - 1)) != 0:
-        raise ValueError("p must be a power of two >= 2, got %r" % (p,))
-    if not delta > 0.0:
-        raise ValueError("delta must be positive, got %r" % (delta,))
-    c = 1.0 / float(delta)
-    q = p - 2
-
-    def d2beta(r):
-        a = np.abs(np.asarray(r, dtype=float))
-        return np.where(a <= c, a ** q, c ** q)
-
-    def dbeta(r):
-        r = np.asarray(r, dtype=float)
-        a = np.abs(r)
-        inner = a ** (p - 1) / (p - 1)
-        outer = c ** (p - 1) / (p - 1) + c ** q * (a - c)
-        return np.sign(r) * np.where(a <= c, inner, outer)
-
-    def beta(r):
-        a = np.abs(np.asarray(r, dtype=float))
-        inner = a ** p / (p * (p - 1))
-        outer = (c ** p / (p * (p - 1))
-                 + c ** (p - 1) / (p - 1) * (a - c)
-                 + 0.5 * c ** q * (a - c) ** 2)
-        return np.where(a <= c, inner, outer)
-
-    zeta, nu = _attach_fluxes(dbeta, (-c, c), phi, flux)
-    return EntropyTriple(
-        name="h_delta(p=%d, delta=%g)" % (p, delta), family="h_delta",
-        beta=beta, dbeta=dbeta, d2beta=d2beta, d2_support=None,
-        zeta=zeta, nu=nu, params={"p": p, "delta": float(delta)})
 
 
 def make_quadratic(phi=None, flux=None) -> EntropyTriple:
@@ -237,20 +172,14 @@ def make_quadratic(phi=None, flux=None) -> EntropyTriple:
 # ---------------------------------------------------------------------------
 # Kirchhoff transform
 
-def kirchhoff(phi, tol: float = 1e-10):
-    """Return the vectorized primitive u -> int_0^u sqrt(phi'(s)) ds."""
-    kinks = tuple(phi.kinks)
+def _sqrt_dphi(phi):
+    return lambda s: np.sqrt(np.maximum(phi.dphi(s), 0.0))
 
-    def G(u):
-        u = np.asarray(u, dtype=float)
-        flat = np.atleast_1d(u).reshape(-1)
-        vals = batch_simpson(
-            lambda s: np.sqrt(np.maximum(phi.dphi(s), 0.0)),
-            np.zeros_like(flat), flat, tol=tol, breakpoints=kinks)
-        vals = vals.reshape(np.atleast_1d(u).shape)
-        return vals if u.ndim else float(vals[0])
 
-    return G
+def kirchhoff(phi):
+    """Return the vectorized primitive u -> int_0^u sqrt(phi'(s)) ds, exact on
+    the catalog (sqrt(phi') is piecewise linear between ``phi.kinks``)."""
+    return _primitive(_sqrt_dphi(phi), phi.kinks)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +216,6 @@ def kruzkov_F(a, b, flux) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     s = np.sign(a - b)
     return np.stack([s * (c.f(a) - c.f(b)) for c in flux.components], axis=-1)
-
-
-def _sqrt_dphi(phi):
-    return lambda s: np.sqrt(np.maximum(phi.dphi(s), 0.0))
 
 
 def I_beta(a: float, b: float, triple: EntropyTriple, phi,
@@ -391,109 +316,48 @@ def ibeta_identities(a: float, b: float, triple: EntropyTriple, phi,
 
 
 # ---------------------------------------------------------------------------
-# Pair-batched evaluation: same integrals, fixed composite Simpson rules
-# refined by panel doubling, vectorized across many (a, b) pairs.
+# Pair-batched evaluation: the same integrals by the exact rule, vectorized
+# across many (a, b) pairs.
 
-_SIMPSON_NODE_CACHE: dict = {}
-
-
-def _simpson_nodes(panels: int):
-    if panels not in _SIMPSON_NODE_CACHE:
-        n = 2 * panels + 1
-        t = np.linspace(0.0, 1.0, n)
-        w = np.ones(n)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        _SIMPSON_NODE_CACHE[panels] = (t, w / (6.0 * panels))
-    return _SIMPSON_NODE_CACHE[panels]
-
-
-def _node_block(a, b, t):
-    # endpoint samples sit strictly inside (a, b): one-sided values at edges
-    x = a[..., None] + (b - a)[..., None] * t
-    d = inward_offset(a, b)
-    x[..., 0] = a + d
-    x[..., -1] = b - d
-    return x
-
-
-def _fixed_simpson(f, a, b, panels):
-    t, w = _simpson_nodes(panels)
-    x = _node_block(a, b, t)
-    return (b - a) * (np.asarray(f(x), dtype=float) @ w)
-
-
-def _fixed_simpson_extrap(f, a, b, panels):
-    # composite Simpson at `panels` and 2*`panels` sharing one evaluation,
-    # combined by Richardson extrapolation (exact for degree <= 5 pieces)
-    t2, w2 = _simpson_nodes(2 * panels)
-    _, w1 = _simpson_nodes(panels)
-    x = _node_block(a, b, t2)
-    v = np.asarray(f(x), dtype=float)
-    s2 = (b - a) * (v @ w2)
-    s1 = (b - a) * (v[..., ::2] @ w1)
-    return s2 + (s2 - s1) / 15.0
-
-
-def _segmented_fixed(f, lo, hi, candidates, panels, extrapolate=True):
-    """Signed fixed-rule integrals over per-element intervals [lo, hi],
+def _segmented(f, lo, hi, candidates):
+    """Signed exact-rule integrals over per-element intervals [lo, hi],
     pre-split at every candidate edge (arrays broadcastable to lo)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     a = np.minimum(lo, hi)
     b = np.maximum(lo, hi)
-    sign = np.where(hi >= lo, 1.0, -1.0)
-    parts = [np.clip(np.broadcast_to(np.asarray(c, dtype=float), a.shape), a, b)
-             for c in candidates]
+    parts = [np.clip(c, a, b) for c in candidates]
     edges = np.sort(np.stack([a] + parts + [b], axis=-1), axis=-1)
-    rule = _fixed_simpson_extrap if extrapolate else _fixed_simpson
     acc = 0.0
     for j in range(edges.shape[-1] - 1):
         e0, e1 = edges[..., j], edges[..., j + 1]
-        if not np.any(e1 > e0):
-            continue
-        acc = acc + rule(f, e0, e1, panels)
-    return sign * acc
+        if np.any(e1 > e0):
+            acc = acc + _gauss(f, e0, e1)
+    return np.where(hi >= lo, 1.0, -1.0) * acc
 
 
-def _ibeta_nested_batch_once(a, b, triple, phi, p_out, p_in):
+def _ibeta_nested_batch(a, b, triple, phi):
     w = triple.d2_support
     w_eff = np.inf if w is None else w
     kinks = tuple(phi.kinks)
     root = _sqrt_dphi(phi)
-    n = a.size
-    cands = [np.full(n, k) for k in kinks]
+    cands = list(kinks)
     if w is not None:
         cands += [a - w, a + w]
-        cands += [np.full(n, k - w) for k in kinks]
-        cands += [np.full(n, k + w) for k in kinks]
-
-    lo_r = np.minimum(a, b)
-    hi_r = np.maximum(a, b)
-    sign = np.where(b >= a, 1.0, -1.0)
-    parts = [np.clip(c, lo_r, hi_r) for c in cands]
-    edges = np.sort(np.stack([lo_r] + parts + [hi_r], axis=-1), axis=-1)
-
+        cands += [k - w for k in kinks] + [k + w for k in kinks]
     a_col = a[:, None]
 
     def outer_integrand(mu):
         hi_in = np.clip(a_col, mu - w_eff, mu + w_eff)
         col = mu[..., None]
-        inner = _segmented_fixed(
-            lambda s: triple.d2beta(col - s) * root(s),
-            mu, hi_in, kinks, p_in)  # piecewise deg <= 5: exact
+        inner = _segmented(lambda s: triple.d2beta(col - s) * root(s),
+                           mu, hi_in, kinks)
         return inner * root(mu)
 
-    total = np.zeros(n)
-    for j in range(edges.shape[-1] - 1):
-        e0, e1 = edges[..., j], edges[..., j + 1]
-        if not np.any(e1 > e0):
-            continue
-        total += _fixed_simpson_extrap(outer_integrand, e0, e1, p_out)
-    return sign * total
+    return _segmented(outer_integrand, a, b, cands)
 
 
-def _ibeta_wform_batch_once(a, b, triple, phi, mode, p_out, p_in):
+def _ibeta_wform_batch(a, b, triple, phi, mode):
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     width = hi - lo
@@ -501,16 +365,13 @@ def _ibeta_wform_batch_once(a, b, triple, phi, mode, p_out, p_in):
     wmax = width if w_sup is None else np.minimum(width, w_sup)
     kinks = tuple(phi.kinks)
     root = _sqrt_dphi(phi)
-    n = a.size
 
-    cands = [np.zeros(n)]
+    cands = [0.0]
     for k in kinks:
         # shifted kink k - w crossing the strip limits, and the moving
         # limits lo - w, hi - w crossing the fixed kink
         cands += [k - lo, k - hi, lo - k, hi - k]
-        cands += [np.full(n, k - k2) for k2 in kinks]
-    parts = [np.clip(c, -wmax, wmax) for c in cands]
-    edges = np.sort(np.stack([-wmax] + parts + [wmax], axis=-1), axis=-1)
+        cands += [k - k2 for k2 in kinks]
 
     lo_col = lo[:, None]
     hi_col = hi[:, None]
@@ -524,88 +385,40 @@ def _ibeta_wform_batch_once(a, b, triple, phi, mode, p_out, p_in):
             fn = lambda x: root(x) * root(x + col)
         else:
             fn = lambda x: (root(x) - root(x + col)) ** 2
-        in_cands = list(kinks) + [k - wv for k in kinks]
-        strip = _segmented_fixed(fn, m_lo, m_hi, in_cands, p_in)
+        strip = _segmented(fn, m_lo, m_hi, list(kinks) + [k - wv for k in kinks])
         return triple.d2beta(wv) * strip
 
-    total = np.zeros(n)
-    for j in range(edges.shape[-1] - 1):
-        e0, e1 = edges[..., j], edges[..., j + 1]
-        if not np.any(e1 > e0):
-            continue
-        total += _fixed_simpson_extrap(outer_integrand, e0, e1, p_out)
-    return total
+    return _segmented(outer_integrand, -wmax, wmax, cands)
 
 
-def _phi_beta_batch_once(a, b, triple, phi, panels):
+def _phi_beta_batch(a, b, triple, phi):
     w = triple.d2_support
-    kinks = list(phi.kinks)
-    cands = list(kinks)
+    cands = list(phi.kinks)
     if w is not None:
         cands += [b - w, b + w]
     col_b = b[:, None]
-    return _segmented_fixed(
-        lambda s: triple.dbeta(s - col_b) * phi.dphi(s), b, a, cands, panels)
+    return _segmented(lambda s: triple.dbeta(s - col_b) * phi.dphi(s),
+                      b, a, cands)
 
 
-def _with_doubling(evaluate, tol, start=4, cap=256):
-    """Panel-doubling refinement that narrows to the unconverged rows.
-
-    ``evaluate(p, idx)`` returns the quadrature at p panels for the row
-    subset ``idx`` (None = all rows).
-    """
-    p = start
-    vals = evaluate(p, None)
-    out = np.array(vals)
-    active = np.arange(out.size)
-    while active.size and p < cap:
-        p *= 2
-        cur = evaluate(p, active)
-        err = np.abs(cur - vals) / 15.0
-        out[active] = cur
-        keep = err > tol
-        active = active[keep]
-        vals = cur[keep]
-    if active.size:
-        raise QuadratureError(
-            "batched identity quadrature stalled at %d panels "
-            "(%d rows above %.1e)" % (p, active.size, tol))
-    return out
-
-
-def _identity_chunk(a, b, triple, phi, tol):
-    def sub(arr, idx):
-        return arr if idx is None else arr[idx]
-
-    def nested(x, y):
-        return lambda p, idx: _ibeta_nested_batch_once(
-            sub(x, idx), sub(y, idx), triple, phi, p, 2)
-
-    def wform(mode):
-        return lambda p, idx: _ibeta_wform_batch_once(
-            sub(a, idx), sub(b, idx), triple, phi, mode, p, 2)
-
-    def pb(x, y):
-        return lambda p, idx: _phi_beta_batch_once(
-            sub(x, idx), sub(y, idx), triple, phi, p)
-
-    i_ab = _with_doubling(nested(a, b), tol)
-    i_ba = _with_doubling(nested(b, a), tol)
-    ref1 = -0.5 * _with_doubling(wform("product"), tol)
-    ref2 = 0.5 * _with_doubling(wform("sqdiff"), tol)
-    p_ab = _with_doubling(pb(a, b), tol)
-    p_ba = _with_doubling(pb(b, a), tol)
+def _identity_chunk(a, b, triple, phi):
+    i_ab = _ibeta_nested_batch(a, b, triple, phi)
+    i_ba = _ibeta_nested_batch(b, a, triple, phi)
+    p_ab = _phi_beta_batch(a, b, triple, phi)
+    p_ba = _phi_beta_batch(b, a, triple, phi)
     return {
-        "i_ab": i_ab, "i_ba": i_ba, "identity1_ref": ref1,
+        "i_ab": i_ab, "i_ba": i_ba,
+        "identity1_ref": -0.5 * _ibeta_wform_batch(a, b, triple, phi, "product"),
         "phi_beta_ab": p_ab, "phi_beta_ba": p_ba,
-        "identity2_lhs": 2.0 * i_ab + p_ab + p_ba, "identity2_ref": ref2,
+        "identity2_lhs": 2.0 * i_ab + p_ab + p_ba,
+        "identity2_ref": 0.5 * _ibeta_wform_batch(a, b, triple, phi, "sqdiff"),
     }
 
 
 def identity_check_batch(a, b, triple: EntropyTriple, phi,
-                         tol: float = 1e-9, chunk: int = 500) -> dict:
-    """Both exchange identities on arrays of pairs, each side refined
-    independently until the doubling estimate meets ``tol``.
+                         chunk: int = 500) -> dict:
+    """Both exchange identities on arrays of pairs, each side integrated by
+    the exact rule over its own decomposition into polynomial pieces.
 
     Returns arrays: nested values in both argument orders, the shifted
     double-integral references, both entropy-flux differences, and the
@@ -613,7 +426,7 @@ def identity_check_batch(a, b, triple: EntropyTriple, phi,
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
-    pieces = [_identity_chunk(a[i:i + chunk], b[i:i + chunk], triple, phi, tol)
+    pieces = [_identity_chunk(a[i:i + chunk], b[i:i + chunk], triple, phi)
               for i in range(0, a.size, chunk)]
     return {key: np.concatenate([p[key] for p in pieces])
             for key in pieces[0]}

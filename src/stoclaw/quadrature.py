@@ -1,8 +1,10 @@
 """Adaptive Simpson quadrature, in a scalar-interval and a row-batched variant.
 
-Both variants require the integrand to accept numpy arrays. Integrands built
-from the coefficient catalog are piecewise smooth; callers pass the kink
-locations as breakpoints so every refinement happens on a smooth piece.
+Only the scalar entropy kit (``entropy.I_beta`` and its companions) uses it,
+as a reference independent of the exact rule that the checks and residuals
+use. Both variants require the integrand to accept numpy arrays. Integrands
+built from the coefficient catalog are piecewise smooth; callers pass the
+kink locations as breakpoints so every refinement happens on a smooth piece.
 """
 
 from __future__ import annotations

@@ -1,9 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import stoclaw as sc
+from stoclaw import entropy
+from stoclaw.config import ExperimentConfig
 from stoclaw.entropy import (BETA_M1, BETA_M2, base_beta, base_d2beta,
                              base_dbeta, identity_check_batch)
+from stoclaw.harness import _path_reductions, path_seed
 
 LIN = sc.phi_family("linear")
 LIN_HALF = sc.phi_family("linear", 0.5)
@@ -11,6 +17,9 @@ STEFAN = sc.phi_family("stefan")
 POROUS = sc.phi_family("porous")
 BURGERS = sc.flux_family("burgers", dim=1)
 ZERO_FLUX = sc.flux_family("zero", dim=1)
+PHI_NAMES = ("zero", "linear", "stefan", "porous")
+FLUX_NAMES = ("zero", "linear", "burgers")
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 # ---------------------------------------------------------------------------
@@ -61,51 +70,6 @@ def test_beta_theta_invalid():
 
 
 # ---------------------------------------------------------------------------
-# Moment entropies
-
-def test_h_delta_p2_is_quadratic():
-    for delta in (0.3, 1.0, 2.5):
-        t = sc.make_h_delta(2, delta)
-        x = np.linspace(-3, 3, 41)
-        np.testing.assert_allclose(t.beta(x), 0.5 * x ** 2, atol=1e-14)
-
-
-def test_h_delta_anchors():
-    t = sc.make_h_delta(4, 0.7)
-    assert t.beta(0.0) == 0.0
-    assert t.dbeta(0.0) == 0.0
-
-
-def test_h_delta_double_quadrature_oracle():
-    # p=4, delta=1, x=2 against a nested trapezoid oracle
-    p, delta, x = 4, 1.0, 2.0
-    c = 1.0 / delta
-    t = sc.make_h_delta(p, delta)
-    s = np.linspace(0.0, x, 2001)
-    inner = np.empty_like(s)
-    for i, si in enumerate(s):
-        q = np.linspace(0.0, si, 2001)
-        d2 = np.where(np.abs(q) <= c, np.abs(q) ** (p - 2), c ** (p - 2))
-        inner[i] = np.trapezoid(d2, q)
-    oracle = np.trapezoid(inner, s)
-    np.testing.assert_allclose(t.beta(x), oracle, atol=1e-8)
-
-
-def test_h_delta_growth_bound():
-    t = sc.make_h_delta(4, 0.5)
-    x = np.linspace(-6, 6, 301)
-    kp = 1.0 / (4 * 3)
-    assert np.all(t.beta(x) >= -1e-15)
-    assert np.all(t.beta(x) <= kp * np.abs(x) ** 4 + 1e-12)
-
-
-def test_h_delta_rejects_bad_p():
-    for bad in (3, 6, 1):
-        with pytest.raises(ValueError):
-            sc.make_h_delta(bad, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # Kirchhoff transform
 
 def test_kirchhoff_linear_identity():
@@ -139,6 +103,65 @@ def test_kirchhoff_is_nonexpansive():
         G = sc.kirchhoff(phi)
         lhs = np.abs(G(a) - G(b))
         assert np.all(lhs <= np.sqrt(phi.c_phi) * np.abs(a - b) + 1e-9)
+
+
+def _closed_kirchhoff(name, s, u):
+    # int_0^u sqrt(phi') for each catalog family at scale s
+    a = np.abs(u)
+    shape = {"zero": 0.0 * a, "linear": a,
+             "stefan": np.maximum(a - 1.0, 0.0),
+             "porous": 0.5 * np.minimum(a, 1.0) ** 2 + np.maximum(a - 1.0, 0.0)}
+    return np.sqrt(s) * np.sign(u) * shape[name]
+
+
+def _quad_primitive(g, r, kinks):
+    # independent reference for int_0^r g, split at every kink inside
+    lo, hi = min(0.0, r), max(0.0, r)
+    pts = [k for k in kinks if lo < k < hi]
+    val = quad(g, lo, hi, points=pts or None, epsabs=1e-13, epsrel=1e-13,
+               limit=200)[0]
+    return val if r >= 0.0 else -val
+
+
+def _sample_points(theta, *kinks):
+    return np.unique(np.concatenate(
+        [np.linspace(-3.0, 3.0, 61), kinks, [-theta, theta]]))
+
+
+@pytest.mark.parametrize("name", PHI_NAMES)
+def test_kirchhoff_exact_on_catalog(name):
+    phi = sc.phi_family(name, 0.7)
+    r = _sample_points(1.0, *phi.kinks)
+    np.testing.assert_allclose(sc.kirchhoff(phi)(r),
+                               _closed_kirchhoff(name, 0.7, r),
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("phi_name", PHI_NAMES)
+@pytest.mark.parametrize("flux_name", FLUX_NAMES)
+def test_flux_primitives_exact_on_catalog(phi_name, flux_name):
+    # nu and zeta against closed forms for linear (and zero) coefficients,
+    # elsewhere against scipy's quad split at every kink
+    phi = sc.phi_family(phi_name, 0.7)
+    flux = sc.flux_family(flux_name, dim=1, scale=1.3)
+    df = flux.components[0].df
+    for theta in (1.0, 0.1, 0.01):
+        t = sc.make_beta_theta(theta, phi=phi, flux=flux)
+        r = _sample_points(theta, *phi.kinks, *flux.kinks)
+        if phi_name in ("zero", "linear"):
+            nu_ref = phi.dphi(0.0) * t.beta(r)
+        else:
+            nu_ref = [_quad_primitive(lambda s: t.dbeta(s) * phi.dphi(s), x,
+                                      phi.kinks + (-theta, theta)) for x in r]
+        if flux_name in ("zero", "linear"):
+            zeta_ref = df(0.0) * t.beta(r)
+        else:
+            zeta_ref = [_quad_primitive(lambda s: t.dbeta(s) * df(s), x,
+                                        flux.kinks + (-theta, theta))
+                        for x in r]
+        np.testing.assert_allclose(t.nu(r), nu_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(t.zeta(r)[:, 0], zeta_ref, rtol=0,
+                                   atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +315,38 @@ def test_zeta_nu_primitive_anchoring():
     f = BURGERS.components[0].f
     np.testing.assert_allclose(t.zeta(r)[0] - t.zeta(0.5)[0],
                                f(r) - f(0.5), atol=1e-9)
+
+
+def test_batch_identities_exact_on_porous():
+    # the exact rule leaves only rounding in every identity deviation
+    rng = np.random.default_rng(12)
+    a = rng.uniform(-5, 5, 200)
+    b = rng.uniform(-5, 5, 200)
+    for theta in (1.0, 0.1, 0.01):
+        res = identity_check_batch(a, b, sc.make_beta_theta(theta), POROUS)
+        assert np.max(np.abs(res["i_ab"] - res["i_ba"])) <= 1e-12
+        assert np.max(np.abs(res["i_ab"] - res["identity1_ref"])) <= 1e-12
+        assert np.max(np.abs(res["identity2_lhs"]
+                             - res["identity2_ref"])) <= 1e-12
+
+
+def test_hot_paths_use_no_adaptive_quadrature(monkeypatch):
+    # per-path reductions and the identity check run on the exact rule only;
+    # the adaptive routines are the scalar reference kit's
+    def forbidden(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called from a hot path")
+
+    monkeypatch.setattr(entropy, "batch_simpson", forbidden)
+    monkeypatch.setattr(entropy, "adaptive_simpson", forbidden)
+    cfg = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
+    cfg.set("grid", "cells", 32)
+    cfg.set("run", "steps", 8)
+    out = _path_reductions(cfg, path_seed(cfg.get("run", "seed"), 0),
+                           ("energy", "entropy_residual"))
+    assert np.isfinite(out["residual_min"])
+    assert np.all(np.isfinite(out["grad_g_sq"]))
+    rng = np.random.default_rng(13)
+    res = identity_check_batch(rng.uniform(-5, 5, 20), rng.uniform(-5, 5, 20),
+                               sc.make_beta_theta(0.1), POROUS)
+    assert all(np.all(np.isfinite(v)) for v in res.values())
