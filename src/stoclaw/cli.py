@@ -97,7 +97,8 @@ def main(argv=None) -> int:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--workers", type=int, default=1,
-                        help="parallel path workers (results are identical "
+                        help="processes for the per-path jobs of run, study "
+                             "and replay, at least 1 (results are identical "
                              "for any worker count)")
     common.add_argument("--seed", type=int, default=None,
                         help="override run.seed from the config")
@@ -125,6 +126,9 @@ def main(argv=None) -> int:
     p_replay.set_defaults(fn=_cmd_replay)
 
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return EXIT_INVALID
     try:
         return args.fn(args)
     except (ConfigError, InvalidSpecError, FileNotFoundError) as err:

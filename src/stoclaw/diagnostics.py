@@ -3,6 +3,10 @@ entropy-inequality residuals, coupled-step Cauchy rates, weighted-L1
 contraction, moment growth, the sup bound under compactly supported noise,
 and the small-viscosity limit.
 
+Each Monte-Carlo check is a per-path part (``*_path_*``: the solves along
+one sampled path and their reduction), which the harness runs in its worker
+pool, and an aggregator over the per-path results in seed order.
+
 Space-time integrals against a test function use the trajectory's own grid
 (midpoint in space, trapezoid in time at the step knots); test
 function derivatives are analytic, never differenced.
@@ -18,7 +22,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .entropy import EntropyTriple, kirchhoff
-from .model import Grid, InitFamily, ProblemSpec, discretize_initial
+from .model import Grid, ProblemSpec, discretize_initial
 from .noise import JumpPath, martingale_term, sample_jump_path
 from .solver import Trajectory, l2_sq, norm_l1, solve_path
 
@@ -26,10 +30,11 @@ __all__ = [
     "TestFunction", "bump_test_function", "uniform_test_function",
     "test_function_catalog", "WeightPhiN", "CheckResult", "DiagnosticsReport",
     "entropy_residual", "entropy_tolerance", "calibrate_entropy_tolerance",
-    "ENTROPY_TOL_COEFF", "cauchy_rate_test", "RateReport",
-    "contraction_test", "ContractionReport", "moment_bound_test",
+    "ENTROPY_TOL_COEFF", "cauchy_path_errors", "cauchy_rate_test",
+    "RateReport", "contraction_path_distances", "contraction_test",
+    "ContractionReport", "moment_path_rows", "moment_bound_test",
     "MomentReport", "linear_moment_rate", "max_principle_test", "BoundReport",
-    "viscosity_convergence_test",
+    "viscosity_path_errors", "viscosity_convergence_test",
 ]
 
 
@@ -148,6 +153,9 @@ class WeightPhiN:
 # ---------------------------------------------------------------------------
 # Report plumbing
 
+STATUS_TEXT = {True: "pass", False: "fail", None: "inconclusive"}
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -183,7 +191,7 @@ class DiagnosticsReport:
                 "value": "%.17g" % c.value,
                 "bound": "%.17g" % c.bound,
                 "margin": "%.17g" % c.margin,
-                "status": {True: "pass", False: "fail", None: "inconclusive"}[c.passed],
+                "status": STATUS_TEXT[c.passed],
                 "statement": c.statement,
             })
         return out
@@ -337,7 +345,6 @@ class RateReport:
     slope: float
     status: Optional[bool]  # None = inconclusive
     window: tuple = (0.8, 1.3)
-    extras: dict = field(default_factory=dict)
 
 
 def _coupled_error_sq(traj_c: Trajectory, traj_f: Trajectory) -> float:
@@ -353,36 +360,36 @@ def _coupled_error_sq(traj_c: Trajectory, traj_f: Trajectory) -> float:
     return total
 
 
-def cauchy_rate_test(spec: ProblemSpec, grid: Grid,
-                     path_seeds: Sequence[int], n_steps_list: Sequence[int],
+def cauchy_path_errors(spec: ProblemSpec, grid: Grid, path: JumpPath,
+                       n_steps_list: Sequence[int]) -> List[float]:
+    """One path's part of the Cauchy lane: ||u_dt - u_dt/2||^2 at each step
+    count, both solved along ``path``."""
+    return [_coupled_error_sq(solve_path(spec, grid, n, path),
+                              solve_path(spec, grid, 2 * n, path))
+            for n in n_steps_list]
+
+
+def cauchy_rate_test(spec: ProblemSpec, n_steps_list: Sequence[int],
+                     per_path: Sequence[Sequence[float]],
                      window=(0.8, 1.3)) -> RateReport:
     """Coupled-step self-refinement: fit the slope of log E||u_dt - u_dt/2||^2
     against log dt with common jump paths across every step count.
 
+    ``per_path`` holds ``cauchy_path_errors`` of each path, in seed order.
     Stochastic lane passes on slope inside ``window``; a single parameter or
-    noise-dominated estimates give an inconclusive report. With silent noise
-    the run is reported on the deterministic lane (slope ~ 2 for the squared
-    error) and judged against (1.7, 2.3).
+    noise-dominated estimates give an inconclusive report. Silent noise gives
+    every path the same errors: the deterministic lane reads the first path
+    (slope ~ 2 for the squared error) and is judged against (1.7, 2.3).
     """
-    lane = "deterministic" if spec.eta.is_zero or len(path_seeds) == 0 \
-        else "stochastic"
+    lane = "deterministic" if spec.eta.is_zero else "stochastic"
     if lane == "deterministic":
-        path_seeds = [0]
+        per_path = per_path[:1]
         window = (1.7, 2.3)
     dts = np.array([spec.horizon / n for n in n_steps_list])
-    err = np.zeros(len(n_steps_list))
-    se = np.zeros(len(n_steps_list))
-    for i, n in enumerate(n_steps_list):
-        per_path = []
-        for seed in path_seeds:
-            path = sample_jump_path(spec.levy, spec.horizon, int(seed))
-            coarse = solve_path(spec, grid, n, path)
-            fine = solve_path(spec, grid, 2 * n, path)
-            per_path.append(_coupled_error_sq(coarse, fine))
-        arr = np.asarray(per_path)
-        err[i] = float(np.mean(arr))
-        se[i] = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) \
-            if arr.size > 1 else 0.0
+    arrs = [np.asarray(errors) for errors in zip(*per_path)]
+    err = np.array([float(np.mean(a)) for a in arrs])
+    se = np.array([float(np.std(a, ddof=1) / math.sqrt(a.size))
+                   if a.size > 1 else 0.0 for a in arrs])
     ratios = err[:-1] / np.maximum(err[1:], 1e-300)
     if len(n_steps_list) < 2:
         return RateReport(lane, dts, err, se, ratios, slope=float("nan"),
@@ -399,15 +406,12 @@ def cauchy_rate_test(spec: ProblemSpec, grid: Grid,
 
 @dataclass
 class ContractionReport:
-    times: np.ndarray
     distance: np.ndarray        # E int |u - v| phi_n dx at each knot
-    distance_half: np.ndarray   # same with dt halved
     c_fit: float
     c_fit_half: float
     stable: bool
     exact_zero: bool
     initial_distance: float
-    extras: dict = field(default_factory=dict)
 
 
 def _weighted_l1(u, v, w, grid) -> float:
@@ -425,32 +429,35 @@ def _fit_growth(times, dist, floor=1e-14, with_argmax=False):
     return (rates[j], j + 1) if with_argmax else max(rates)
 
 
-def contraction_test(spec: ProblemSpec, grid: Grid, u0, v0,
-                     n_weight: float, path_seeds: Sequence[int],
-                     n_steps: int) -> ContractionReport:
+def contraction_path_distances(spec: ProblemSpec, grid: Grid, path: JumpPath,
+                               v0, n_weight: float, n_steps: int):
+    """One path's part of the contraction check: the weighted-L1 distance
+    between the solutions from the spec's initial data and from the family
+    ``v0`` under ``path``, at every knot, at n_steps and at 2 n_steps."""
+    u0_field = discretize_initial(spec, grid)
+    v0_field = discretize_initial(spec.with_u0(v0), grid)
+    weight = WeightPhiN(n_weight, grid.dim)(grid.coords())
+    out = []
+    for n in (n_steps, 2 * n_steps):
+        tu = solve_path(spec, grid, n, path, u0_field=u0_field)
+        tv = solve_path(spec, grid, n, path, u0_field=v0_field)
+        out.append(np.array([_weighted_l1(tu.fields[k], tv.fields[k], weight,
+                                          grid) for k in range(n + 1)]))
+    return tuple(out)
+
+
+def contraction_test(spec: ProblemSpec, grid: Grid,
+                     per_path: Sequence[tuple]) -> ContractionReport:
     """Two solutions under one noise per path: weighted-L1 distance growth.
 
-    ``u0``/``v0`` are initial-data families or fields; ``u0=None`` uses the
-    spec's own initial data. The growth constant is fitted at n_steps and at
-    2 n_steps (same paths); stability within 20 percent passes.
+    ``per_path`` holds ``contraction_path_distances`` of each path, in seed
+    order. The growth constant is fitted at n_steps and at 2 n_steps (same paths);
+    stability within 20 percent passes.
     """
-    u0_field = _resolve_initial(spec, grid, u0)
-    v0_field = _resolve_initial(spec, grid, v0)
-    weight = WeightPhiN(n_weight, grid.dim)(grid.coords())
-
-    def run(n):
-        acc = None
-        for seed in path_seeds:
-            path = sample_jump_path(spec.levy, spec.horizon, int(seed))
-            tu = solve_path(spec, grid, n, path, u0_field=u0_field)
-            tv = solve_path(spec, grid, n, path, u0_field=v0_field)
-            d = np.array([_weighted_l1(tu.fields[k], tv.fields[k], weight, grid)
-                          for k in range(n + 1)])
-            acc = d if acc is None else acc + d
-        return acc / len(path_seeds)
-
-    dist = run(n_steps)
-    dist_half = run(2 * n_steps)
+    # sequential sums in seed order
+    dist = sum(d for d, _ in per_path) / len(per_path)
+    dist_half = sum(d for _, d in per_path) / len(per_path)
+    n_steps = dist.size - 1
     times = spec.horizon / n_steps * np.arange(n_steps + 1)
     times_half = spec.horizon / (2 * n_steps) * np.arange(2 * n_steps + 1)
     c1 = _fit_growth(times, dist)
@@ -458,20 +465,12 @@ def contraction_test(spec: ProblemSpec, grid: Grid, u0, v0,
     denom = max(abs(c1), abs(c2), 0.05)
     stable = abs(c1 - c2) <= 0.2 * denom
     d0 = dist[0]
-    exact_zero = bool(np.max(dist) <= 1e-8 * max(norm_l1(u0_field, grid), 1e-300)) \
+    exact_zero = bool(np.max(dist) <= 1e-8 * max(
+        norm_l1(discretize_initial(spec, grid), grid), 1e-300)) \
         if d0 == 0.0 else False
     return ContractionReport(
-        times=times, distance=dist, distance_half=dist_half,
-        c_fit=c1, c_fit_half=c2, stable=stable, exact_zero=exact_zero,
-        initial_distance=d0)
-
-
-def _resolve_initial(spec, grid, init):
-    if init is None:
-        return discretize_initial(spec, grid)
-    if isinstance(init, InitFamily):
-        return discretize_initial(spec.with_u0(init), grid)
-    return np.asarray(init, dtype=float)
+        distance=dist, c_fit=c1, c_fit_half=c2, stable=stable,
+        exact_zero=exact_zero, initial_distance=d0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,46 +478,43 @@ def _resolve_initial(spec, grid, init):
 
 @dataclass
 class MomentReport:
-    p: int
-    times: np.ndarray
     moments: np.ndarray
-    stderr_final: float
     k_fit: float
     k_fit_half: float
     stable: bool
     oracle_rate: Optional[float]
     oracle_band: Optional[float]
     within_oracle: Optional[bool]
-    extras: dict = field(default_factory=dict)
 
 
 def _moment(u, p, grid) -> float:
     return float(np.sum(np.abs(u) ** p)) * grid.cell_volume
 
 
-def moment_bound_test(spec: ProblemSpec, grid: Grid, p: int,
-                      path_seeds: Sequence[int], n_steps: int,
+def moment_path_rows(spec: ProblemSpec, grid: Grid, path: JumpPath, p: int,
+                     n_steps: int):
+    """One path's part of the moment check: int |u_n|^p at every knot, solved
+    along ``path`` at n_steps and at 2 n_steps."""
+    if p % 2 != 0 or p < 2:
+        raise ValueError("p must be an even integer >= 2")
+    return tuple(np.array([_moment(u, p, grid)
+                           for u in solve_path(spec, grid, n, path).fields])
+                 for n in (n_steps, 2 * n_steps))
+
+
+def moment_bound_test(spec: ProblemSpec, p: int, per_path: Sequence[tuple],
                       oracle_rate: Optional[float] = None) -> MomentReport:
     """Monte-Carlo L^p moment growth with an exponential-envelope fit.
 
+    ``per_path`` holds ``moment_path_rows`` of each path, in seed order.
     Fits the smallest K with E int |u_n|^p <= exp(K t) E int |u_0|^p, checks
     stability of K under dt halving, and optionally compares against a
     closed-form rate with a 3-sigma band propagated from the final-time
     sample variance.
     """
-    if p % 2 != 0 or p < 2:
-        raise ValueError("p must be an even integer >= 2")
-
-    def run(n):
-        rows = np.zeros((len(path_seeds), n + 1))
-        for i, seed in enumerate(path_seeds):
-            path = sample_jump_path(spec.levy, spec.horizon, int(seed))
-            traj = solve_path(spec, grid, n, path)
-            rows[i] = [_moment(traj.fields[k], p, grid) for k in range(n + 1)]
-        return rows
-
-    rows = run(n_steps)
-    rows_half = run(2 * n_steps)
+    rows = np.array([r for r, _ in per_path])
+    rows_half = np.array([r for _, r in per_path])
+    n_paths, n_steps = rows.shape[0], rows.shape[1] - 1
     moments = rows.mean(axis=0)
     moments_half = rows_half.mean(axis=0)
     times = spec.horizon / n_steps * np.arange(n_steps + 1)
@@ -527,7 +523,6 @@ def moment_bound_test(spec: ProblemSpec, grid: Grid, p: int,
     k2 = _fit_growth(times_half, moments_half)
     denom = max(abs(k1), abs(k2), 0.05)
     stable = abs(k1 - k2) <= 0.25 * denom
-    n_paths = len(path_seeds)
     se = rows.std(axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1 \
         else np.zeros(n_steps + 1)
     band = within = None
@@ -537,9 +532,8 @@ def moment_bound_test(spec: ProblemSpec, grid: Grid, p: int,
             / times[j_bind]
         within = bool(abs(k1 - oracle_rate) <= band + 1e-12)
     return MomentReport(
-        p=p, times=times, moments=moments, stderr_final=float(se[-1]),
-        k_fit=k1, k_fit_half=k2, stable=stable, oracle_rate=oracle_rate,
-        oracle_band=band, within_oracle=within)
+        moments=moments, k_fit=k1, k_fit_half=k2, stable=stable,
+        oracle_rate=oracle_rate, oracle_band=band, within_oracle=within)
 
 
 def linear_moment_rate(spec: ProblemSpec, p: int, dt: float) -> float:
@@ -617,26 +611,28 @@ def _lp_spacetime(traj_a: Trajectory, traj_b: Trajectory, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def viscosity_convergence_test(spec: ProblemSpec, grid: Grid,
-                               eps_list: Sequence[float],
-                               path_seeds: Sequence[int], n_steps: int,
-                               p: float = 1.5) -> RateReport:
-    """Successive-halving differences E||u_eps - u_{eps/2}|| in L^p of
-    space-time, along shared jump paths; passes when decreasing with
-    successive ratios <= 0.9."""
+def viscosity_path_errors(spec: ProblemSpec, grid: Grid, path: JumpPath,
+                          eps_list: Sequence[float], n_steps: int,
+                          p: float = 1.5) -> List[float]:
+    """One path's part of the viscosity lane: ||u_eps - u_{eps/2}|| in L^p of
+    space-time for each eps, every solution driven by ``path``."""
     eps_all = list(eps_list) + [eps_list[-1] / 2.0]
-    diffs = np.zeros(len(eps_list))
-    se = np.zeros(len(eps_list))
-    per_path = np.zeros((len(path_seeds), len(eps_list)))
-    for i_seed, seed in enumerate(path_seeds):
-        path = sample_jump_path(spec.levy, spec.horizon, int(seed))
-        trajs = [solve_path(spec.with_epsilon(e), grid, n_steps, path)
-                 for e in eps_all]
-        for j in range(len(eps_list)):
-            per_path[i_seed, j] = _lp_spacetime(trajs[j], trajs[j + 1], p)
+    trajs = [solve_path(spec.with_epsilon(e), grid, n_steps, path)
+             for e in eps_all]
+    return [_lp_spacetime(trajs[j], trajs[j + 1], p)
+            for j in range(len(eps_list))]
+
+
+def viscosity_convergence_test(eps_list: Sequence[float],
+                               per_path: Sequence[Sequence[float]]
+                               ) -> RateReport:
+    """Successive-halving differences E||u_eps - u_{eps/2}|| along shared
+    jump paths, from ``viscosity_path_errors`` of each path in seed order;
+    passes when decreasing with successive ratios <= 0.9."""
+    per_path = np.asarray(per_path, dtype=float)
     diffs = per_path.mean(axis=0)
-    if len(path_seeds) > 1:
-        se = per_path.std(axis=0, ddof=1) / math.sqrt(len(path_seeds))
+    se = per_path.std(axis=0, ddof=1) / math.sqrt(len(per_path)) \
+        if len(per_path) > 1 else np.zeros(len(eps_list))
     ratios = diffs[1:] / np.maximum(diffs[:-1], 1e-300)
     eps_arr = np.asarray(eps_list, dtype=float)
     if len(eps_list) < 2:

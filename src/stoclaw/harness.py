@@ -2,8 +2,9 @@
 workers, assembles the diagnostics report, and writes the run artifacts
 (manifest, report CSV, energy CSV, field snapshots, serialized paths).
 
-Per-path work is a pure function of (config, seed), so worker count changes
-wall time only; results are merged in path order.
+Every Monte-Carlo loop of ``run`` and ``study`` is one per-path job, a pure
+function of (config, seed, checks), so worker count changes wall time only;
+the checks aggregate the results in seed order.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .diagnostics import (ENTROPY_TOL_COEFF, CheckResult, DiagnosticsReport,
-                          cauchy_rate_test, contraction_test,
-                          entropy_residual, entropy_tolerance,
-                          linear_moment_rate, max_principle_test,
-                          moment_bound_test, test_function_catalog,
-                          viscosity_convergence_test)
+from .diagnostics import (ENTROPY_TOL_COEFF, STATUS_TEXT, CheckResult,
+                          DiagnosticsReport, cauchy_path_errors,
+                          cauchy_rate_test, contraction_path_distances,
+                          contraction_test, entropy_residual,
+                          entropy_tolerance, linear_moment_rate,
+                          max_principle_test, moment_bound_test,
+                          moment_path_rows, test_function_catalog,
+                          viscosity_convergence_test, viscosity_path_errors)
 from .entropy import (BETA_M1, BETA_M2, identity_check_batch, kirchhoff,
                       make_beta_theta)
 from .model import validate_assumptions
@@ -40,25 +43,47 @@ def path_seed(base: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Per-path reductions
 
+# run's checks with a per-path part; the first four reduce the run.steps solve
+_RUN_TRAJECTORY_CHECKS = {"energy", "entropy_residual", "max_principle",
+                          "boundary_mass"}
+_PER_PATH_CHECKS = _RUN_TRAJECTORY_CHECKS | {"moments", "contraction"}
+_ENERGY_TERMS = ("u_norm_sq", "increment_sq", "grad_phi_sq", "grad_u_sq",
+                 "grad_g_sq")
+
+
 def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
+    """Every per-path reduction of the ``selected`` checks and study lanes
+    ("cauchy", "viscosity") on the path of ``seed``, sampled once."""
     spec = cfg.build_spec()
     grid = cfg.build_grid()
     n_steps = cfg.get("run", "steps")
     path = sample_jump_path(spec.levy, spec.horizon, seed)
-    traj = solve_path(spec, grid, n_steps, path)
     out = {"seed": seed, "events": path.count}
 
+    if "moments" in selected:
+        out["moments"] = [moment_path_rows(spec, grid, path, p, n_steps)
+                          for p in cfg.get("diagnostics", "moment_orders")]
+    if "contraction" in selected:
+        out["contraction"] = contraction_path_distances(
+            spec, grid, path, cfg.build_v0(),
+            cfg.get("diagnostics", "contraction_weight"), n_steps)
+    if "cauchy" in selected:
+        out["cauchy"] = cauchy_path_errors(spec, grid, path,
+                                           cfg.get("run", "steps_list"))
+    if "viscosity" in selected:
+        out["viscosity"] = viscosity_path_errors(
+            spec, grid, path, cfg.get("run", "eps_list"), n_steps)
+    if not _RUN_TRAJECTORY_CHECKS & set(selected):
+        return out
+
+    traj = solve_path(spec, grid, n_steps, path)
     need_energy = "energy" in selected
     need_residual = "entropy_residual" in selected
     G = kirchhoff(spec.phi) if (need_energy or need_residual) else None
 
     if need_energy:
         rep = discrete_energy_report(traj, kirchhoff_fn=G)
-        out["u_norm_sq"] = rep.u_norm_sq
-        out["increment_sq"] = rep.increment_sq
-        out["grad_phi_sq"] = rep.grad_phi_sq
-        out["grad_u_sq"] = rep.grad_u_sq
-        out["grad_g_sq"] = rep.grad_g_sq
+        out.update((k, getattr(rep, k)) for k in _ENERGY_TERMS)
     if need_residual:
         thetas = cfg.get("diagnostics", "theta_values")
         psis = test_function_catalog(grid.half_width, spec.horizon, grid.dim)
@@ -86,14 +111,17 @@ def _worker(args):
     return _path_reductions(cfg, seed, selected)
 
 
-def _run_paths(cfg: ExperimentConfig, seeds: Sequence[int], selected,
+def _run_paths(cfg: ExperimentConfig, jobs: Sequence[tuple],
                workers: int) -> List[dict]:
+    """``_path_reductions`` of every (seed, checks) job in job order, from
+    min(workers, jobs) processes, or inline when that is 1."""
+    workers = min(workers, len(jobs))
     if workers <= 1:
-        return [_path_reductions(cfg, s, selected) for s in seeds]
+        return [_path_reductions(cfg, seed, checks) for seed, checks in jobs]
     text = cfg.manifest_text()
-    jobs = [(text, s, tuple(selected)) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker, jobs))
+        return list(pool.map(_worker, [(text, seed, tuple(checks))
+                                       for seed, checks in jobs]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +212,12 @@ def _check_identities(cfg, spec, report):
 def _check_energy(cfg, spec, grid, results, report):
     n_steps = cfg.get("run", "steps")
     dt = spec.horizon / n_steps
-    u_norm = np.mean([r["u_norm_sq"] for r in results], axis=0)
-    grad_u = np.mean([r["grad_u_sq"] for r in results], axis=0)
-    grad_g = np.mean([r["grad_g_sq"] for r in results], axis=0)
+    means = {k: np.mean([r[k] for r in results], axis=0)
+             for k in _ENERGY_TERMS}
+    u_norm = means["u_norm_sq"]
     total = (float(np.max(u_norm))
-             + spec.epsilon * dt * float(np.sum(grad_u))
-             + dt * float(np.sum(grad_g[1:])))
+             + spec.epsilon * dt * float(np.sum(means["grad_u_sq"]))
+             + dt * float(np.sum(means["grad_g_sq"][1:])))
     finite = bool(np.isfinite(total))
     report.add(CheckResult(
         name="energy_bound", value=total, bound=float("inf"),
@@ -197,9 +225,7 @@ def _check_energy(cfg, spec, grid, results, report):
         statement="sup_n E||u_n||^2 + eps dt sum E||grad u_n||^2 + dt sum "
                   "E||grad G(u_n)||^2 stays bounded",
         extras={"sup_u_norm_sq": float(np.max(u_norm))}))
-    return {"u_norm_sq": u_norm, "grad_u_sq": grad_u, "grad_g_sq": grad_g,
-            "increment_sq": np.mean([r["increment_sq"] for r in results], axis=0),
-            "grad_phi_sq": np.mean([r["grad_phi_sq"] for r in results], axis=0)}
+    return means
 
 
 def _check_residual(cfg, spec, grid, results, report):
@@ -238,16 +264,16 @@ def _check_max_principle(cfg, spec, results, report):
         extras=rep.extras))
 
 
-def _check_moments(cfg, spec, grid, seeds, report):
-    for p in cfg.get("diagnostics", "moment_orders"):
+def _check_moments(cfg, spec, results, report):
+    for i, p in enumerate(cfg.get("diagnostics", "moment_orders")):
         oracle = None
         try:
             oracle = linear_moment_rate(
                 spec, p, spec.horizon / cfg.get("run", "steps"))
         except ValueError:
             oracle = None
-        rep = moment_bound_test(spec, grid, p, seeds,
-                                cfg.get("run", "steps"), oracle_rate=oracle)
+        rep = moment_bound_test(spec, p, [r["moments"][i] for r in results],
+                                oracle_rate=oracle)
         passed = rep.stable and (rep.within_oracle is not False)
         report.add(CheckResult(
             name="moment_p%d" % p, value=rep.k_fit, bound=rep.k_fit_half,
@@ -309,11 +335,8 @@ def _check_boundary_mass(cfg, spec, grid, results, report):
                   "1e-6 ||u0||_1 (domain truncation is inert)"))
 
 
-def _check_contraction(cfg, spec, grid, seeds, report):
-    v0 = cfg.build_v0()
-    rep = contraction_test(spec, grid, None, v0,
-                           cfg.get("diagnostics", "contraction_weight"),
-                           seeds, cfg.get("run", "steps"))
+def _check_contraction(spec, grid, results, report):
+    rep = contraction_test(spec, grid, [r["contraction"] for r in results])
     if rep.initial_distance == 0.0:
         report.add(CheckResult(
             name="contraction_zero", value=float(np.max(rep.distance)),
@@ -435,13 +458,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         "cells": grid.cells, "epsilon": spec.epsilon,
     })
 
-    per_path_checks = {"energy", "entropy_residual", "max_principle",
-                       "boundary_mass"}
     seeds = [path_seed(cfg.get("run", "seed"), k)
              for k in range(cfg.get("run", "paths"))]
     results = []
-    if per_path_checks & set(selected):
-        results = _run_paths(cfg, seeds, selected, workers)
+    if _PER_PATH_CHECKS & set(selected):
+        results = _run_paths(cfg, [(s, selected) for s in seeds], workers)
 
     if "assumptions" in selected:
         _check_assumptions(cfg, spec, grid, report)
@@ -457,13 +478,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     if "max_principle" in selected:
         _check_max_principle(cfg, spec, results, report)
     if "moments" in selected:
-        _check_moments(cfg, spec, grid, seeds, report)
+        _check_moments(cfg, spec, results, report)
     if "isometry" in selected:
         _check_isometry(cfg, spec, grid, report)
     if "boundary_mass" in selected:
         _check_boundary_mass(cfg, spec, grid, results, report)
     if "contraction" in selected:
-        _check_contraction(cfg, spec, grid, seeds, report)
+        _check_contraction(spec, grid, results, report)
     if "determinism" in selected:
         _check_determinism(cfg, spec, grid, report)
 
@@ -486,42 +507,39 @@ def convergence_study(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write(cfg.manifest_text())
     spec = cfg.build_spec()
-    grid = cfg.build_grid()
-    seeds = [path_seed(cfg.get("run", "seed"), k)
-             for k in range(cfg.get("run", "paths"))]
-    reports = []
     steps_list = cfg.get("run", "steps_list")
+    eps_list = cfg.get("run", "eps_list")
+    lanes = ["cauchy"] * bool(steps_list) + ["viscosity"] * bool(eps_list)
+    # silent noise gives every path the same Cauchy ladder: solve one
+    jobs = [(path_seed(cfg.get("run", "seed"), k),
+             [x for x in lanes if not (x == "cauchy" and spec.eta.is_zero
+                                       and k > 0)])
+            for k in range(cfg.get("run", "paths"))]
+    results = _run_paths(cfg, jobs, workers) if lanes else []
+    reports = []
     if steps_list:
-        rep = cauchy_rate_test(spec, grid, seeds, steps_list)
+        rep = cauchy_rate_test(spec, steps_list,
+                               [r["cauchy"] for r in results if "cauchy" in r])
         if len(steps_list) < 3:
             rep.status = None  # too short for a stable rate fit
         reports.append(rep)
-    eps_list = cfg.get("run", "eps_list")
     if eps_list:
-        rep = viscosity_convergence_test(
-            spec, grid, eps_list, seeds, cfg.get("run", "steps"))
+        rep = viscosity_convergence_test(eps_list,
+                                         [r["viscosity"] for r in results])
         if len(eps_list) < 3:
             rep.status = None
         reports.append(rep)
-    rows = []
-    for rep in reports:
-        for i, p in enumerate(rep.parameters):
-            rows.append({
-                "lane": rep.lane,
-                "parameter": "%.17g" % p,
-                "error": "%.17g" % rep.errors_sq[i],
-                "stderr": "%.17g" % rep.stderr[i],
-                "ratio": "%.17g" % rep.ratios[i - 1] if i > 0 else "",
-                "slope": "%.17g" % rep.slope,
-                "status": {True: "pass", False: "fail",
-                           None: "inconclusive"}[rep.status],
-            })
     with open(os.path.join(out_dir, "rates.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[
-            "lane", "parameter", "error", "stderr", "ratio", "slope",
-            "status"])
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(["lane", "parameter", "error", "stderr", "ratio",
+                         "slope", "status"])
+        for rep in reports:
+            for i, p in enumerate(rep.parameters):
+                writer.writerow([
+                    rep.lane, "%.17g" % p, "%.17g" % rep.errors_sq[i],
+                    "%.17g" % rep.stderr[i],
+                    "%.17g" % rep.ratios[i - 1] if i > 0 else "",
+                    "%.17g" % rep.slope, STATUS_TEXT[rep.status]])
     return reports
 
 

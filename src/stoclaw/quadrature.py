@@ -53,7 +53,9 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
     a, b : float
         Interval ends; ``b < a`` flips the sign of the result.
     tol : float
-        Absolute tolerance, distributed over subintervals by length.
+        Absolute tolerance, distributed over subintervals by length. A
+        subinterval also passes at the rounding level of its own value (1024
+        ulps, edge samples ``inward_offset`` inside included).
     max_depth : int
         Bisection depth cap; exceeding it raises ``QuadratureError``.
     breakpoints : iterable of float
@@ -88,7 +90,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
         s2 = s_left + s_right
         err = (s2 - s) / 15.0
         tol_local = tol * (x2 - x0) / total_len
-        done = np.abs(err) <= tol_local
+        done = np.abs(err) <= np.maximum(tol_local, 1024 * _EPS * np.abs(s2))
         stuck = (~done) & (depth >= max_depth)
         if np.any(stuck):
             i = int(np.argmax(stuck))

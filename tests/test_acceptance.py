@@ -14,9 +14,10 @@ from scipy.linalg import solve_banded
 import stoclaw as sc
 from stoclaw.config import ExperimentConfig
 from stoclaw.diagnostics import (ENTROPY_TOL_COEFF, cauchy_rate_test,
-                                 contraction_test, entropy_tolerance,
-                                 linear_moment_rate, max_principle_test,
-                                 moment_bound_test, viscosity_convergence_test)
+                                 contraction_path_distances, contraction_test,
+                                 entropy_tolerance, linear_moment_rate,
+                                 max_principle_test, moment_bound_test,
+                                 moment_path_rows, viscosity_convergence_test)
 from stoclaw.entropy import BETA_M1, BETA_M2, identity_check_batch
 from stoclaw.harness import _run_paths, path_seed, replay, run_experiment
 from stoclaw.solver import norm_l2
@@ -49,10 +50,11 @@ def bundled():
 def bundled_reductions(bundled):
     # one pass over the 200 bundled paths: energy terms and worst residuals
     cfg, spec, grid, seeds = bundled
-    results = _run_paths(cfg, seeds, ("energy", "entropy_residual"), 1)
+    results = _run_paths(cfg, [(s, ("energy", "entropy_residual"))
+                               for s in seeds], 1)
     cfg_half = ExperimentConfig.from_text(cfg.manifest_text())
     cfg_half.set("run", "steps", 2 * cfg.get("run", "steps"))
-    results_half = _run_paths(cfg_half, seeds, ("energy",), 1)
+    results_half = _run_paths(cfg_half, [(s, ("energy",)) for s in seeds], 1)
     return results, results_half
 
 
@@ -153,8 +155,12 @@ def test_criterion_05_entropy_residual(bundled, bundled_reductions):
 
 def test_criterion_06_cauchy_rate(bundled):
     cfg, spec, grid, seeds = bundled
+    steps = [16, 32, 64, 128, 256]
+    cfg = ExperimentConfig.from_text(cfg.manifest_text())
+    cfg.set("run", "steps_list", tuple(steps))
     tic = time.time()
-    rep = cauchy_rate_test(spec, grid, seeds, [16, 32, 64, 128, 256])
+    results = _run_paths(cfg, [(s, ("cauchy",)) for s in seeds], workers=2)
+    rep = cauchy_rate_test(spec, steps, [r["cauchy"] for r in results])
     elapsed = time.time() - tic
     ok = rep.status is True and 0.8 <= rep.slope <= 1.3 and elapsed < 1200.0
     assert _report(6, "cauchy_rate", ok,
@@ -168,8 +174,13 @@ def test_criterion_07_contraction():
     seeds = [path_seed(cfg.get("run", "seed"), k) for k in range(40)]
     n = cfg.get("run", "steps")
     weight = cfg.get("diagnostics", "contraction_weight")
-    same = contraction_test(spec, grid, None, spec.u0, weight, seeds[:10], n)
-    rep = contraction_test(spec, grid, None, cfg.build_v0(), weight, seeds, n)
+    paths = [sc.sample_jump_path(spec.levy, spec.horizon, s) for s in seeds]
+    same = contraction_test(spec, grid, [
+        contraction_path_distances(spec, grid, path, spec.u0, weight, n)
+        for path in paths[:10]])
+    rep = contraction_test(spec, grid, [
+        contraction_path_distances(spec, grid, path, cfg.build_v0(), weight, n)
+        for path in paths])
     ok = same.exact_zero and rep.stable
     assert _report(7, "contraction", ok,
                    "zero max %.1e; C %.4f vs %.4f"
@@ -181,7 +192,8 @@ def test_criterion_08_max_principle():
     cfg = load("maxprinciple")
     spec = cfg.build_spec()
     seeds = [path_seed(cfg.get("run", "seed"), k) for k in range(100)]
-    results = _run_paths(cfg, seeds, ("max_principle",), workers=1)
+    results = _run_paths(cfg, [(s, ("max_principle",)) for s in seeds],
+                         workers=1)
     rep = max_principle_test(spec, cfg.get("diagnostics", "max_principle_cap"),
                              [r["max_abs"] for r in results])
     ok = rep.passed and rep.bound == pytest.approx(1.5)
@@ -197,9 +209,12 @@ def test_criterion_09_moments():
     n = cfg.get("run", "steps")
     ok = True
     details = []
+    paths = [sc.sample_jump_path(spec.levy, spec.horizon, s) for s in seeds]
     for p in (2, 4):
         oracle = linear_moment_rate(spec, p, spec.horizon / n)
-        rep = moment_bound_test(spec, grid, p, seeds, n, oracle_rate=oracle)
+        rep = moment_bound_test(
+            spec, p, [moment_path_rows(spec, grid, path, p, n)
+                      for path in paths], oracle_rate=oracle)
         ok = ok and rep.stable and rep.within_oracle
         details.append("p%d K=%.3f oracle=%.3f band=%.3f"
                        % (p, rep.k_fit, oracle, rep.oracle_band))
@@ -235,8 +250,13 @@ def test_criterion_10_isometry():
 
 def test_criterion_11_viscosity_limit(bundled):
     cfg, spec, grid, seeds = bundled
-    rep = viscosity_convergence_test(spec, grid, [0.2, 0.1, 0.05, 0.025],
-                                     seeds[:100], cfg.get("run", "steps"))
+    eps_list = [0.2, 0.1, 0.05, 0.025]
+    cfg = ExperimentConfig.from_text(cfg.manifest_text())
+    cfg.set("run", "eps_list", tuple(eps_list))
+    results = _run_paths(cfg, [(s, ("viscosity",)) for s in seeds[:100]],
+                         workers=2)
+    rep = viscosity_convergence_test(eps_list,
+                                     [r["viscosity"] for r in results])
     ok = rep.status is True
     assert _report(11, "viscosity_limit", ok,
                    "ratios %s" % ["%.3f" % r for r in rep.ratios])

@@ -5,7 +5,8 @@ import pytest
 import stoclaw.solver as solver_mod
 from stoclaw.cli import main
 from stoclaw.config import ConfigError, ExperimentConfig
-from stoclaw.harness import path_seed, replay, run_experiment
+from stoclaw.harness import (convergence_study, path_seed, replay,
+                             run_experiment)
 from stoclaw.solver import StepFailureError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -152,6 +153,45 @@ def test_worker_count_invariance(tmp_path):
         (tmp_path / "w2" / "report.csv").read_bytes()
 
 
+def small_default_config():
+    cfg = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
+    cfg.set("run", "paths", 3)
+    cfg.set("run", "steps", 8)
+    cfg.set("grid", "cells", 32)
+    cfg.set("run", "steps_list", (4, 8, 16))
+    cfg.set("run", "eps_list", (0.2, 0.1, 0.05))
+    return cfg
+
+
+def test_study_worker_count_invariance(tmp_path):
+    cfg = small_default_config()
+    for workers in (1, 2):
+        convergence_study(cfg, out_dir=str(tmp_path / ("w%d" % workers)),
+                          workers=workers)
+    rates = (tmp_path / "w1" / "rates.csv").read_bytes()
+    assert rates == (tmp_path / "w2" / "rates.csv").read_bytes()
+    assert rates.count(b"\n") == 7  # header, three rows per lane
+
+
+def test_moments_contraction_worker_count_invariance(tmp_path):
+    cfg = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "contraction.cfg"))
+    cfg.set("run", "paths", 3)
+    cfg.set("run", "steps", 8)
+    cfg.set("grid", "cells", 32)
+    cfg.set("diagnostics", "checks",
+            ("max_principle", "moments", "contraction"))
+    for workers in (1, 2):
+        run_experiment(cfg, out_dir=str(tmp_path / ("w%d" % workers)),
+                       workers=workers)
+    report = (tmp_path / "w1" / "report.csv").read_bytes()
+    assert report == (tmp_path / "w2" / "report.csv").read_bytes()
+    for name in (b"max_principle", b"moment_p2", b"moment_p4",
+                 b"contraction_growth"):
+        assert name in report
+
+
 def test_worker_step_failure_reaches_caller(tmp_path, monkeypatch):
     # the limits reach the pool workers through fork; the failure must come
     # back as StepFailureError with its history, not as a broken pool
@@ -167,6 +207,19 @@ def test_worker_step_failure_reaches_caller(tmp_path, monkeypatch):
         run_experiment(cfg, out_dir=str(tmp_path / "run"), workers=2)
     assert len(err.value.history) >= 2
     assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--workers", "2", "--out", str(tmp_path / "cli")]) == 1
+
+
+def test_study_worker_step_failure_reaches_caller(tmp_path, monkeypatch):
+    # the study pool hands a worker's failure back the same way
+    monkeypatch.setattr(solver_mod, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(solver_mod, "PICARD_MAX_ITER", 1)
+    cfg = small_default_config()
+    cfg.set("run", "paths", 2)
+    with pytest.raises(StepFailureError, match="step 1 of 4") as err:
+        convergence_study(cfg, out_dir=str(tmp_path / "study"), workers=2)
+    assert len(err.value.history) >= 2
+    assert main(["study", "--config", write_config(tmp_path, cfg),
                  "--workers", "2", "--out", str(tmp_path / "cli")]) == 1
 
 
@@ -200,6 +253,13 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
         p.write_text(text)
         assert main(["validate", "--config", str(p)]) == 2
         assert "[noise]" in capsys.readouterr().err
+    # a pool needs at least one worker
+    good = write_config(tmp_path, small_config())
+    for workers in ("0", "-3"):
+        for verb in ("run", "study"):
+            assert main([verb, "--config", good, "--workers", workers,
+                         "--out", str(tmp_path / "w")]) == 2
+            assert "--workers must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_2():
@@ -258,7 +318,6 @@ def test_linear_smoke_baseline(tmp_path):
 
 
 def test_study_short_lists_inconclusive(tmp_path):
-    from stoclaw.harness import convergence_study
     cfg = small_config()
     cfg.set("run", "steps_list", (8, 16))
     cfg.set("run", "paths", 3)

@@ -32,6 +32,10 @@ def empty_path(levy, horizon=0.5):
     return JumpPath(np.empty(0), np.empty(0), 0, horizon, levy)
 
 
+def sampled_paths(spec, seeds):
+    return [sc.sample_jump_path(spec.levy, spec.horizon, s) for s in seeds]
+
+
 # ---------------------------------------------------------------------------
 # Test functions and weights
 
@@ -192,7 +196,10 @@ def test_calibration_runs_without_noise_intensity():
 def test_cauchy_deterministic_lane_second_order():
     spec = make_spec(phi="linear", phi_scale=0.3, eps=0.1)
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
-    rep = dg.cauchy_rate_test(spec, grid, [], [8, 16, 32, 64])
+    steps = [8, 16, 32, 64]
+    per_path = [dg.cauchy_path_errors(spec, grid, path, steps)
+                for path in sampled_paths(spec, [0])]
+    rep = dg.cauchy_rate_test(spec, steps, per_path)
     assert rep.lane == "deterministic"
     assert rep.status is True
     assert 1.7 <= rep.slope <= 2.3
@@ -201,14 +208,18 @@ def test_cauchy_deterministic_lane_second_order():
 def test_cauchy_single_parameter_inconclusive():
     spec = make_spec(phi="linear", eps=0.1)
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
-    rep = dg.cauchy_rate_test(spec, grid, [], [8])
+    per_path = [dg.cauchy_path_errors(spec, grid, path, [8])
+                for path in sampled_paths(spec, [0])]
+    rep = dg.cauchy_rate_test(spec, [8], per_path)
     assert rep.status is None
 
 
 def test_viscosity_single_epsilon_inconclusive():
     spec = make_spec(phi="linear", eps=0.1)
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
-    rep = dg.viscosity_convergence_test(spec, grid, [0.1], [0], 8)
+    per_path = [dg.viscosity_path_errors(spec, grid, path, [0.1], 8)
+                for path in sampled_paths(spec, [0])]
+    rep = dg.viscosity_convergence_test([0.1], per_path)
     assert rep.status is None
 
 
@@ -220,7 +231,9 @@ def test_viscosity_absorbing_zero():
     spec = make_spec(phi="linear", eps=0.2, eta=eta, levy=levy,
                      u0=sc.init_family("zero"))
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
-    rep = dg.viscosity_convergence_test(spec, grid, [0.2, 0.1], [0, 1], 8)
+    per_path = [dg.viscosity_path_errors(spec, grid, path, [0.2, 0.1], 8)
+                for path in sampled_paths(spec, [0, 1])]
+    rep = dg.viscosity_convergence_test([0.2, 0.1], per_path)
     np.testing.assert_array_equal(rep.errors_sq, 0.0)
 
 
@@ -231,7 +244,9 @@ def test_moment_absorbing_zero():
     spec = make_spec(phi="linear", eps=0.1, eta=eta, levy=levy,
                      u0=sc.init_family("zero"))
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
-    rep = dg.moment_bound_test(spec, grid, 2, [0, 1, 2], 8)
+    per_path = [dg.moment_path_rows(spec, grid, path, 2, 8)
+                for path in sampled_paths(spec, [0, 1, 2])]
+    rep = dg.moment_bound_test(spec, 2, per_path)
     np.testing.assert_array_equal(rep.moments, 0.0)
     assert rep.k_fit == 0.0
 
@@ -239,7 +254,9 @@ def test_moment_absorbing_zero():
 def test_moment_noiseless_nonincreasing():
     spec = make_spec(phi="porous", eps=0.1)
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
-    rep = dg.moment_bound_test(spec, grid, 2, [0], 16)
+    per_path = [dg.moment_path_rows(spec, grid, path, 2, 16)
+                for path in sampled_paths(spec, [0])]
+    rep = dg.moment_bound_test(spec, 2, per_path)
     assert np.all(np.diff(rep.moments) <= 1e-12)
     assert rep.k_fit <= 1e-9  # K = 0 is admissible
 
@@ -264,7 +281,10 @@ def contraction_spec():
 def test_contraction_identical_data_exact_zero():
     spec = contraction_spec()
     grid = sc.Grid(dim=1, half_width=3.0, cells=48)
-    rep = dg.contraction_test(spec, grid, None, spec.u0, 1.5, [0, 1], 8)
+    per_path = [dg.contraction_path_distances(spec, grid, path, spec.u0,
+                                              1.5, 8)
+                for path in sampled_paths(spec, [0, 1])]
+    rep = dg.contraction_test(spec, grid, per_path)
     assert rep.exact_zero
     assert float(np.max(rep.distance)) == 0.0
 
@@ -275,7 +295,10 @@ def test_contraction_deterministic_l1_nonincreasing():
                      flux_form="engquist_osher")
     grid = sc.Grid(dim=1, half_width=3.0, cells=96)
     v0 = sc.init_family("bump", height=0.4, center=0.3, width=0.8)
-    rep = dg.contraction_test(spec, grid, None, v0, 50.0, [0], 16)
+    per_path = [dg.contraction_path_distances(spec, grid, path, v0, 50.0,
+                                              16)
+                for path in sampled_paths(spec, [0])]
+    rep = dg.contraction_test(spec, grid, per_path)
     assert np.all(np.diff(rep.distance) <= 1e-10)
     assert rep.c_fit <= 1e-8
 

@@ -31,6 +31,15 @@ def test_tiny_segment_next_to_large_abscissa():
     np.testing.assert_allclose(val, 1e-4, rtol=1e-9)
 
 
+def test_deep_panel_at_rounding_level_accepted():
+    # the tolerance split by length asks the panel at ln 2 for less than its
+    # own rounding level; it must be accepted, not stall at the depth cap
+    val = adaptive_simpson(lambda s: np.exp(3.2 * s), np.log(0.05),
+                           np.log(2.0), tol=1e-12)
+    exact = (2.0 ** 3.2 - 0.05 ** 3.2) / 3.2
+    np.testing.assert_allclose(val, exact, rtol=1e-12)
+
+
 def test_depth_cap_raises():
     rng = np.random.default_rng(0)
 
