@@ -13,8 +13,7 @@ from .model import (
 )
 from .noise import (
     JumpPath, LevyIntensity, SizeMeasure, TruncationRequiredError,
-    compensated_increment, martingale_term, read_events, sample_jump_path,
-    write_events,
+    compensated_increment, martingale_term, sample_jump_path,
 )
 from .quadrature import QuadratureError, adaptive_simpson, batch_simpson
 from .solver import (

@@ -13,7 +13,7 @@ import sys
 
 from .config import ConfigError, ExperimentConfig
 from .harness import convergence_study, replay, run_experiment
-from .model import InvalidSpecError, validate_assumptions
+from .model import VALIDATION_SAMPLES, InvalidSpecError, validate_assumptions
 from .solver import StepFailureError
 
 EXIT_PASS = 0
@@ -43,8 +43,7 @@ def _cmd_validate(args) -> int:
         cfg.set("run", "seed", args.seed)
     spec = cfg.build_spec()
     grid = cfg.build_grid()
-    rep = validate_assumptions(spec, cfg.get("diagnostics",
-                                             "validation_samples"),
+    rep = validate_assumptions(spec, VALIDATION_SAMPLES,
                                cfg.get("run", "seed"), grid=grid)
     for e in rep.entries:
         print("%-6s %-4s worst ratio %.6g %s" % (

@@ -49,15 +49,6 @@ def _parse_names(text):
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
-def _parse_bool(text):
-    t = text.strip().lower()
-    if t in ("true", "yes", "1", "on"):
-        return True
-    if t in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError("expected a boolean, got %r" % (text,))
-
-
 # (type, default, allowed-values-or-None) per section.key; defaults render
 # into the manifest so a manifest is always a complete config.
 _SCHEMA = {
@@ -110,11 +101,8 @@ _SCHEMA = {
     },
     "diagnostics": {
         "checks": (_parse_names, (), None),
-        "theta_values": (_parse_floats, (1.0, 0.1, 0.01), None),
         "moment_orders": (_parse_ints, (2, 4), None),
         "identity_pairs": (int, 200, None),
-        "identity_range": (float, 5.0, None),
-        "validation_samples": (int, 2000, None),
         "isometry_paths": (int, 2000, None),
         "max_principle_cap": (float, 1.0, None),
         "contraction_weight": (float, 4.0, None),
@@ -122,13 +110,9 @@ _SCHEMA = {
         "v0_height": (float, 1.0, None),
         "v0_center": (float, 0.0, None),
         "v0_width": (float, 1.0, None),
-        "entropy_tol_coeff": (float, -1.0, None),  # < 0: frozen default
     },
     "output": {
         "directory": (str, "out", None),
-        "save_paths": (_parse_bool, False, None),
-        "snapshot_steps": (_parse_ints, (), None),
-        "snapshot_paths": (int, 1, None),
     },
 }
 
@@ -198,10 +182,19 @@ class ExperimentConfig:
                 raise ConfigError(
                     "diagnostics.checks: unknown check %r (known: %s)"
                     % (name, ", ".join(_KNOWN_CHECKS)))
-        if self.get("run", "seed") < 0:
-            raise ConfigError("run.seed must be nonnegative")
-        if self.get("run", "paths") < 1:
-            raise ConfigError("run.paths must be positive")
+        for section, key, least in (
+                ("run", "seed", 0), ("run", "paths", 1), ("run", "steps", 1),
+                ("diagnostics", "identity_pairs", 1),
+                ("diagnostics", "isometry_paths", 2)):
+            if self.get(section, key) < least:
+                raise ConfigError("%s.%s must be >= %d, got %d" % (
+                    section, key, least, self.get(section, key)))
+        if any(n < 1 for n in self.get("run", "steps_list")):
+            raise ConfigError("run.steps_list entries must be >= 1")
+        if any(p < 2 or p % 2 for p in self.get("diagnostics",
+                                                "moment_orders")):
+            raise ConfigError(
+                "diagnostics.moment_orders entries must be even and >= 2")
         if "contraction" in self.get("diagnostics", "checks") and \
                 not self.get("diagnostics", "v0"):
             raise ConfigError(
@@ -222,8 +215,6 @@ class ExperimentConfig:
 
     @staticmethod
     def _render_value(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
         if isinstance(value, float):
             return "%.17g" % value
         if isinstance(value, tuple):

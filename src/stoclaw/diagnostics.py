@@ -30,11 +30,12 @@ __all__ = [
     "TestFunction", "bump_test_function", "uniform_test_function",
     "test_function_catalog", "WeightPhiN", "CheckResult", "DiagnosticsReport",
     "entropy_residual", "entropy_tolerance", "calibrate_entropy_tolerance",
-    "ENTROPY_TOL_COEFF", "cauchy_path_errors", "cauchy_rate_test",
-    "RateReport", "contraction_path_distances", "contraction_test",
-    "ContractionReport", "moment_path_rows", "moment_bound_test",
-    "MomentReport", "linear_moment_rate", "max_principle_test", "BoundReport",
-    "viscosity_path_errors", "viscosity_convergence_test",
+    "ENTROPY_TOL_COEFF", "THETA_VALUES", "cauchy_path_errors",
+    "cauchy_rate_test", "RateReport", "contraction_path_distances",
+    "contraction_test", "ContractionReport", "moment_path_rows",
+    "moment_bound_test", "MomentReport", "linear_moment_rate",
+    "max_principle_test", "BoundReport", "viscosity_path_errors",
+    "viscosity_convergence_test",
 ]
 
 
@@ -170,7 +171,6 @@ class CheckResult:
 @dataclass
 class DiagnosticsReport:
     checks: List[CheckResult] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def add(self, check: CheckResult) -> None:
         self.checks.append(check)
@@ -209,10 +209,13 @@ class DiagnosticsReport:
 # ---------------------------------------------------------------------------
 # Entropy residual
 
+# Smoothing scales of the beta_theta family at which every entropy check
+# (residual, sandwich, exchange identities, calibration) is run.
+THETA_VALUES = (1.0, 0.1, 0.01)
+
 # Coefficient of the discretization allowance C * (eps + h + dt) for the
 # entropy residual, calibrated once on three linear noiseless (h, dt, eps)
-# triples by ``calibrate_entropy_tolerance`` (default safety factor 3) and
-# frozen.
+# triples by ``calibrate_entropy_tolerance`` (safety factor 3) and frozen.
 # The factor covers the strongly degenerate catalog members, whose worst
 # negative residual was verified to vanish under joint (eps, h, dt)
 # refinement while staying far below the inequality's O(1) scale.
@@ -303,15 +306,13 @@ def _face_dissipation(g_u, u, triple, psi, t, grid) -> float:
     return total
 
 
-def calibrate_entropy_tolerance(samples: Sequence[tuple],
-                                triples_thetas=(1.0, 0.1, 0.01),
-                                safety: float = 3.0) -> float:
+def calibrate_entropy_tolerance(samples: Sequence[tuple]) -> float:
     """Fit the residual allowance coefficient on linear noiseless runs.
 
     ``samples`` are (spec, grid, n_steps) triples for the linear family; the
-    coefficient is the worst observed -residual / (eps + h + dt), inflated by
-    ``safety``, with a floor keeping the tolerance meaningful when the
-    residuals are all nonnegative.
+    coefficient is the worst observed -residual / (eps + h + dt) over
+    ``THETA_VALUES``, inflated by a safety factor of 3, with a floor keeping
+    the tolerance meaningful when the residuals are all nonnegative.
     """
     from .entropy import make_beta_theta
 
@@ -319,17 +320,17 @@ def calibrate_entropy_tolerance(samples: Sequence[tuple],
     for spec, grid, n_steps in samples:
         path = sample_jump_path(spec.levy, spec.horizon, seed=0) \
             if spec.levy is not None \
-            else JumpPath(np.empty(0), np.empty(0), 0, spec.horizon)
+            else JumpPath(np.empty(0), np.empty(0), spec.horizon)
         traj = solve_path(spec, grid, n_steps, path)
         G = kirchhoff(spec.phi)
-        for th in triples_thetas:
+        for th in THETA_VALUES:
             triple = make_beta_theta(th, phi=spec.phi, flux=spec.flux)
             for psi in test_function_catalog(grid.half_width, spec.horizon,
                                              grid.dim):
                 r = entropy_residual(traj, path, triple, psi, kirchhoff_fn=G)
                 scale = spec.epsilon + grid.h + traj.dt
                 worst = max(worst, -r / scale)
-    return max(worst * safety, 0.05)
+    return max(worst * 3.0, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +345,6 @@ class RateReport:
     ratios: np.ndarray
     slope: float
     status: Optional[bool]  # None = inconclusive
-    window: tuple = (0.8, 1.3)
 
 
 def _coupled_error_sq(traj_c: Trajectory, traj_f: Trajectory) -> float:
@@ -370,18 +370,18 @@ def cauchy_path_errors(spec: ProblemSpec, grid: Grid, path: JumpPath,
 
 
 def cauchy_rate_test(spec: ProblemSpec, n_steps_list: Sequence[int],
-                     per_path: Sequence[Sequence[float]],
-                     window=(0.8, 1.3)) -> RateReport:
+                     per_path: Sequence[Sequence[float]]) -> RateReport:
     """Coupled-step self-refinement: fit the slope of log E||u_dt - u_dt/2||^2
     against log dt with common jump paths across every step count.
 
     ``per_path`` holds ``cauchy_path_errors`` of each path, in seed order.
-    Stochastic lane passes on slope inside ``window``; a single parameter or
+    Stochastic lane passes on slope inside (0.8, 1.3); a single parameter or
     noise-dominated estimates give an inconclusive report. Silent noise gives
     every path the same errors: the deterministic lane reads the first path
     (slope ~ 2 for the squared error) and is judged against (1.7, 2.3).
     """
     lane = "deterministic" if spec.eta.is_zero else "stochastic"
+    window = (0.8, 1.3)
     if lane == "deterministic":
         per_path = per_path[:1]
         window = (1.7, 2.3)
@@ -393,12 +393,12 @@ def cauchy_rate_test(spec: ProblemSpec, n_steps_list: Sequence[int],
     ratios = err[:-1] / np.maximum(err[1:], 1e-300)
     if len(n_steps_list) < 2:
         return RateReport(lane, dts, err, se, ratios, slope=float("nan"),
-                          status=None, window=window)
+                          status=None)
     slope, _ = np.polyfit(np.log(dts), np.log(np.maximum(err, 1e-300)), 1)
     noisy = bool(np.any(err < 3.0 * se))
     status = None if noisy else bool(window[0] <= slope <= window[1])
     return RateReport(lane, dts, err, se, ratios, slope=float(slope),
-                      status=status, window=window)
+                      status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +571,6 @@ class BoundReport:
     bound: float
     tolerance: float
     worst: float
-    per_path_max: np.ndarray
     passed: bool
     extras: dict = field(default_factory=dict)
 
@@ -591,10 +590,9 @@ def max_principle_test(spec: ProblemSpec, m_cap: float,
         m_cap = spec.eta.sigma_cap
     bound = max(m_cap + m1, spec.u0.linf)
     tol = 1e-6 * bound
-    per_path = np.asarray(per_path_max, dtype=float)
-    worst = float(np.max(per_path))
+    worst = float(np.max(np.asarray(per_path_max, dtype=float)))
     return BoundReport(bound=bound, tolerance=tol, worst=worst,
-                       per_path_max=per_path, passed=bool(worst <= bound + tol),
+                       passed=bool(worst <= bound + tol),
                        extras={"m_cap": m_cap, "m1": m1})
 
 
@@ -612,14 +610,14 @@ def _lp_spacetime(traj_a: Trajectory, traj_b: Trajectory, p: float) -> float:
 
 
 def viscosity_path_errors(spec: ProblemSpec, grid: Grid, path: JumpPath,
-                          eps_list: Sequence[float], n_steps: int,
-                          p: float = 1.5) -> List[float]:
-    """One path's part of the viscosity lane: ||u_eps - u_{eps/2}|| in L^p of
-    space-time for each eps, every solution driven by ``path``."""
+                          eps_list: Sequence[float],
+                          n_steps: int) -> List[float]:
+    """One path's part of the viscosity lane: ||u_eps - u_{eps/2}|| in
+    L^1.5 of space-time for each eps, every solution driven by ``path``."""
     eps_all = list(eps_list) + [eps_list[-1] / 2.0]
     trajs = [solve_path(spec.with_epsilon(e), grid, n_steps, path)
              for e in eps_all]
-    return [_lp_spacetime(trajs[j], trajs[j + 1], p)
+    return [_lp_spacetime(trajs[j], trajs[j + 1], 1.5)
             for j in range(len(eps_list))]
 
 
@@ -637,10 +635,10 @@ def viscosity_convergence_test(eps_list: Sequence[float],
     eps_arr = np.asarray(eps_list, dtype=float)
     if len(eps_list) < 2:
         return RateReport("viscosity", eps_arr, diffs, se, ratios,
-                          slope=float("nan"), status=None, window=(0.0, 0.9))
+                          slope=float("nan"), status=None)
     noisy = bool(np.any(diffs < 3.0 * se))
     slope, _ = np.polyfit(np.log(eps_arr), np.log(np.maximum(diffs, 1e-300)), 1)
     ok = bool(np.all(ratios <= 0.9))
     status = None if noisy else ok
     return RateReport("viscosity", eps_arr, diffs, se, ratios,
-                      slope=float(slope), status=status, window=(0.0, 0.9))
+                      slope=float(slope), status=status)

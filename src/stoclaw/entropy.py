@@ -415,8 +415,12 @@ def _identity_chunk(a, b, triple, phi):
     }
 
 
-def identity_check_batch(a, b, triple: EntropyTriple, phi,
-                         chunk: int = 500) -> dict:
+# Pairs per vectorized batch of ``identity_check_batch``; bounds the size of
+# its (pairs, nodes) work arrays.
+_IDENTITY_CHUNK = 500
+
+
+def identity_check_batch(a, b, triple: EntropyTriple, phi) -> dict:
     """Both exchange identities on arrays of pairs, each side integrated by
     the exact rule over its own decomposition into polynomial pieces.
 
@@ -426,7 +430,8 @@ def identity_check_batch(a, b, triple: EntropyTriple, phi,
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
-    pieces = [_identity_chunk(a[i:i + chunk], b[i:i + chunk], triple, phi)
-              for i in range(0, a.size, chunk)]
+    n = _IDENTITY_CHUNK
+    pieces = [_identity_chunk(a[i:i + n], b[i:i + n], triple, phi)
+              for i in range(0, a.size, n)]
     return {key: np.concatenate([p[key] for p in pieces])
             for key in pieces[0]}

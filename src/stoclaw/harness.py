@@ -1,6 +1,6 @@
 """Batch driver: resolves a config, runs the Monte-Carlo path loop across
 workers, assembles the diagnostics report, and writes the run artifacts
-(manifest, report CSV, energy CSV, field snapshots, serialized paths).
+(manifest, report CSV, energy CSV, field snapshots).
 
 Every Monte-Carlo loop of ``run`` and ``study`` is one per-path job, a pure
 function of (config, seed, checks), so worker count changes wall time only;
@@ -18,8 +18,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .diagnostics import (ENTROPY_TOL_COEFF, STATUS_TEXT, CheckResult,
-                          DiagnosticsReport, cauchy_path_errors,
+from .diagnostics import (ENTROPY_TOL_COEFF, STATUS_TEXT, THETA_VALUES,
+                          CheckResult, DiagnosticsReport, cauchy_path_errors,
                           cauchy_rate_test, contraction_path_distances,
                           contraction_test, entropy_residual,
                           entropy_tolerance, linear_moment_rate,
@@ -28,11 +28,15 @@ from .diagnostics import (ENTROPY_TOL_COEFF, STATUS_TEXT, CheckResult,
                           viscosity_convergence_test, viscosity_path_errors)
 from .entropy import (BETA_M1, BETA_M2, identity_check_batch, kirchhoff,
                       make_beta_theta)
-from .model import validate_assumptions
-from .noise import sample_jump_path, write_events
+from .model import VALIDATION_SAMPLES, validate_assumptions
+from .noise import sample_jump_path
 from .solver import discrete_energy_report, mass_outside, norm_l1, solve_path
 
 __all__ = ["run_experiment", "convergence_study", "replay", "path_seed"]
+
+
+# Half-width of the box the exchange-identity pairs are drawn from.
+IDENTITY_RANGE = 5.0
 
 
 def path_seed(base: int, k: int) -> int:
@@ -85,11 +89,10 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
         rep = discrete_energy_report(traj, kirchhoff_fn=G)
         out.update((k, getattr(rep, k)) for k in _ENERGY_TERMS)
     if need_residual:
-        thetas = cfg.get("diagnostics", "theta_values")
         psis = test_function_catalog(grid.half_width, spec.horizon, grid.dim)
         worst = math.inf
         worst_tag = ""
-        for th in thetas:
+        for th in THETA_VALUES:
             triple = make_beta_theta(th, phi=spec.phi, flux=spec.flux)
             for psi in psis:
                 r = entropy_residual(traj, path, triple, psi, kirchhoff_fn=G)
@@ -128,9 +131,8 @@ def _run_paths(cfg: ExperimentConfig, jobs: Sequence[tuple],
 # Individual report sections
 
 def _check_assumptions(cfg, spec, grid, report):
-    rep = validate_assumptions(
-        spec, cfg.get("diagnostics", "validation_samples"),
-        cfg.get("run", "seed"), grid=grid)
+    rep = validate_assumptions(spec, VALIDATION_SAMPLES,
+                               cfg.get("run", "seed"), grid=grid)
     for e in rep.entries:
         report.add(CheckResult(
             name="assumption_%s" % e.name.lower(),
@@ -151,11 +153,10 @@ def _check_assumptions(cfg, spec, grid, report):
                 "ratios": list(map(float, rep.modulus_ratio))}))
 
 
-def _check_sandwich(cfg, report):
-    thetas = cfg.get("diagnostics", "theta_values")
+def _check_sandwich(report):
     mesh = np.linspace(-3.0, 3.0, 10001)
     worst_low = worst_high = worst_d2 = 0.0
-    for th in thetas:
+    for th in THETA_VALUES:
         triple = make_beta_theta(th)
         vals = triple.beta(mesh)
         worst_low = max(worst_low, float(np.max((np.abs(mesh) - BETA_M1 * th)
@@ -181,11 +182,10 @@ def _check_sandwich(cfg, report):
 def _check_identities(cfg, spec, report):
     rng = np.random.default_rng(path_seed(cfg.get("run", "seed"), 977))
     n = cfg.get("diagnostics", "identity_pairs")
-    box = cfg.get("diagnostics", "identity_range")
-    a = rng.uniform(-box, box, n)
-    b = rng.uniform(-box, box, n)
+    a = rng.uniform(-IDENTITY_RANGE, IDENTITY_RANGE, n)
+    b = rng.uniform(-IDENTITY_RANGE, IDENTITY_RANGE, n)
     worst_sym = worst_id1 = worst_id2 = 0.0
-    for th in cfg.get("diagnostics", "theta_values"):
+    for th in THETA_VALUES:
         triple = make_beta_theta(th, phi=spec.phi, flux=spec.flux)
         res = identity_check_batch(a, b, triple, spec.phi)
         worst_sym = max(worst_sym,
@@ -231,10 +231,7 @@ def _check_energy(cfg, spec, grid, results, report):
 def _check_residual(cfg, spec, grid, results, report):
     n_steps = cfg.get("run", "steps")
     dt = spec.horizon / n_steps
-    coeff = cfg.get("diagnostics", "entropy_tol_coeff")
-    if coeff < 0:
-        coeff = ENTROPY_TOL_COEFF
-    tol = entropy_tolerance(spec, grid, dt, coeff)
+    tol = entropy_tolerance(spec, grid, dt)
     worst = min(r["residual_min"] for r in results)
     tag = min(results, key=lambda r: r["residual_min"])["residual_tag"]
     report.add(CheckResult(
@@ -242,7 +239,7 @@ def _check_residual(cfg, spec, grid, results, report):
         margin=worst + tol, passed=bool(worst >= -tol),
         statement="entropy-inequality residual >= -C (eps + h + dt) for "
                   "every path, test function, and smoothing scale",
-        extras={"worst_case": tag, "coefficient": coeff}))
+        extras={"worst_case": tag, "coefficient": ENTROPY_TOL_COEFF}))
 
 
 def _check_max_principle(cfg, spec, results, report):
@@ -391,43 +388,29 @@ def _write_energy_csv(path, means, dt):
 
 
 def _write_snapshots(out_dir, cfg, spec, grid):
+    """Path 0's field at steps 0, N/2 and N, and its per-step solver stats."""
     n_steps = cfg.get("run", "steps")
-    steps = list(cfg.get("output", "snapshot_steps")) or \
-        [0, n_steps // 2, n_steps]
     os.makedirs(os.path.join(out_dir, "fields"), exist_ok=True)
     dt = spec.horizon / n_steps
-    for k in range(cfg.get("output", "snapshot_paths")):
-        seed = path_seed(cfg.get("run", "seed"), k)
-        path = sample_jump_path(spec.levy, spec.horizon, seed)
-        traj = solve_path(spec, grid, n_steps, path)
-        fname = os.path.join(out_dir, "fields", "u_path%04d.csv" % k)
-        with open(fname, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "index", "u"])
-            for s in steps:
-                s = min(max(int(s), 0), n_steps)
-                flat = traj.fields[s].ravel()
-                for i, val in enumerate(flat):
-                    writer.writerow(["%.17g" % (s * dt), i, "%.17g" % val])
-        sname = os.path.join(out_dir, "fields", "stats_path%04d.csv" % k)
-        with open(sname, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "newton_iterations", "picard_iterations",
-                             "residual", "used_fallback", "lemma_ratio"])
-            for s, st in enumerate(traj.stats):
-                writer.writerow([s + 1, st.newton_iterations,
-                                 st.picard_iterations, "%.17g" % st.residual,
-                                 int(st.used_fallback),
-                                 "%.17g" % st.lemma_ratio])
-
-
-def _write_paths(out_dir, cfg, spec):
-    os.makedirs(os.path.join(out_dir, "paths"), exist_ok=True)
-    for k in range(cfg.get("run", "paths")):
-        seed = path_seed(cfg.get("run", "seed"), k)
-        path = sample_jump_path(spec.levy, spec.horizon, seed)
-        write_events(path, os.path.join(out_dir, "paths",
-                                        "events_%04d.txt" % k))
+    path = sample_jump_path(spec.levy, spec.horizon,
+                            path_seed(cfg.get("run", "seed"), 0))
+    traj = solve_path(spec, grid, n_steps, path)
+    fname = os.path.join(out_dir, "fields", "u_path0000.csv")
+    with open(fname, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "index", "u"])
+        for s in (0, n_steps // 2, n_steps):
+            for i, val in enumerate(traj.fields[s].ravel()):
+                writer.writerow(["%.17g" % (s * dt), i, "%.17g" % val])
+    sname = os.path.join(out_dir, "fields", "stats_path0000.csv")
+    with open(sname, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "newton_iterations", "picard_iterations",
+                         "residual", "used_fallback", "lemma_ratio"])
+        for s, st in enumerate(traj.stats):
+            writer.writerow([s + 1, st.newton_iterations,
+                             st.picard_iterations, "%.17g" % st.residual,
+                             int(st.used_fallback), "%.17g" % st.lemma_ratio])
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +434,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     spec = cfg.build_spec()
     grid = cfg.build_grid()
     selected = list(cfg.get("diagnostics", "checks"))
-    report = DiagnosticsReport(meta={
-        "seed": cfg.get("run", "seed"),
-        "paths": cfg.get("run", "paths"),
-        "steps": cfg.get("run", "steps"),
-        "cells": grid.cells, "epsilon": spec.epsilon,
-    })
+    report = DiagnosticsReport()
 
     seeds = [path_seed(cfg.get("run", "seed"), k)
              for k in range(cfg.get("run", "paths"))]
@@ -467,7 +445,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     if "assumptions" in selected:
         _check_assumptions(cfg, spec, grid, report)
     if "sandwich" in selected:
-        _check_sandwich(cfg, report)
+        _check_sandwich(report)
     if "identities" in selected:
         _check_identities(cfg, spec, report)
     means = None
@@ -493,8 +471,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         _write_energy_csv(os.path.join(out_dir, "energy.csv"), means,
                           spec.horizon / cfg.get("run", "steps"))
     _write_snapshots(out_dir, cfg, spec, grid)
-    if cfg.get("output", "save_paths"):
-        _write_paths(out_dir, cfg, spec)
     return report
 
 
@@ -545,6 +521,7 @@ def convergence_study(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
 def replay(manifest_path: str, out_dir: str,
            workers: int = 1) -> DiagnosticsReport:
-    """Re-execute a run from its manifest; outputs are byte-identical."""
+    """Re-execute a run from its manifest. Paths are re-sampled from their
+    seeds, so outputs are byte-identical under the same numpy build."""
     cfg = ExperimentConfig.from_file(manifest_path)
     return run_experiment(cfg, out_dir=out_dir, workers=workers)

@@ -25,6 +25,8 @@ __all__ = [
 # unbounded families are declared over this range.
 VALIDATION_RANGE = 10.0
 TOL_VALIDATE = 1e-8
+# Sample count of the coefficient validators in ``validate`` and ``run``.
+VALIDATION_SAMPLES = 2000
 
 
 class InvalidSpecError(ValueError):
@@ -488,8 +490,6 @@ class ValidationReport:
     modulus_ratio: np.ndarray
     modulus_decreasing: bool
     modulus_required: bool
-    samples: int
-    seed: int
 
     @property
     def all_passed(self) -> bool:
@@ -633,8 +633,7 @@ def validate_assumptions(spec: ProblemSpec, samples: int, seed: int,
     return ValidationReport(
         entries=entries, modulus_r=r_mesh, modulus_omega=omega,
         modulus_ratio=ratio, modulus_decreasing=decreasing,
-        modulus_required=spec.eta.depends_on_x(),
-        samples=samples, seed=seed)
+        modulus_required=spec.eta.depends_on_x())
 
 
 def discretize_initial(spec: ProblemSpec, grid: Grid) -> np.ndarray:

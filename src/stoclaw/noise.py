@@ -9,7 +9,6 @@ coupled studies rely on.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -18,7 +17,7 @@ import numpy as np
 __all__ = [
     "SizeMeasure", "LevyIntensity", "JumpPath",
     "TruncationRequiredError", "sample_jump_path", "compensated_increment",
-    "martingale_term", "write_events", "read_events",
+    "martingale_term",
 ]
 
 
@@ -160,7 +159,6 @@ class JumpPath:
 
     times: np.ndarray
     sizes: np.ndarray
-    seed: int
     horizon: float
     intensity: Optional[LevyIntensity] = field(default=None, compare=False)
 
@@ -186,11 +184,11 @@ def sample_jump_path(intensity: LevyIntensity, horizon: float,
             "total intensity mass is not finite; truncate the size measure")
     rng = np.random.default_rng(seed)
     if lam == 0.0:
-        return JumpPath(np.empty(0), np.empty(0), seed, horizon, intensity)
+        return JumpPath(np.empty(0), np.empty(0), horizon, intensity)
     n = int(rng.poisson(lam * horizon))
     times = np.sort(rng.uniform(0.0, horizon, n))
     vs = intensity.size.sample(rng, n)
-    return JumpPath(times, vs, seed, horizon, intensity)
+    return JumpPath(times, vs, horizon, intensity)
 
 
 def compensated_increment(path: JumpPath, spec, grid, u_n: np.ndarray,
@@ -247,49 +245,3 @@ def martingale_term(path: JumpPath, spec, grid, traj, triple, psi) -> float:
         comp += float(np.sum(amp_u * triple.dbeta(u) * psi_bar))
     return jumps - dt * rate * comp * vol
 
-
-# ---------------------------------------------------------------------------
-# Event-file replay format: one "t v" line (time, mark size) per event,
-# 17 significant digits.
-
-def write_events(path: JumpPath, stream) -> None:
-    own = isinstance(stream, str)
-    fh = open(stream, "w") if own else stream
-    try:
-        fh.write("# jump path: seed=%d horizon=%.17g count=%d\n"
-                 % (path.seed, path.horizon, path.count))
-        for t, v in zip(path.times, path.sizes):
-            fh.write("%.17g %.17g\n" % (t, v))
-    finally:
-        if own:
-            fh.close()
-
-
-def read_events(stream, intensity: Optional[LevyIntensity] = None) -> JumpPath:
-    own = isinstance(stream, str)
-    fh = open(stream, "r") if own else stream
-    try:
-        header = fh.readline()
-        meta = dict(part.split("=") for part in header.replace("#", "")
-                    .replace("jump path:", "").split())
-        rows = [line.split() for line in fh if line.strip()]
-    finally:
-        if own:
-            fh.close()
-    if rows:
-        arr = np.asarray(rows, dtype=float)
-        if arr.shape[1] != 2:
-            # files with a position column predate position_mass
-            raise ValueError("event lines must read 't v', got %d columns"
-                             % arr.shape[1])
-        times, vs = arr[:, 0], arr[:, 1]
-    else:
-        times = vs = np.empty(0)
-    return JumpPath(times, vs, int(meta["seed"]), float(meta["horizon"]),
-                    intensity)
-
-
-def path_to_text(path: JumpPath) -> str:
-    buf = io.StringIO()
-    write_events(path, buf)
-    return buf.getvalue()

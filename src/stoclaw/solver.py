@@ -112,10 +112,10 @@ def norm_l1(u: np.ndarray, grid: Grid) -> float:
     return float(np.sum(np.abs(u))) * grid.cell_volume
 
 
-def mass_outside(u: np.ndarray, grid: Grid, margin: Optional[float] = None) -> float:
+def mass_outside(u: np.ndarray, grid: Grid) -> float:
     """L1 mass in the margin shell next to the truncation boundary."""
-    m = grid.margin if margin is None else margin
-    shell = np.max(np.abs(grid.coords()), axis=-1) > grid.half_width - m
+    shell = np.max(np.abs(grid.coords()), axis=-1) > \
+        grid.half_width - grid.margin
     return float(np.sum(np.abs(u[shell]))) * grid.cell_volume
 
 

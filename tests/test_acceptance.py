@@ -13,17 +13,20 @@ from scipy.linalg import solve_banded
 
 import stoclaw as sc
 from stoclaw.config import ExperimentConfig
-from stoclaw.diagnostics import (ENTROPY_TOL_COEFF, cauchy_rate_test,
-                                 contraction_path_distances, contraction_test,
-                                 entropy_tolerance, linear_moment_rate,
-                                 max_principle_test, moment_bound_test,
-                                 moment_path_rows, viscosity_convergence_test)
+from stoclaw.diagnostics import (ENTROPY_TOL_COEFF, THETA_VALUES,
+                                 cauchy_rate_test, contraction_path_distances,
+                                 contraction_test, entropy_tolerance,
+                                 linear_moment_rate, max_principle_test,
+                                 moment_bound_test, moment_path_rows,
+                                 viscosity_convergence_test)
 from stoclaw.entropy import BETA_M1, BETA_M2, identity_check_batch
 from stoclaw.harness import _run_paths, path_seed, replay, run_experiment
 from stoclaw.solver import norm_l2
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
-THETAS = (1.0, 0.1, 0.01)
+# every artifact a run writes besides its manifest
+ARTIFACTS = ("report.csv", "energy.csv", "fields/u_path0000.csv",
+             "fields/stats_path0000.csv")
 
 
 def _report(num, name, ok, detail=""):
@@ -65,7 +68,7 @@ def test_criterion_01_interaction_identities(bundled):
     b = rng.uniform(-5.0, 5.0, 1000)
     tic = time.time()
     worst = 0.0
-    for theta in THETAS:
+    for theta in THETA_VALUES:
         triple = sc.make_beta_theta(theta, phi=spec.phi, flux=spec.flux)
         res = identity_check_batch(a, b, triple, spec.phi)
         worst = max(
@@ -82,7 +85,7 @@ def test_criterion_01_interaction_identities(bundled):
 def test_criterion_02_sandwich():
     mesh = np.linspace(-3.0, 3.0, 10000)
     worst = 0.0
-    for theta in THETAS:
+    for theta in THETA_VALUES:
         t = sc.make_beta_theta(theta)
         vals = t.beta(mesh)
         worst = max(worst,
@@ -270,6 +273,8 @@ def test_criterion_12_determinism(tmp_path):
     run_experiment(cfg, out_dir=str(tmp_path / "orig"))
     replay(str(tmp_path / "orig" / "manifest.txt"),
            out_dir=str(tmp_path / "redo"))
-    ok = (tmp_path / "orig" / "report.csv").read_bytes() == \
-        (tmp_path / "redo" / "report.csv").read_bytes()
-    assert _report(12, "determinism", ok, "report.csv byte-identical")
+    differ = [name for name in ARTIFACTS
+              if (tmp_path / "orig" / name).read_bytes()
+              != (tmp_path / "redo" / name).read_bytes()]
+    assert _report(12, "determinism", not differ,
+                   "differing artifacts: %s" % (differ or "none"))

@@ -48,6 +48,10 @@ def test_unknown_key_names_the_key():
     # still name a position kind are rejected, not silently reinterpreted
     with pytest.raises(ConfigError, match="unknown key noise.position"):
         ExperimentConfig.from_text("[noise]\nposition = atom\n")
+    # the smoothing scales are a fixed part of the check protocol
+    with pytest.raises(ConfigError,
+                       match="unknown key diagnostics.theta_values"):
+        ExperimentConfig.from_text("[diagnostics]\ntheta_values = 1.0\n")
 
 
 def test_bad_value_names_the_key():
@@ -135,13 +139,13 @@ def test_run_twice_byte_identical(tmp_path):
 def test_replay_reproduces_reports(tmp_path):
     cfg = small_config()
     cfg.set("diagnostics", "checks", ("energy", "entropy_residual"))
-    cfg.set("output", "save_paths", True)
     run_experiment(cfg, out_dir=str(tmp_path / "orig"))
     replay(str(tmp_path / "orig" / "manifest.txt"),
            out_dir=str(tmp_path / "redo"))
-    assert (tmp_path / "orig" / "report.csv").read_bytes() == \
-        (tmp_path / "redo" / "report.csv").read_bytes()
-    assert (tmp_path / "orig" / "paths" / "events_0000.txt").exists()
+    for name in ("report.csv", "energy.csv", "fields/u_path0000.csv",
+                 "fields/stats_path0000.csv"):
+        assert (tmp_path / "orig" / name).read_bytes() == \
+            (tmp_path / "redo" / name).read_bytes()
 
 
 def test_worker_count_invariance(tmp_path):
@@ -253,6 +257,20 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
         p.write_text(text)
         assert main(["validate", "--config", str(p)]) == 2
         assert "[noise]" in capsys.readouterr().err
+    # run settings outside their range exit 2 and name the key
+    for text, key in (("[run]\nsteps = 0\n", "run.steps"),
+                      ("[run]\nsteps_list = 0, 4\n", "run.steps_list"),
+                      ("[diagnostics]\nidentity_pairs = 0\n",
+                       "diagnostics.identity_pairs"),
+                      ("[diagnostics]\nmoment_orders = 3\n",
+                       "diagnostics.moment_orders"),
+                      ("[diagnostics]\nisometry_paths = 1\n",
+                       "diagnostics.isometry_paths")):
+        p.write_text(text)
+        for verb in ("validate", "run", "study"):
+            assert main([verb, "--config", str(p),
+                         "--out", str(tmp_path / "bad")]) == 2
+            assert key in capsys.readouterr().err
     # a pool needs at least one worker
     good = write_config(tmp_path, small_config())
     for workers in ("0", "-3"):

@@ -29,7 +29,7 @@ def make_spec(phi="linear", flux="zero", eps=0.1, eta=None, levy=None,
 
 
 def empty_path(levy, horizon=0.5):
-    return JumpPath(np.empty(0), np.empty(0), 0, horizon, levy)
+    return JumpPath(np.empty(0), np.empty(0), horizon, levy)
 
 
 def sampled_paths(spec, seeds):

@@ -1,12 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 
 import stoclaw as sc
 from stoclaw.diagnostics import bump_test_function
-from stoclaw.noise import (JumpPath, LevyIntensity, SizeMeasure,
-                           path_to_text, read_events)
+from stoclaw.noise import JumpPath, LevyIntensity, SizeMeasure
 from stoclaw.quadrature import adaptive_simpson
 
 
@@ -135,7 +132,7 @@ def test_pure_compensator_without_jumps():
     spec = separable_spec()
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
     levy = spec.levy
-    empty = JumpPath(np.empty(0), np.empty(0), 0, 1.0, levy)
+    empty = JumpPath(np.empty(0), np.empty(0), 1.0, levy)
     u = np.zeros(32)
     dt = 0.25
     inc = sc.compensated_increment(empty, spec, grid, u, 0.0, dt)
@@ -152,7 +149,7 @@ def test_alpha_stable_const_h_compensator_exact():
     levy = LevyIntensity(1.5, size)
     spec = separable_spec(g_kind="const", levy=levy, h_kind="const")
     grid = sc.Grid(dim=1, half_width=2.0, cells=16)
-    empty = JumpPath(np.empty(0), np.empty(0), 0, 1.0, levy)
+    empty = JumpPath(np.empty(0), np.empty(0), 1.0, levy)
     inc = sc.compensated_increment(empty, spec, grid, np.zeros(16), 0.0, 0.25)
     np.testing.assert_allclose(inc, -0.25 * 1.5 * size.total_mass,
                                rtol=1e-14)
@@ -164,7 +161,7 @@ def test_single_jump_event_sum_oracle():
     spec = separable_spec()
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
     levy = spec.levy
-    path = JumpPath(np.array([0.1]), np.array([0.7]), 0, 1.0, levy)
+    path = JumpPath(np.array([0.1]), np.array([0.7]), 1.0, levy)
     u = np.zeros(32)
     dt = 0.5
     inc = sc.compensated_increment(path, spec, grid, u, 0.0, dt)
@@ -176,7 +173,7 @@ def test_single_jump_event_sum_oracle():
 def test_window_selection():
     levy = atom_intensity()
     path = JumpPath(np.array([0.1, 0.4, 0.8]), np.array([1.0, 1.0, 1.0]),
-                    0, 1.0, levy)
+                    1.0, levy)
     assert path.window(0.0, 0.5) == slice(0, 2)
     assert path.window(0.4, 0.8) == slice(1, 2)
     assert path.window(0.8, 1.0) == slice(2, 3)
@@ -248,7 +245,7 @@ def test_martingale_single_jump_closed_form():
     spec = separable_spec(levy=levy)
     grid = sc.Grid(dim=1, half_width=2.0, cells=16)
     t_jump = 0.26
-    path = JumpPath(np.array([t_jump]), np.array([0.7]), 0, 1.0, levy)
+    path = JumpPath(np.array([t_jump]), np.array([0.7]), 1.0, levy)
     traj = sc.solve_path(spec, grid, 4, path)
     triple = sc.make_quadratic(phi=spec.phi, flux=spec.flux)
 
@@ -285,8 +282,8 @@ def test_event_on_knot_lands_in_one_step():
     dt = spec.horizon / n_steps
     t_knot = k * dt
     assert int(t_knot / dt) == k - 1
-    path = JumpPath(np.array([t_knot]), np.array([0.7]), 0, 1.0, levy)
-    empty = JumpPath(np.empty(0), np.empty(0), 0, 1.0, levy)
+    path = JumpPath(np.array([t_knot]), np.array([0.7]), 1.0, levy)
+    empty = JumpPath(np.empty(0), np.empty(0), 1.0, levy)
     traj = sc.solve_path(spec, grid, n_steps, path)
     gx = spec.eta.g(grid.coords())
     for n in (k - 1, k):
@@ -300,7 +297,7 @@ def test_event_on_knot_lands_in_one_step():
     psi = make_uniform_psi()
     on_knot = sc.martingale_term(path, spec, grid, traj, triple, psi)
     inside = JumpPath(np.array([np.nextafter(t_knot, 1.0)]), np.array([0.7]),
-                      0, 1.0, levy)
+                      1.0, levy)
     assert int(inside.times[0] / dt) == k
     np.testing.assert_allclose(
         on_knot, sc.martingale_term(inside, spec, grid, traj, triple, psi),
@@ -311,7 +308,7 @@ def test_martingale_empty_path_sign():
     levy = atom_intensity(pos_mass=1.0, atoms=((1.0, 2.0),))
     spec = separable_spec(levy=levy)
     grid = sc.Grid(dim=1, half_width=2.0, cells=16)
-    empty = JumpPath(np.empty(0), np.empty(0), 0, 1.0, levy)
+    empty = JumpPath(np.empty(0), np.empty(0), 1.0, levy)
     traj = sc.solve_path(spec, grid, 4, empty)
     triple = sc.make_quadratic(phi=spec.phi, flux=spec.flux)
     psi = make_uniform_psi()
@@ -391,22 +388,3 @@ def test_coupling_contract_same_events_across_dt():
     # jump parts agree up to the state-dependence of sigma (const here)
     np.testing.assert_allclose(total1, total2, atol=1e-12)
 
-
-def test_event_file_roundtrip():
-    levy = atom_intensity(pos_mass=4.0, atoms=((1.0, 1.0), (-0.25, 0.5)))
-    path = sc.sample_jump_path(levy, 1.5, 77)
-    assert path.count > 0
-    text = path_to_text(path)
-    back = read_events(io.StringIO(text), intensity=levy)
-    assert back.seed == path.seed
-    assert back.horizon == path.horizon
-    np.testing.assert_array_equal(back.times, path.times)
-    np.testing.assert_array_equal(back.sizes, path.sizes)
-    # one "t v" line per event below the header
-    lines = text.splitlines()
-    assert len(lines) == 1 + path.count
-    assert all(len(line.split()) == 2 for line in lines[1:])
-    # a "t y v" file from before position_mass is rejected, not misread
-    old = lines[0] + "\n0.25 0 1\n"
-    with pytest.raises(ValueError, match="'t v'"):
-        read_events(io.StringIO(old), intensity=levy)

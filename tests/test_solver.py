@@ -32,7 +32,7 @@ def make_spec(phi="zero", flux="zero", eps=0.0, eta=None, levy=None,
 
 
 def empty_path(levy, horizon=0.5):
-    return JumpPath(np.empty(0), np.empty(0), 0, horizon, levy)
+    return JumpPath(np.empty(0), np.empty(0), horizon, levy)
 
 
 # ---------------------------------------------------------------------------
