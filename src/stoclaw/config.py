@@ -191,10 +191,16 @@ class ExperimentConfig:
                     section, key, least, self.get(section, key)))
         if any(n < 1 for n in self.get("run", "steps_list")):
             raise ConfigError("run.steps_list entries must be >= 1")
-        if any(p < 2 or p % 2 for p in self.get("diagnostics",
-                                                "moment_orders")):
+        orders = self.get("diagnostics", "moment_orders")
+        if any(p < 2 or p % 2 for p in orders) or (
+                not orders and "moments" in self.get("diagnostics", "checks")):
             raise ConfigError(
-                "diagnostics.moment_orders entries must be even and >= 2")
+                "diagnostics.moment_orders entries must be even and >= 2, "
+                "and the moments check needs at least one")
+        weight = self.get("diagnostics", "contraction_weight")
+        if not 0.0 < weight < float("inf"):
+            raise ConfigError(
+                "diagnostics.contraction_weight must be finite and > 0")
         if "contraction" in self.get("diagnostics", "checks") and \
                 not self.get("diagnostics", "v0"):
             raise ConfigError(

@@ -264,6 +264,16 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
                        "diagnostics.identity_pairs"),
                       ("[diagnostics]\nmoment_orders = 3\n",
                        "diagnostics.moment_orders"),
+                      ("[diagnostics]\nchecks = moments\nmoment_orders =\n",
+                       "diagnostics.moment_orders"),
+                      ("[diagnostics]\ncontraction_weight = 0\n",
+                       "diagnostics.contraction_weight"),
+                      ("[diagnostics]\ncontraction_weight = -1.5\n",
+                       "diagnostics.contraction_weight"),
+                      ("[diagnostics]\ncontraction_weight = inf\n",
+                       "diagnostics.contraction_weight"),
+                      ("[diagnostics]\ncontraction_weight = nan\n",
+                       "diagnostics.contraction_weight"),
                       ("[diagnostics]\nisometry_paths = 1\n",
                        "diagnostics.isometry_paths")):
         p.write_text(text)

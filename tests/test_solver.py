@@ -153,6 +153,17 @@ def away_from_kinks(rng, shape):
     return np.where(rng.uniform(size=shape) < 0.5, -mag, mag)
 
 
+def dense_newton_matrix(diag, coefs, grid, dt):
+    # I - dt J from the stencil coefficients; a Dirichlet ghost coefficient
+    # is zero, so the wrapped column it would name gains nothing
+    idx = np.arange(diag.size).reshape(grid.shape)
+    mat = np.eye(diag.size) - dt * np.diag(diag)
+    for ax, (plus, minus) in enumerate(coefs):
+        mat[idx.ravel(), np.roll(idx, -1, axis=ax).ravel()] -= dt * plus
+        mat[idx.ravel(), np.roll(idx, +1, axis=ax).ravel()] -= dt * minus
+    return mat
+
+
 @pytest.mark.parametrize("dim,cells,bc", [
     (1, 48, "periodic"), (1, 48, "dirichlet"),
     (2, 32, "periodic"), (2, 32, "dirichlet")])
@@ -165,7 +176,7 @@ def test_newton_matrix_matches_finite_difference(dim, cells, bc, flux_form):
     u = away_from_kinks(np.random.default_rng(3), grid.shape).ravel()
     diag, coefs = solver_mod._operator_jacobian(u.reshape(grid.shape), spec,
                                                 grid)
-    mat = solver_mod._shifted_matrix(diag, coefs, grid, dt).toarray()
+    mat = dense_newton_matrix(diag, coefs, grid, dt)
 
     def residual(v):
         v = v.reshape(grid.shape)
@@ -190,16 +201,36 @@ def test_periodic_newton_solve_matches_dense():
     rng = np.random.default_rng(11)
     u = away_from_kinks(rng, grid.shape)
     dt = 0.02
-    diag, [(plus, minus)] = solver_mod._operator_jacobian(u, spec, grid)
-    m = grid.cells
-    mat = np.eye(m) - dt * np.diag(diag)
-    for i in range(m):
-        mat[i, (i + 1) % m] -= dt * plus[i]
-        mat[i, (i - 1) % m] -= dt * minus[i]
+    diag, coefs = solver_mod._operator_jacobian(u, spec, grid)
+    mat = dense_newton_matrix(diag, coefs, grid, dt)
     assert mat[0, -1] != 0.0 and mat[-1, 0] != 0.0
     assert not np.allclose(mat, mat.T)
-    rhs = rng.uniform(-1, 1, m)
-    ours = solver_mod._newton_direction(diag, [(plus, minus)], grid, dt, rhs)
+    rhs = rng.uniform(-1, 1, grid.cells)
+    ours = solver_mod._newton_direction(diag, coefs, grid, dt, rhs)
+    oracle = np.linalg.solve(mat, rhs)
+    assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("cells", [32, 33])
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+def test_banded_newton_solve_matches_dense(cells, bc):
+    # 2D band solve of a nonsymmetric Newton matrix on the folded ordering
+    # (odd and even fold) against a dense solve
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.05, dim=2,
+                     flux_form="engquist_osher")
+    grid = sc.Grid(dim=2, half_width=2.0, cells=cells, bc=bc)
+    half_bandwidth = solver_mod._stencil(grid)[1][0]
+    assert half_bandwidth == (2 * cells if bc == "periodic" else cells)
+    rng = np.random.default_rng(13)
+    u = away_from_kinks(rng, grid.shape)
+    dt = 0.02
+    diag, coefs = solver_mod._operator_jacobian(u, spec, grid)
+    mat = dense_newton_matrix(diag, coefs, grid, dt)
+    wrap = (mat[0, (cells - 1) * cells], mat[0, cells - 1])
+    assert all(w != 0.0 for w in wrap) == (bc == "periodic")
+    assert not np.allclose(mat, mat.T)
+    rhs = rng.uniform(-1, 1, grid.cells ** 2)
+    ours = solver_mod._newton_direction(diag, coefs, grid, dt, rhs)
     oracle = np.linalg.solve(mat, rhs)
     assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
@@ -208,18 +239,24 @@ def test_singular_newton_matrix_falls_back_to_picard(monkeypatch):
     zeros = np.zeros(8)
     with pytest.raises(np.linalg.LinAlgError):
         solver_mod._solve_tridiagonal(zeros, zeros, zeros, np.ones(8), False)
+    grid = sc.Grid(dim=2, half_width=2.0, cells=8)
+    zeros = np.zeros(64)
+    with pytest.raises(np.linalg.LinAlgError):
+        solver_mod._newton_direction(np.ones(64), [(zeros, zeros)] * 2, grid,
+                                     1.0, np.ones(64))
 
     def singular(*args):
         raise np.linalg.LinAlgError("singular")
 
     monkeypatch.setattr(solver_mod, "_newton_direction", singular)
-    spec = make_spec(phi="porous", eps=0.1)
-    grid = sc.Grid(dim=1, half_width=2.0, cells=32)
-    u = sc.discretize_initial(spec, grid)
-    _, stats = sc.implicit_step(spec, grid, u, np.zeros_like(u), 0.01,
-                                return_stats=True)
-    assert stats.used_fallback and stats.newton_iterations == 1
-    assert stats.residual <= 1e-10 * (1.0 + norm_l2(u, grid))
+    for dim, cells in ((1, 32), (2, 16)):
+        spec = make_spec(phi="porous", eps=0.1, dim=dim)
+        grid = sc.Grid(dim=dim, half_width=2.0, cells=cells)
+        u = sc.discretize_initial(spec, grid)
+        _, stats = sc.implicit_step(spec, grid, u, np.zeros_like(u), 0.01,
+                                    return_stats=True)
+        assert stats.used_fallback and stats.newton_iterations == 1
+        assert stats.residual <= 1e-10 * (1.0 + norm_l2(u, grid))
 
 
 # ---------------------------------------------------------------------------
