@@ -17,8 +17,8 @@ from .noise import (
 )
 from .quadrature import QuadratureError, adaptive_simpson, batch_simpson
 from .solver import (
-    EnergyReport, StepFailureError, Trajectory, discrete_energy_report,
-    implicit_step, solve_path,
+    StepFailureError, Trajectory, discrete_energy_report, implicit_step,
+    solve_path,
 )
 
 __version__ = "0.1.0"

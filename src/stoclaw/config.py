@@ -9,6 +9,7 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, field
+from math import inf
 
 from .model import (Grid, ProblemSpec, eta_family, flux_family, init_family,
                     phi_family)
@@ -191,16 +192,20 @@ class ExperimentConfig:
                     section, key, least, self.get(section, key)))
         if any(n < 1 for n in self.get("run", "steps_list")):
             raise ConfigError("run.steps_list entries must be >= 1")
+        if any(not 0.0 < e < inf for e in self.get("run", "eps_list")):
+            raise ConfigError("run.eps_list entries must be finite and > 0")
         orders = self.get("diagnostics", "moment_orders")
         if any(p < 2 or p % 2 for p in orders) or (
                 not orders and "moments" in self.get("diagnostics", "checks")):
             raise ConfigError(
                 "diagnostics.moment_orders entries must be even and >= 2, "
                 "and the moments check needs at least one")
-        weight = self.get("diagnostics", "contraction_weight")
-        if not 0.0 < weight < float("inf"):
+        if not 0.0 < self.get("diagnostics", "contraction_weight") < inf:
             raise ConfigError(
                 "diagnostics.contraction_weight must be finite and > 0")
+        if not 0.0 <= self.get("diagnostics", "max_principle_cap") < inf:
+            raise ConfigError(
+                "diagnostics.max_principle_cap must be finite and >= 0")
         if "contraction" in self.get("diagnostics", "checks") and \
                 not self.get("diagnostics", "v0"):
             raise ConfigError(

@@ -5,7 +5,10 @@ and the small-viscosity limit.
 
 Each Monte-Carlo check is a per-path part (``*_path_*``: the solves along
 one sampled path and their reduction), which the harness runs in its worker
-pool, and an aggregator over the per-path results in seed order.
+pool, and an aggregator over the per-path results in seed order. The
+contraction and moment aggregators share one rule, ``growth_test``: fit the
+exponential growth of the seed-order mean at n and 2n steps, and call it
+stable when the two fits agree.
 
 Space-time integrals against a test function use the trajectory's own grid
 (midpoint in space, trapezoid in time at the step knots); test
@@ -24,16 +27,16 @@ import numpy as np
 from .entropy import EntropyTriple, kirchhoff
 from .model import Grid, ProblemSpec, discretize_initial
 from .noise import JumpPath, martingale_term, sample_jump_path
-from .solver import Trajectory, l2_sq, norm_l1, solve_path
+from .solver import Trajectory, l2_sq, solve_path
 
 __all__ = [
     "TestFunction", "bump_test_function", "uniform_test_function",
     "test_function_catalog", "WeightPhiN", "CheckResult", "DiagnosticsReport",
     "entropy_residual", "entropy_tolerance", "calibrate_entropy_tolerance",
     "ENTROPY_TOL_COEFF", "THETA_VALUES", "cauchy_path_errors",
-    "cauchy_rate_test", "RateReport", "contraction_path_distances",
-    "contraction_test", "ContractionReport", "moment_path_rows",
-    "moment_bound_test", "MomentReport", "linear_moment_rate",
+    "cauchy_rate_test", "RateReport", "GrowthReport", "growth_test",
+    "contraction_path_distances", "contraction_test", "moment_path_rows",
+    "moment_bound_test", "linear_moment_rate",
     "max_principle_test", "BoundReport", "viscosity_path_errors",
     "viscosity_convergence_test",
 ]
@@ -137,11 +140,10 @@ class WeightPhiN:
 
     n: float
     dim: int
-    eps_tilde: float = 0.1
 
     @property
     def exponent(self) -> float:
-        return self.dim / 2.0 + self.eps_tilde
+        return self.dim / 2.0 + 0.1
 
     def __call__(self, coords) -> np.ndarray:
         r = np.sqrt(np.sum(np.asarray(coords, dtype=float) ** 2, axis=-1))
@@ -234,9 +236,9 @@ def _trapezoid_weights(n_steps: int, dt: float) -> np.ndarray:
 
 
 def entropy_residual(traj: Trajectory, path: JumpPath, triple: EntropyTriple,
-                     psi: TestFunction,
-                     kirchhoff_fn: Optional[Callable] = None) -> float:
-    """Residual of the entropy inequality along one path.
+                     psi: TestFunction, kirchhoff_fn: Callable) -> float:
+    """Residual of the entropy inequality along one path, with
+    ``kirchhoff_fn`` the Kirchhoff transform G of ``traj.spec.phi``.
 
     Positive part of the inequality minus the dissipation term plus the
     initial term; nonnegative for an exact entropy solution, and bounded
@@ -249,7 +251,6 @@ def entropy_residual(traj: Trajectory, path: JumpPath, triple: EntropyTriple,
     n = traj.n_steps
     w_t = _trapezoid_weights(n, dt)
     times = traj.times
-    G = kirchhoff_fn if kirchhoff_fn is not None else kirchhoff(spec.phi)
 
     t_time = t_lap = t_flux = t_diss = 0.0
     have_nu = triple.nu is not None
@@ -264,7 +265,7 @@ def entropy_residual(traj: Trajectory, path: JumpPath, triple: EntropyTriple,
             zeta_u = triple.zeta(u)
             t_flux -= w_t[k] * float(
                 np.sum(np.sum(zeta_u * psi.grad(tk, coords), axis=-1))) * vol
-        g_u = np.asarray(G(u), dtype=float)
+        g_u = np.asarray(kirchhoff_fn(u), dtype=float)
         t_diss += w_t[k] * _face_dissipation(g_u, u, triple, psi, tk, grid)
 
     t_noise = martingale_term(path, spec, grid, traj, triple, psi)
@@ -402,31 +403,50 @@ def cauchy_rate_test(spec: ProblemSpec, n_steps_list: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Weighted-L1 contraction
+# Growth of a Monte-Carlo mean: weighted-L1 contraction and moments
 
 @dataclass
-class ContractionReport:
-    distance: np.ndarray        # E int |u - v| phi_n dx at each knot
-    c_fit: float
-    c_fit_half: float
-    stable: bool
-    exact_zero: bool
-    initial_distance: float
+class GrowthReport:
+    """Growth constant C of a seed-order mean m, the smallest with
+    m(t) <= exp(C t) m(0) at every knot, fitted at n and at 2n steps."""
+
+    mean: np.ndarray      # m at the n + 1 knots
+    fit: float            # C at n steps
+    fit_half: float       # C at 2n steps
+    knot: int             # the knot that binds ``fit``
+    stable: bool          # the two fits agree within the relative tolerance
+    oracle_band: Optional[float] = None    # moments with a closed-form rate
+    within_oracle: Optional[bool] = None
+
+
+def _fit_growth(times, dist, floor=1e-14):
+    """Smallest C with dist(t) <= exp(C t) dist(0) at every knot, and the
+    knot that binds it (0 when dist(0) is below ``floor``)."""
+    d0 = dist[0]
+    if d0 <= floor:
+        return 0.0, 0
+    rates = [math.log(max(d, floor) / d0) / t
+             for d, t in zip(dist[1:], times[1:])]
+    j = int(np.argmax(rates))
+    return rates[j], j + 1
+
+
+def growth_test(horizon: float, per_path: Sequence[tuple],
+                rel_tol: float) -> GrowthReport:
+    """Fit the growth of the mean of ``per_path``, pairs of per-knot rows
+    at n and 2n steps in seed order; stable when the two fits differ by at
+    most ``rel_tol`` max(|C_n|, |C_2n|, 0.05)."""
+    means = [sum(row[i] for row in per_path) / len(per_path) for i in (0, 1)]
+    fits = [_fit_growth(horizon / (m.size - 1) * np.arange(m.size), m)
+            for m in means]
+    (c1, knot), (c2, _) = fits
+    return GrowthReport(
+        mean=means[0], fit=c1, fit_half=c2, knot=knot,
+        stable=abs(c1 - c2) <= rel_tol * max(abs(c1), abs(c2), 0.05))
 
 
 def _weighted_l1(u, v, w, grid) -> float:
     return float(np.sum(np.abs(u - v) * w)) * grid.cell_volume
-
-
-def _fit_growth(times, dist, floor=1e-14, with_argmax=False):
-    """Smallest C with dist(t) <= exp(C t) dist(0) at every knot."""
-    d0 = dist[0]
-    if d0 <= floor:
-        return (0.0, 0) if with_argmax else 0.0
-    rates = [math.log(max(d, floor) / d0) / t
-             for d, t in zip(dist[1:], times[1:])]
-    j = int(np.argmax(rates))
-    return (rates[j], j + 1) if with_argmax else max(rates)
 
 
 def contraction_path_distances(spec: ProblemSpec, grid: Grid, path: JumpPath,
@@ -446,45 +466,14 @@ def contraction_path_distances(spec: ProblemSpec, grid: Grid, path: JumpPath,
     return tuple(out)
 
 
-def contraction_test(spec: ProblemSpec, grid: Grid,
-                     per_path: Sequence[tuple]) -> ContractionReport:
+def contraction_test(spec: ProblemSpec,
+                     per_path: Sequence[tuple]) -> GrowthReport:
     """Two solutions under one noise per path: weighted-L1 distance growth.
 
     ``per_path`` holds ``contraction_path_distances`` of each path, in seed
-    order. The growth constant is fitted at n_steps and at 2 n_steps (same paths);
-    stability within 20 percent passes.
+    order; stability within 20 percent under dt halving passes.
     """
-    # sequential sums in seed order
-    dist = sum(d for d, _ in per_path) / len(per_path)
-    dist_half = sum(d for _, d in per_path) / len(per_path)
-    n_steps = dist.size - 1
-    times = spec.horizon / n_steps * np.arange(n_steps + 1)
-    times_half = spec.horizon / (2 * n_steps) * np.arange(2 * n_steps + 1)
-    c1 = _fit_growth(times, dist)
-    c2 = _fit_growth(times_half, dist_half)
-    denom = max(abs(c1), abs(c2), 0.05)
-    stable = abs(c1 - c2) <= 0.2 * denom
-    d0 = dist[0]
-    exact_zero = bool(np.max(dist) <= 1e-8 * max(
-        norm_l1(discretize_initial(spec, grid), grid), 1e-300)) \
-        if d0 == 0.0 else False
-    return ContractionReport(
-        distance=dist, c_fit=c1, c_fit_half=c2, stable=stable,
-        exact_zero=exact_zero, initial_distance=d0)
-
-
-# ---------------------------------------------------------------------------
-# Moment bounds
-
-@dataclass
-class MomentReport:
-    moments: np.ndarray
-    k_fit: float
-    k_fit_half: float
-    stable: bool
-    oracle_rate: Optional[float]
-    oracle_band: Optional[float]
-    within_oracle: Optional[bool]
+    return growth_test(spec.horizon, per_path, 0.2)
 
 
 def _moment(u, p, grid) -> float:
@@ -503,37 +492,27 @@ def moment_path_rows(spec: ProblemSpec, grid: Grid, path: JumpPath, p: int,
 
 
 def moment_bound_test(spec: ProblemSpec, p: int, per_path: Sequence[tuple],
-                      oracle_rate: Optional[float] = None) -> MomentReport:
+                      oracle_rate: Optional[float] = None) -> GrowthReport:
     """Monte-Carlo L^p moment growth with an exponential-envelope fit.
 
     ``per_path`` holds ``moment_path_rows`` of each path, in seed order.
     Fits the smallest K with E int |u_n|^p <= exp(K t) E int |u_0|^p, checks
-    stability of K under dt halving, and optionally compares against a
-    closed-form rate with a 3-sigma band propagated from the final-time
-    sample variance.
+    stability of K within 25 percent under dt halving, and optionally
+    compares against a closed-form rate with a 3-sigma band propagated from
+    the sample variance at the binding knot.
     """
-    rows = np.array([r for r, _ in per_path])
-    rows_half = np.array([r for _, r in per_path])
-    n_paths, n_steps = rows.shape[0], rows.shape[1] - 1
-    moments = rows.mean(axis=0)
-    moments_half = rows_half.mean(axis=0)
-    times = spec.horizon / n_steps * np.arange(n_steps + 1)
-    times_half = spec.horizon / (2 * n_steps) * np.arange(2 * n_steps + 1)
-    k1, j_bind = _fit_growth(times, moments, with_argmax=True)
-    k2 = _fit_growth(times_half, moments_half)
-    denom = max(abs(k1), abs(k2), 0.05)
-    stable = abs(k1 - k2) <= 0.25 * denom
-    se = rows.std(axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1 \
-        else np.zeros(n_steps + 1)
-    band = within = None
+    rep = growth_test(spec.horizon, per_path, 0.25)
     if oracle_rate is not None:
-        # uncertainty of the growth estimate at its binding knot
-        band = 3.0 * float(se[j_bind]) / max(moments[j_bind], 1e-300) \
-            / times[j_bind]
-        within = bool(abs(k1 - oracle_rate) <= band + 1e-12)
-    return MomentReport(
-        moments=moments, k_fit=k1, k_fit_half=k2, stable=stable,
-        oracle_rate=oracle_rate, oracle_band=band, within_oracle=within)
+        rows = np.array([r for r, _ in per_path])
+        n_paths, n_steps = rows.shape[0], rows.shape[1] - 1
+        j = rep.knot
+        se = rows.std(axis=0, ddof=1)[j] / math.sqrt(n_paths) \
+            if n_paths > 1 else 0.0
+        t_j = (spec.horizon / n_steps * np.arange(n_steps + 1))[j]
+        rep.oracle_band = 3.0 * float(se) / max(rep.mean[j], 1e-300) / t_j
+        rep.within_oracle = bool(abs(rep.fit - oracle_rate)
+                                 <= rep.oracle_band + 1e-12)
+    return rep
 
 
 def linear_moment_rate(spec: ProblemSpec, p: int, dt: float) -> float:

@@ -15,7 +15,7 @@ adaptive Simpson: it is the independent reference the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,16 +65,12 @@ class EntropyTriple:
     assembled against concrete coefficients.
     """
 
-    name: str
-    family: str
     beta: Callable
     dbeta: Callable
     d2beta: Callable
     d2_support: Optional[float]  # halfwidth of supp(beta''), None = unbounded
     zeta: Optional[Callable] = None
     nu: Optional[Callable] = None
-    theta: Optional[float] = None
-    params: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +147,8 @@ def make_beta_theta(theta: float, phi=None, flux=None) -> EntropyTriple:
         return base_d2beta(np.asarray(r, dtype=float) / th) / th
 
     zeta, nu = _attach_fluxes(dbeta, (-th, th), phi, flux)
-    return EntropyTriple(
-        name="beta_theta(%g)" % th, family="beta_theta",
-        beta=beta, dbeta=dbeta, d2beta=d2beta, d2_support=th,
-        zeta=zeta, nu=nu, theta=th, params={"theta": th})
+    return EntropyTriple(beta=beta, dbeta=dbeta, d2beta=d2beta, d2_support=th,
+                         zeta=zeta, nu=nu)
 
 
 def make_quadratic(phi=None, flux=None) -> EntropyTriple:
@@ -163,10 +157,8 @@ def make_quadratic(phi=None, flux=None) -> EntropyTriple:
     dbeta = lambda r: np.asarray(r, dtype=float)
     d2beta = lambda r: np.ones_like(np.asarray(r, dtype=float))
     zeta, nu = _attach_fluxes(dbeta, (), phi, flux)
-    return EntropyTriple(
-        name="quadratic", family="quadratic",
-        beta=beta, dbeta=dbeta, d2beta=d2beta, d2_support=None,
-        zeta=zeta, nu=nu)
+    return EntropyTriple(beta=beta, dbeta=dbeta, d2beta=d2beta,
+                         d2_support=None, zeta=zeta, nu=nu)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ class PhiFamily:
     dphi: Callable
     c_phi: float
     kinks: tuple = ()
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -64,11 +63,6 @@ class FluxFamily:
     components: tuple
     c_f: float
     kinks: tuple = ()
-    params: dict = field(default_factory=dict)
-
-    def f(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([c.f(u) for c in self.components], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,6 @@ class EtaFamily:
     g_inf: float
     g_lip: float
     sigma: Callable
-    dsigma: Callable
     sigma_lip: float
     sigma_sup_box: float
     sigma_cap: Optional[float]  # sigma vanishes for |u| > cap, if not None
@@ -105,7 +98,6 @@ class InitFamily:
     u0: Callable  # coords (..., d) -> values (...)
     support_radius: Optional[float]  # None = covers the whole domain
     linf: float
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -122,8 +114,8 @@ class Grid:
             raise InvalidSpecError("dim must be 1 or 2, got %r" % (self.dim,))
         if self.cells < 4:
             raise InvalidSpecError("need at least 4 cells per axis")
-        if self.half_width <= 0.0:
-            raise InvalidSpecError("half_width must be positive")
+        if not 0.0 < self.half_width < math.inf:
+            raise InvalidSpecError("half_width must be finite and positive")
         if self.bc not in ("periodic", "dirichlet"):
             raise InvalidSpecError("bc must be periodic or dirichlet")
 
@@ -178,7 +170,7 @@ def phi_family(name: str, scale: float = 1.0) -> PhiFamily:
             "linear",
             phi=lambda u: s * np.asarray(u, dtype=float),
             dphi=lambda u: np.full_like(np.asarray(u, dtype=float), s),
-            c_phi=s, params={"scale": s})
+            c_phi=s)
     if name == "stefan":
         def phi(u):
             u = np.asarray(u, dtype=float)
@@ -188,8 +180,7 @@ def phi_family(name: str, scale: float = 1.0) -> PhiFamily:
             u = np.asarray(u, dtype=float)
             return np.where(np.abs(u) > 1.0, s, 0.0)
 
-        return PhiFamily("stefan", phi, dphi, c_phi=s,
-                         kinks=(-1.0, 1.0), params={"scale": s})
+        return PhiFamily("stefan", phi, dphi, c_phi=s, kinks=(-1.0, 1.0))
     if name == "porous":
         # cubic growth clipped to slope s beyond |u| = 1
         def phi(u):
@@ -203,7 +194,7 @@ def phi_family(name: str, scale: float = 1.0) -> PhiFamily:
             return s * np.minimum(u * u, 1.0)
 
         return PhiFamily("porous", phi, dphi, c_phi=s,
-                         kinks=(-1.0, 0.0, 1.0), params={"scale": s})
+                         kinks=(-1.0, 0.0, 1.0))
     raise InvalidSpecError("unknown phi family %r" % (name,))
 
 
@@ -237,15 +228,13 @@ def flux_family(name: str, dim: int, scale: float = 1.0) -> FluxFamily:
         return FluxFamily("zero", dim, (comp,) * dim, c_f=0.0)
     if name == "linear":
         comp = _linear_component(s)
-        return FluxFamily("linear", dim, (comp,) * dim, c_f=abs(s),
-                          params={"scale": s})
+        return FluxFamily("linear", dim, (comp,) * dim, c_f=abs(s))
     if name == "burgers":
         if s <= 0.0:
             raise InvalidSpecError("burgers scale must be positive")
         comp = _burgers_component(s)
         return FluxFamily("burgers", dim, (comp,) * dim,
-                          c_f=s * VALIDATION_RANGE, kinks=(0.0,),
-                          params={"scale": s})
+                          c_f=s * VALIDATION_RANGE, kinks=(0.0,))
     raise InvalidSpecError("unknown flux family %r" % (name,))
 
 
@@ -271,15 +260,9 @@ def _sigma_compact_profile(scale, cap):
         v = np.maximum(1.0 - t * t, 0.0)
         return scale * u * v * v
 
-    def dsigma(u):
-        u = np.asarray(u, dtype=float)
-        t2 = (u / cap) ** 2
-        v = np.maximum(1.0 - t2, 0.0)
-        return scale * np.where(t2 <= 1.0, v * (1.0 - 5.0 * t2), 0.0)
-
     # max |u (1-(u/cap)^2)^2| is attained at u = cap/sqrt(5)
     sup = scale * cap * (1.0 / math.sqrt(5.0)) * (0.8) ** 2
-    return sigma, dsigma, sup
+    return sigma, sup
 
 
 def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
@@ -292,7 +275,7 @@ def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
         zf = lambda x: np.zeros(np.asarray(x, dtype=float).shape[:-1])
         zu = lambda u: np.zeros_like(np.asarray(u, dtype=float))
         return EtaFamily("zero", g=zf, g_inf=0.0, g_lip=0.0,
-                         sigma=zu, dsigma=zu, sigma_lip=0.0,
+                         sigma=zu, sigma_lip=0.0,
                          sigma_sup_box=0.0, sigma_cap=None,
                          h=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
                          h_power=None, is_zero=True)
@@ -318,22 +301,19 @@ def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
     cap = _as_float("eta sigma cap", sigma_cap)
     if sigma_kind == "const":
         sigma = lambda u: np.full_like(np.asarray(u, dtype=float), s)
-        dsigma = lambda u: np.zeros_like(np.asarray(u, dtype=float))
         lip, sup_box, support = 0.0, abs(s), None
     elif sigma_kind == "linear":
         sigma = lambda u: s * np.asarray(u, dtype=float)
-        dsigma = lambda u: np.full_like(np.asarray(u, dtype=float), s)
         lip, sup_box, support = abs(s), abs(s) * VALIDATION_RANGE, None
     elif sigma_kind == "clip":
         if cap <= 0.0:
             raise InvalidSpecError("eta sigma cap must be positive")
         sigma = lambda u: s * np.clip(np.asarray(u, dtype=float), -cap, cap)
-        dsigma = lambda u: np.where(np.abs(np.asarray(u, dtype=float)) < cap, s, 0.0)
         lip, sup_box, support = abs(s), abs(s) * cap, None
     elif sigma_kind == "compact":
         if cap <= 0.0:
             raise InvalidSpecError("eta sigma cap must be positive")
-        sigma, dsigma, sup = _sigma_compact_profile(s, cap)
+        sigma, sup = _sigma_compact_profile(s, cap)
         lip, sup_box, support = abs(s), sup, cap
     elif sigma_kind == "bump":
         if cap <= 0.0:
@@ -343,11 +323,6 @@ def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
             t2 = (np.asarray(u, dtype=float) / _c) ** 2
             v = np.maximum(1.0 - t2, 0.0)
             return _s * v * v
-
-        def dsigma(u, _s=s, _c=cap):
-            t = np.asarray(u, dtype=float) / _c
-            v = np.maximum(1.0 - t * t, 0.0)
-            return -4.0 * _s * t * v / _c
 
         lip = abs(s) * _BUMP_DMAX / cap
         sup_box, support = abs(s), cap
@@ -364,7 +339,7 @@ def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
     return EtaFamily(
         "separable:%s*%s*%s" % (g_kind, sigma_kind, h_kind),
         g=g, g_inf=g_inf, g_lip=g_lip,
-        sigma=sigma, dsigma=dsigma, sigma_lip=lip,
+        sigma=sigma, sigma_lip=lip,
         sigma_sup_box=sup_box, sigma_cap=support, h=h, h_power=h_power,
         params={"g": g_kind, "sigma": sigma_kind, "h": h_kind,
                 "sigma_scale": s, "sigma_cap": cap, "g_height": g_height,
@@ -383,7 +358,7 @@ def init_family(name: str, *, height: float = 1.0, center: float = 0.0,
         return InitFamily(
             "constant",
             lambda x: np.full(np.asarray(x, dtype=float).shape[:-1], hgt),
-            support_radius=None, linf=abs(hgt), params={"height": hgt})
+            support_radius=None, linf=abs(hgt))
     w = _as_float("u0 width", width)
     if w <= 0.0:
         raise InvalidSpecError("u0 width must be positive")
@@ -391,8 +366,7 @@ def init_family(name: str, *, height: float = 1.0, center: float = 0.0,
     if name == "bump":
         u0 = _bump_profile(hgt, c, w)
         radius = float(np.max(np.abs(c))) + w
-        return InitFamily("bump", u0, support_radius=radius, linf=abs(hgt),
-                          params={"height": hgt, "center": center, "width": w})
+        return InitFamily("bump", u0, support_radius=radius, linf=abs(hgt))
     if name == "box":
         def u0(x):
             x = np.asarray(x, dtype=float)
@@ -400,8 +374,7 @@ def init_family(name: str, *, height: float = 1.0, center: float = 0.0,
             return np.where(inside, hgt, 0.0)
 
         radius = float(np.max(np.abs(c))) + w
-        return InitFamily("box", u0, support_radius=radius, linf=abs(hgt),
-                          params={"height": hgt, "center": center, "width": w})
+        return InitFamily("box", u0, support_radius=radius, linf=abs(hgt))
     raise InvalidSpecError("unknown u0 family %r" % (name,))
 
 
@@ -423,10 +396,12 @@ class ProblemSpec:
     flux_form: str = "central"  # central | engquist_osher
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise InvalidSpecError("epsilon must be nonnegative")
-        if self.horizon <= 0.0:
-            raise InvalidSpecError("horizon must be positive")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise InvalidSpecError(
+                "epsilon must be finite and >= 0, got %r" % (self.epsilon,))
+        if not 0.0 < self.horizon < math.inf:
+            raise InvalidSpecError(
+                "horizon must be finite and > 0, got %r" % (self.horizon,))
         if self.flux_form not in ("central", "engquist_osher"):
             raise InvalidSpecError("flux_form must be central or engquist_osher")
         if self.flux.dim != self.dim:

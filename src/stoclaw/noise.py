@@ -51,15 +51,20 @@ class SizeMeasure:
             if not self.atoms:
                 raise ValueError("atom size measure needs at least one atom")
             for v, m in self.atoms:
-                if v == 0.0:
-                    raise ValueError("size atoms must avoid 0")
-                if m < 0.0:
-                    raise ValueError("atom masses must be nonnegative")
+                if v == 0.0 or not np.isfinite(v):
+                    raise ValueError("size_atoms values must be finite and "
+                                     "avoid 0")
+                if not 0.0 <= m < np.inf:
+                    raise ValueError("size_atoms masses must be finite and "
+                                     ">= 0")
         elif self.kind == "uniform":
             if not self.hi > self.lo:
                 raise ValueError("uniform size measure needs hi > lo")
             if self.lo < 0.0 < self.hi:
                 raise ValueError("uniform size support must avoid 0")
+            if not 0.0 <= self.mass < np.inf:
+                raise ValueError("size_mass must be finite and >= 0, got %r"
+                                 % (self.mass,))
         elif self.kind == "alpha_stable":
             if not 0.0 < self.alpha < 2.0:
                 raise ValueError("alpha must lie in (0, 2)")
@@ -68,6 +73,9 @@ class SizeMeasure:
             if not np.isfinite(self.v_max) or self.v_max <= self.z_min:
                 raise TruncationRequiredError(
                     "alpha_stable needs a finite mark window z_min < v_max")
+            if not 0.0 <= self.strength < np.inf:
+                raise ValueError("strength must be finite and >= 0, got %r"
+                                 % (self.strength,))
         else:
             raise ValueError("unknown size measure %r" % (self.kind,))
 

@@ -1,6 +1,6 @@
 """Implicit time discretization of the viscous problem: one nonlinear
 elliptic solve per step, driven by windowed compensated jump increments,
-plus the discrete energy bookkeeping.
+plus the discrete energy terms.
 
 Spatial operators are second-order central differences on cell centers;
 div f(u) optionally switches to an Engquist-Osher monotone form.  Newton
@@ -10,7 +10,7 @@ matrices go to LAPACK: ``dgtsv`` in 1D, ``dgbsv`` on a folded band in 2D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs, dgtsv
@@ -21,7 +21,7 @@ from .noise import JumpPath, compensated_increment
 
 __all__ = [
     "StepFailureError", "StepStats", "Trajectory", "implicit_step",
-    "solve_path", "discrete_energy_report", "EnergyReport",
+    "solve_path", "discrete_energy_report",
     "l2_sq", "norm_l2", "norm_l1", "grad_sq", "laplacian", "divergence",
     "mass_outside",
 ]
@@ -312,42 +312,36 @@ def _step_operator(u: np.ndarray, spec: ProblemSpec, grid: Grid) -> np.ndarray:
 
 @dataclass
 class StepStats:
+    """One step's row of ``fields/stats_path0000.csv``."""
+
     newton_iterations: int
     picard_iterations: int
     residual: float
     used_fallback: bool
     lemma_ratio: float
-    lemma_bound: float
-    lemma_applicable: bool
-    lemma_passed: bool
 
 
 def _lemma_check(u: np.ndarray, x_rhs: np.ndarray, spec: ProblemSpec,
-                 grid: Grid, dt: float) -> tuple:
-    """Discrete form of the one-step elliptic estimate
+                 grid: Grid) -> float:
+    """lhs / ||X||^2 in the one-step elliptic estimate
     ||u||^2 + ||phi(u)||_{H1}^2 + eps ||grad u||^2 <= C(dt) ||X||^2.
 
-    The explicit constant follows from testing the step with u itself and is
-    only claimed when dt c_f^2 <= eps / 2 (or the flux is absent).
+    Testing the step with u itself gives C(dt) = 2 (3 + 2 c_phi^2 +
+    c_phi / dt) when dt c_f^2 <= eps / 2 (or the flux is absent).
     """
     x_sq = l2_sq(x_rhs, grid)
     phi_u = np.asarray(spec.phi.phi(u), dtype=float)
     lhs = (l2_sq(u, grid) + l2_sq(phi_u, grid) + grad_sq(phi_u, grid)
            + spec.epsilon * grad_sq(u, grid))
     if x_sq == 0.0:
-        return (0.0 if lhs == 0.0 else np.inf), 0.0, True, lhs <= 1e-24
-    ratio = lhs / x_sq
-    applicable = spec.c_f == 0.0 or (
-        spec.epsilon > 0.0 and dt <= spec.epsilon / (2.0 * spec.c_f ** 2))
-    bound = 2.0 * (3.0 + 2.0 * spec.c_phi ** 2 + spec.c_phi / dt)
-    passed = (ratio <= bound) if applicable else True
-    return ratio, bound, applicable, passed
+        return 0.0 if lhs == 0.0 else np.inf
+    return lhs / x_sq
 
 
 def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
-                  noise_inc: np.ndarray, dt: float,
-                  return_stats: bool = False):
-    """Solve u - dt*(lap phi(u) + eps lap u + div f(u)) = u_n + noise_inc.
+                  noise_inc: np.ndarray, dt: float):
+    """Solve u - dt*(lap phi(u) + eps lap u + div f(u)) = u_n + noise_inc,
+    returning ``(u, StepStats)``.
 
     Damped Newton with an analytic stencil Jacobian, solved by LAPACK
     (``dgtsv`` in 1D, ``dgbsv`` on the folded band of :func:`_stencil` in
@@ -428,15 +422,10 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
             "nonlinear step stalled at residual %.3e (tolerance %.3e, dt %.3e)"
             % (res_norm, tol, dt), history)
 
-    if not return_stats:
-        return u
-    ratio, bound, applicable, passed = _lemma_check(u, x_rhs, spec, grid, dt)
-    stats = StepStats(
+    return u, StepStats(
         newton_iterations=newton_iters, picard_iterations=picard_iters,
         residual=res_norm, used_fallback=used_fallback,
-        lemma_ratio=ratio, lemma_bound=bound, lemma_applicable=applicable,
-        lemma_passed=passed)
-    return u, stats
+        lemma_ratio=_lemma_check(u, x_rhs, spec, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +433,12 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
 
 @dataclass
 class Trajectory:
-    """States u_0..u_N with the per-step noise increments and solver stats.
+    """States u_0..u_N with the per-step solver stats.
 
     Arrays are owned by the trajectory and must not be mutated.
     """
 
     fields: np.ndarray        # (N+1, *shape)
-    increments: np.ndarray    # (N, *shape)
     dt: float
     grid: Grid
     spec: ProblemSpec
@@ -459,10 +447,6 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return self.fields.shape[0] - 1
-
-    @property
-    def horizon(self) -> float:
-        return self.n_steps * self.dt
 
     @property
     def times(self) -> np.ndarray:
@@ -485,99 +469,48 @@ def solve_path(spec: ProblemSpec, grid: Grid, n_steps: int, path: JumpPath,
         u0_field, dtype=float)
     gx = None if spec.eta.is_zero else spec.eta.g(grid.coords())
     fields = np.empty((n_steps + 1,) + grid.shape)
-    incs = np.zeros((n_steps,) + grid.shape)
     fields[0] = u
     stats = []
     for n in range(n_steps):
         inc = compensated_increment(path, spec, grid, u, n * dt, (n + 1) * dt,
                                     gx=gx)
-        incs[n] = inc
         try:
-            u, st = implicit_step(spec, grid, u, inc, dt, return_stats=True)
+            u, st = implicit_step(spec, grid, u, inc, dt)
         except StepFailureError as err:
             raise StepFailureError(
                 "step %d of %d failed: %s" % (n + 1, n_steps, err),
                 err.history) from err
         fields[n + 1] = u
         stats.append(st)
-    return Trajectory(fields=fields, increments=incs, dt=dt, grid=grid,
-                      spec=spec, stats=stats)
+    return Trajectory(fields=fields, dt=dt, grid=grid, spec=spec,
+                      stats=stats)
 
 
 # ---------------------------------------------------------------------------
-# Energy bookkeeping
-
-@dataclass
-class EnergyReport:
-    """Per-step terms of the discrete energy estimate and a Gronwall fit.
-
-    ``energy(n)`` = ||u_n||^2 + sum_{k<n} ||u_{k+1}-u_k||^2
-    + (dt/c_phi) sum_{k<n} ||grad phi(u_{k+1})||^2
-    + eps dt sum_{k<n} ||grad u_{k+1}||^2, which the scheme keeps below
-    C1 + C2 dt sum_{k<n} ||u_k||^2 with the reported empirical constants.
-    """
-
-    u_norm_sq: np.ndarray       # (N+1,)
-    increment_sq: np.ndarray    # (N,)
-    grad_phi_sq: np.ndarray     # (N,)  at u_{k+1}
-    grad_u_sq: np.ndarray       # (N,)  at u_{k+1}
-    grad_g_sq: Optional[np.ndarray]  # (N+1,) Kirchhoff gradient, if requested
-    dt: float
-    epsilon: float
-    c_phi: float
-    gronwall_c1: float
-    gronwall_c2: float
-    passed: bool
-    monotone: bool
-
-    def energy(self, n: int) -> float:
-        phi_term = 0.0
-        if self.c_phi > 0.0:
-            phi_term = self.dt / self.c_phi * float(np.sum(self.grad_phi_sq[:n]))
-        return (float(self.u_norm_sq[n])
-                + float(np.sum(self.increment_sq[:n]))
-                + phi_term
-                + self.epsilon * self.dt * float(np.sum(self.grad_u_sq[:n])))
-
-    @property
-    def final_energy(self) -> float:
-        return self.energy(len(self.increment_sq))
-
+# Energy terms
 
 def discrete_energy_report(traj: Trajectory,
-                           kirchhoff_fn: Optional[Callable] = None
-                           ) -> EnergyReport:
-    """Evaluate every term of the step-energy identity along a trajectory."""
+                           kirchhoff_fn: Callable) -> Dict[str, np.ndarray]:
+    """Every term of the step-energy identity along a trajectory, by name:
+    ``u_norm_sq`` ||u_k||^2 and ``grad_g_sq`` ||grad G(u_k)||^2 at k = 0..N,
+    ``increment_sq`` ||u_{k+1} - u_k||^2, and ``grad_phi_sq`` and
+    ``grad_u_sq`` (||grad phi(u)||^2 and ||grad u||^2) at u_{k+1}, k < N.
+    """
     grid = traj.grid
     n = traj.n_steps
-    u_norm_sq = np.array([l2_sq(traj.fields[k], grid) for k in range(n + 1)])
-    inc_sq = np.array([l2_sq(traj.fields[k + 1] - traj.fields[k], grid)
-                       for k in range(n)])
-    phi_vals = [np.asarray(traj.spec.phi.phi(traj.fields[k + 1]), dtype=float)
-                for k in range(n)]
-    grad_phi = np.array([grad_sq(p, grid) for p in phi_vals])
-    grad_u = np.array([grad_sq(traj.fields[k + 1], grid) for k in range(n)])
-    grad_g = None
-    if kirchhoff_fn is not None:
-        g_vals = kirchhoff_fn(traj.fields.reshape(n + 1, -1)).reshape(
-            traj.fields.shape)
-        grad_g = np.array([grad_sq(g_vals[k], grid) for k in range(n + 1)])
-
-    c1 = float(u_norm_sq[0])
-    c2 = 0.0
-    dt = traj.dt
-    for m in range(1, n + 1):
-        denom = dt * float(np.sum(u_norm_sq[:m]))
-        phi_term = (dt / traj.spec.c_phi * float(np.sum(grad_phi[:m]))
-                    if traj.spec.c_phi > 0.0 else 0.0)
-        lhs = (float(u_norm_sq[m]) + float(np.sum(inc_sq[:m])) + phi_term
-               + traj.spec.epsilon * dt * float(np.sum(grad_u[:m])))
-        if denom > 0.0 and lhs > c1:
-            c2 = max(c2, (lhs - c1) / denom)
-    passed = bool(np.all(np.isfinite(u_norm_sq)) and np.isfinite(c2))
-    monotone = bool(np.all(np.diff(u_norm_sq) <= 1e-12 * (1.0 + u_norm_sq[:-1])))
-    return EnergyReport(
-        u_norm_sq=u_norm_sq, increment_sq=inc_sq, grad_phi_sq=grad_phi,
-        grad_u_sq=grad_u, grad_g_sq=grad_g, dt=dt, epsilon=traj.spec.epsilon,
-        c_phi=traj.spec.c_phi, gronwall_c1=c1, gronwall_c2=c2,
-        passed=passed, monotone=monotone)
+    g_vals = kirchhoff_fn(traj.fields.reshape(n + 1, -1)).reshape(
+        traj.fields.shape)
+    return {
+        "u_norm_sq": np.array([l2_sq(traj.fields[k], grid)
+                               for k in range(n + 1)]),
+        "increment_sq": np.array([
+            l2_sq(traj.fields[k + 1] - traj.fields[k], grid)
+            for k in range(n)]),
+        "grad_phi_sq": np.array([
+            grad_sq(np.asarray(traj.spec.phi.phi(traj.fields[k + 1]),
+                               dtype=float), grid) for k in range(n)]),
+        "grad_u_sq": np.array([grad_sq(traj.fields[k + 1], grid)
+                               for k in range(n)]),
+        "grad_g_sq": np.array([grad_sq(g_vals[k], grid)
+                               for k in range(n + 1)]),
+    }

@@ -196,6 +196,22 @@ def test_moments_contraction_worker_count_invariance(tmp_path):
         assert name in report
 
 
+def test_contraction_zero_row_for_equal_data(tmp_path):
+    # v0 = u0: both solutions coincide under every noise path
+    cfg = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "contraction.cfg"))
+    cfg.set("run", "paths", 2)
+    cfg.set("run", "steps", 4)
+    cfg.set("grid", "cells", 32)
+    for key in ("height", "center", "width"):
+        cfg.set("diagnostics", "v0_" + key, cfg.get("model", "u0_" + key))
+    report = run_experiment(cfg, out_dir=str(tmp_path))
+    rows = {c.name: c for c in report.checks}
+    assert rows["contraction_zero"].passed is True
+    assert rows["contraction_zero"].value == 0.0
+    assert rows["contraction_growth"].passed is True
+
+
 def test_worker_step_failure_reaches_caller(tmp_path, monkeypatch):
     # the limits reach the pool workers through fork; the failure must come
     # back as StepFailureError with its history, not as a broken pool
@@ -275,7 +291,37 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
                       ("[diagnostics]\ncontraction_weight = nan\n",
                        "diagnostics.contraction_weight"),
                       ("[diagnostics]\nisometry_paths = 1\n",
-                       "diagnostics.isometry_paths")):
+                       "diagnostics.isometry_paths"),
+                      ("[diagnostics]\nmax_principle_cap = inf\n",
+                       "diagnostics.max_principle_cap"),
+                      ("[diagnostics]\nmax_principle_cap = -3\n",
+                       "diagnostics.max_principle_cap"),
+                      ("[diagnostics]\nmax_principle_cap = nan\n",
+                       "diagnostics.max_principle_cap"),
+                      ("[model]\nepsilon = nan\n", "epsilon"),
+                      ("[model]\nepsilon = inf\n", "epsilon"),
+                      ("[model]\nhorizon = nan\n", "horizon"),
+                      ("[model]\nhorizon = inf\n", "horizon"),
+                      ("[run]\neps_list = 0.1, 0.0\n", "run.eps_list"),
+                      ("[run]\neps_list = 0.1, -0.05\n", "run.eps_list"),
+                      ("[run]\neps_list = 0.1, nan\n", "run.eps_list"),
+                      ("[run]\neps_list = inf, 0.1\n", "run.eps_list"),
+                      ("[noise]\nsize = uniform\nsize_mass = -1\n",
+                       "[noise] size_mass"),
+                      ("[noise]\nsize = uniform\nsize_mass = nan\n",
+                       "[noise] size_mass"),
+                      ("[noise]\nsize = alpha_stable\nstrength = -1\n",
+                       "[noise] strength"),
+                      ("[noise]\nsize = alpha_stable\nstrength = inf\n",
+                       "[noise] strength"),
+                      ("[noise]\nsize_atoms = 1.0:nan\n",
+                       "[noise] size_atoms"),
+                      ("[noise]\nsize_atoms = inf:1.0\n",
+                       "[noise] size_atoms"),
+                      ("[model]\nu0 = constant\n[grid]\nhalf_width = nan\n"
+                       "[run]\nsteps_list = 4\n", "half_width"),
+                      ("[grid]\nhalf_width = inf\n[run]\nsteps_list = 4\n",
+                       "half_width")):
         p.write_text(text)
         for verb in ("validate", "run", "study"):
             assert main([verb, "--config", str(p),

@@ -109,7 +109,8 @@ def test_residual_constant_state_near_zero():
     traj = sc.solve_path(spec, grid, 32, path)
     triple = sc.make_beta_theta(0.1, phi=spec.phi, flux=spec.flux)
     for psi in dg.test_function_catalog(2.0, 0.5)[:2]:
-        r = dg.entropy_residual(traj, path, triple, psi)
+        r = dg.entropy_residual(traj, path, triple, psi,
+                                sc.kirchhoff(spec.phi))
         assert abs(r) <= 5e-3  # time-quadrature noise only
 
 
@@ -121,7 +122,8 @@ def test_residual_zero_for_disjoint_test_function():
     traj = sc.solve_path(spec, grid, 8, path)
     triple = sc.make_beta_theta(0.1, phi=spec.phi, flux=spec.flux)
     far = dg.bump_test_function(np.array([3.5]), 0.4, 0.4)
-    assert dg.entropy_residual(traj, path, triple, far) == 0.0
+    assert dg.entropy_residual(traj, path, triple, far,
+                               sc.kirchhoff(spec.phi)) == 0.0
 
 
 def test_residual_heat_dissipation_reconciles_with_energy():
@@ -135,7 +137,7 @@ def test_residual_heat_dissipation_reconciles_with_energy():
     traj = sc.solve_path(spec, grid, n, path)
     triple = sc.make_quadratic(phi=spec.phi, flux=spec.flux)
     psi = dg.uniform_test_function(t_cut=0.45)
-    r = dg.entropy_residual(traj, path, triple, psi)
+    r = dg.entropy_residual(traj, path, triple, psi, sc.kirchhoff(spec.phi))
     assert r >= -1e-12
 
     # bookkeeping oracle: beta(u) = u^2/2 balances the viscous dissipation
@@ -162,14 +164,16 @@ def test_residual_theta_stability():
     path = sc.sample_jump_path(levy, 0.5, 4)
     traj = sc.solve_path(spec, grid, 16, path)
     psi = dg.test_function_catalog(3.0, 0.5)[0]
+    G = sc.kirchhoff(spec.phi)
     c_star = 0.0
     for theta in (0.4, 0.2, 0.1):
         r1 = dg.entropy_residual(
             traj, path,
-            sc.make_beta_theta(theta, phi=spec.phi, flux=spec.flux), psi)
+            sc.make_beta_theta(theta, phi=spec.phi, flux=spec.flux), psi, G)
         r2 = dg.entropy_residual(
             traj, path,
-            sc.make_beta_theta(theta / 2, phi=spec.phi, flux=spec.flux), psi)
+            sc.make_beta_theta(theta / 2, phi=spec.phi, flux=spec.flux), psi,
+            G)
         c_star = max(c_star, abs(r1 - r2) / theta)
     assert c_star <= 5.0
 
@@ -247,8 +251,8 @@ def test_moment_absorbing_zero():
     per_path = [dg.moment_path_rows(spec, grid, path, 2, 8)
                 for path in sampled_paths(spec, [0, 1, 2])]
     rep = dg.moment_bound_test(spec, 2, per_path)
-    np.testing.assert_array_equal(rep.moments, 0.0)
-    assert rep.k_fit == 0.0
+    np.testing.assert_array_equal(rep.mean, 0.0)
+    assert rep.fit == 0.0 and rep.knot == 0
 
 
 def test_moment_noiseless_nonincreasing():
@@ -257,8 +261,8 @@ def test_moment_noiseless_nonincreasing():
     per_path = [dg.moment_path_rows(spec, grid, path, 2, 16)
                 for path in sampled_paths(spec, [0])]
     rep = dg.moment_bound_test(spec, 2, per_path)
-    assert np.all(np.diff(rep.moments) <= 1e-12)
-    assert rep.k_fit <= 1e-9  # K = 0 is admissible
+    assert np.all(np.diff(rep.mean) <= 1e-12)
+    assert rep.fit <= 1e-9  # K = 0 is admissible
 
 
 def test_moment_oracle_requires_linear_family():
@@ -284,9 +288,9 @@ def test_contraction_identical_data_exact_zero():
     per_path = [dg.contraction_path_distances(spec, grid, path, spec.u0,
                                               1.5, 8)
                 for path in sampled_paths(spec, [0, 1])]
-    rep = dg.contraction_test(spec, grid, per_path)
-    assert rep.exact_zero
-    assert float(np.max(rep.distance)) == 0.0
+    rep = dg.contraction_test(spec, per_path)
+    assert float(np.max(rep.mean)) == 0.0
+    assert rep.fit == 0.0 and rep.fit_half == 0.0 and rep.stable
 
 
 def test_contraction_deterministic_l1_nonincreasing():
@@ -298,9 +302,9 @@ def test_contraction_deterministic_l1_nonincreasing():
     per_path = [dg.contraction_path_distances(spec, grid, path, v0, 50.0,
                                               16)
                 for path in sampled_paths(spec, [0])]
-    rep = dg.contraction_test(spec, grid, per_path)
-    assert np.all(np.diff(rep.distance) <= 1e-10)
-    assert rep.c_fit <= 1e-8
+    rep = dg.contraction_test(spec, per_path)
+    assert np.all(np.diff(rep.mean) <= 1e-10)
+    assert rep.fit <= 1e-8
 
 
 def test_contraction_weight_monotone_toward_unweighted():

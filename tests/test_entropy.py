@@ -345,7 +345,7 @@ def test_hot_paths_use_no_adaptive_quadrature(monkeypatch):
     out = _path_reductions(cfg, path_seed(cfg.get("run", "seed"), 0),
                            ("energy", "entropy_residual"))
     assert np.isfinite(out["residual_min"])
-    assert np.all(np.isfinite(out["grad_g_sq"]))
+    assert np.all(np.isfinite(out["energy"]["grad_g_sq"]))
     rng = np.random.default_rng(13)
     res = identity_check_batch(rng.uniform(-5, 5, 20), rng.uniform(-5, 5, 20),
                                sc.make_beta_theta(0.1), POROUS)
