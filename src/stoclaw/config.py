@@ -91,7 +91,6 @@ _SCHEMA = {
     "grid": {
         "half_width": (float, 2.0, None),
         "cells": (int, 64, None),
-        "bc": (str, "periodic", ("periodic", "dirichlet")),
     },
     "run": {
         "steps": (int, 32, None),
@@ -105,7 +104,6 @@ _SCHEMA = {
         "moment_orders": (_parse_ints, (2, 4), None),
         "identity_pairs": (int, 200, None),
         "isometry_paths": (int, 2000, None),
-        "max_principle_cap": (float, 1.0, None),
         "contraction_weight": (float, 4.0, None),
         "v0": (str, "", ("", "zero", "bump", "box", "constant")),
         "v0_height": (float, 1.0, None),
@@ -203,9 +201,6 @@ class ExperimentConfig:
         if not 0.0 < self.get("diagnostics", "contraction_weight") < inf:
             raise ConfigError(
                 "diagnostics.contraction_weight must be finite and > 0")
-        if not 0.0 <= self.get("diagnostics", "max_principle_cap") < inf:
-            raise ConfigError(
-                "diagnostics.max_principle_cap must be finite and >= 0")
         if "contraction" in self.get("diagnostics", "checks") and \
                 not self.get("diagnostics", "v0"):
             raise ConfigError(
@@ -251,8 +246,7 @@ class ExperimentConfig:
     def build_grid(self) -> Grid:
         return Grid(dim=self.get("model", "dim"),
                     half_width=self.get("grid", "half_width"),
-                    cells=self.get("grid", "cells"),
-                    bc=self.get("grid", "bc"))
+                    cells=self.get("grid", "cells"))
 
     def build_intensity(self) -> LevyIntensity:
         n = self.values["noise"]

@@ -239,7 +239,7 @@ def _check_residual(cfg, spec, grid, results, report):
         extras={"worst_case": tag, "coefficient": ENTROPY_TOL_COEFF}))
 
 
-def _check_max_principle(cfg, spec, results, report):
+def _check_max_principle(spec, results, report):
     if spec.m1 is None:
         report.add(CheckResult(
             name="max_principle", value=float("nan"), bound=float("nan"),
@@ -247,8 +247,7 @@ def _check_max_principle(cfg, spec, results, report):
             statement="sup bound requires a noise amplitude with compact "
                       "u-support"))
         return
-    rep = max_principle_test(spec, cfg.get("diagnostics", "max_principle_cap"),
-                             [r["max_abs"] for r in results])
+    rep = max_principle_test(spec, [r["max_abs"] for r in results])
     limit = rep.bound + rep.tolerance
     report.add(CheckResult(
         name="max_principle", value=rep.worst, bound=limit,
@@ -449,7 +448,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     if "entropy_residual" in selected:
         _check_residual(cfg, spec, grid, results, report)
     if "max_principle" in selected:
-        _check_max_principle(cfg, spec, results, report)
+        _check_max_principle(spec, results, report)
     if "moments" in selected:
         _check_moments(cfg, spec, results, report)
     if "isometry" in selected:

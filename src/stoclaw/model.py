@@ -102,12 +102,13 @@ class InitFamily:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered grid on [-L, L)^d."""
+    """Uniform cell-centered grid on the periodic torus [-L, L)^d, the one
+    truncation of R^d."""
 
     dim: int
     half_width: float
     cells: int
-    bc: str = "periodic"
+    bc = "periodic"  # not a field; perfbench/tracing.py reads it
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -116,8 +117,6 @@ class Grid:
             raise InvalidSpecError("need at least 4 cells per axis")
         if not 0.0 < self.half_width < math.inf:
             raise InvalidSpecError("half_width must be finite and positive")
-        if self.bc not in ("periodic", "dirichlet"):
-            raise InvalidSpecError("bc must be periodic or dirichlet")
 
     @property
     def h(self) -> float:
@@ -432,10 +431,11 @@ class ProblemSpec:
 
     @property
     def m1(self) -> Optional[float]:
-        """sup |eta| over the compact sigma support, None when unbounded."""
+        """sup |eta| for a sigma with compact u-support (0 for silent noise),
+        None otherwise: sigma = const never vanishes in u, so no sup bound."""
         if self.eta.is_zero:
             return 0.0
-        if self.eta.sigma_cap is None and self.eta.params.get("sigma") != "const":
+        if self.eta.sigma_cap is None:
             return None
         return self.eta.g_inf * self.eta.sigma_sup_box * self.h_max()
 
@@ -614,15 +614,11 @@ def validate_assumptions(spec: ProblemSpec, samples: int, seed: int,
 def discretize_initial(spec: ProblemSpec, grid: Grid) -> np.ndarray:
     """Sample the initial data at cell centers.
 
-    Compactly supported data must fit inside the truncation margin; constant
-    data is only meaningful on the periodic torus.
+    Compactly supported data must fit inside the truncation margin.
     """
     fam = spec.u0
-    if fam.support_radius is None:
-        if grid.bc != "periodic":
-            raise InvalidSpecError(
-                "u0 family %r needs periodic boundaries" % (fam.name,))
-    elif fam.support_radius > grid.half_width - grid.margin:
+    if fam.support_radius is not None and \
+            fam.support_radius > grid.half_width - grid.margin:
         raise DomainTooSmallError(
             "u0 support radius %.6g reaches the margin of [-%g, %g)^%d "
             "(margin %.6g)" % (fam.support_radius, grid.half_width,

@@ -2,9 +2,10 @@
 elliptic solve per step, driven by windowed compensated jump increments,
 plus the discrete energy terms.
 
-Spatial operators are second-order central differences on cell centers;
-div f(u) optionally switches to an Engquist-Osher monotone form.  Newton
-matrices go to LAPACK: ``dgtsv`` in 1D, ``dgbsv`` on a folded band in 2D.
+Spatial operators are second-order central differences on the cell
+centers of the periodic torus that truncates R^d; div f(u) optionally
+switches to an Engquist-Osher monotone form.  Newton matrices go to LAPACK:
+a cyclic ``dgtsv`` solve in 1D, ``dgbsv`` on a folded band in 2D.
 """
 
 from __future__ import annotations
@@ -48,13 +49,8 @@ class StepFailureError(RuntimeError):
 
 def _neighbor(u: np.ndarray, axis: int, step: int, grid: Grid) -> np.ndarray:
     """Value of the +1 (step > 0) or -1 neighbour of every cell along axis."""
-    cols_p, cols_m, ghost_p, ghost_m = _stencil(grid)[0][axis]
-    cols, ghost = (cols_p, ghost_p) if step > 0 else (cols_m, ghost_m)
-    uf = u.ravel()
-    nb = uf[cols]
-    if grid.bc == "dirichlet":
-        nb[ghost] = -uf[ghost]  # odd reflection: zero value at the boundary face
-    return nb.reshape(u.shape)
+    cols_p, cols_m = _stencil(grid)[0][axis]
+    return u.ravel()[cols_p if step > 0 else cols_m].reshape(u.shape)
 
 
 def laplacian(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -86,17 +82,8 @@ def grad_sq(u: np.ndarray, grid: Grid) -> float:
     h = grid.h
     vol = grid.cell_volume
     for ax in range(grid.dim):
-        if grid.bc == "periodic":
-            d = (_neighbor(u, ax, +1, grid) - u) / h
-            total += float(np.sum(d * d)) * vol
-        else:
-            d = np.diff(u, axis=ax) / h
-            total += float(np.sum(d * d)) * vol
-            for edge in (0, -1):
-                sl = [slice(None)] * u.ndim
-                sl[ax] = edge
-                ue = u[tuple(sl)]
-                total += 2.0 * float(np.sum(ue * ue)) / h ** 2 * vol
+        d = (_neighbor(u, ax, +1, grid) - u) / h
+        total += float(np.sum(d * d)) * vol
     return total
 
 
@@ -128,49 +115,35 @@ _STENCIL_CACHE: dict = {}
 def _stencil(grid: Grid):
     """Neighbour indices per axis and the band layout of I - dt J, per grid.
 
-    ``axes[ax] = (cols_p, cols_m, ghost_p, ghost_m)``: flat index of the +1
-    and -1 neighbour of every cell (wrapping), and the Dirichlet cells whose
-    neighbour on that side is the odd-reflection ghost.  Band positions
-    ``pos`` (inverse ``order``) fold each periodic axis of m cells, cell i
-    to 2i if 2i < m else 2(m-i)-1, so neighbours are at most ``k`` apart;
-    coefficients stacked as [diag, plus_0, minus_0, ...] at ``kept`` go to
-    flat ``slot`` of LAPACK's band storage transposed to ``(n, 3k+1)``.
+    ``axes[ax] = (cols_p, cols_m)``: flat index of the +1 and -1 neighbour
+    of every cell, wrapping around the torus.  Band positions ``pos``
+    (inverse ``order``) fold each axis of m cells, cell i to 2i if 2i < m
+    else 2(m-i)-1, so neighbours are at most ``k`` apart; coefficients
+    stacked as [diag, plus_0, minus_0, ...] go to flat ``slot`` of LAPACK's
+    band storage transposed to ``(n, 3k+1)``.
     """
-    key = (grid.dim, grid.cells, grid.bc)
+    key = (grid.dim, grid.cells)
     if key not in _STENCIL_CACHE:
-        n = grid.cells ** grid.dim
-        idx = np.arange(n).reshape(grid.shape)
+        idx = np.arange(grid.cells ** grid.dim).reshape(grid.shape)
         axes = []
         cols = [idx.ravel()]
-        keep = [np.ones(n, dtype=bool)]
         for ax in range(grid.dim):
             cols_p = np.roll(idx, -1, axis=ax).ravel()
             cols_m = np.roll(idx, +1, axis=ax).ravel()
-            ghost_p = np.zeros(grid.shape, dtype=bool)
-            ghost_m = np.zeros(grid.shape, dtype=bool)
-            if grid.bc == "dirichlet":
-                sl = [slice(None)] * grid.dim
-                sl[ax] = -1
-                ghost_p[tuple(sl)] = True
-                sl[ax] = 0
-                ghost_m[tuple(sl)] = True
-            axes.append((cols_p, cols_m, ghost_p.ravel(), ghost_m.ravel()))
+            axes.append((cols_p, cols_m))
             cols += [cols_p, cols_m]
-            keep += [~ghost_p.ravel(), ~ghost_m.ravel()]
         i = np.arange(grid.cells)
-        if grid.bc == "periodic":
-            i = np.where(2 * i < grid.cells, 2 * i, 2 * (grid.cells - i) - 1)
+        i = np.where(2 * i < grid.cells, 2 * i, 2 * (grid.cells - i) - 1)
         pos = np.ravel_multi_index(i[np.indices(grid.shape)],
                                    grid.shape).ravel()
-        kept = np.flatnonzero(np.concatenate(keep))
-        rows = pos[np.tile(idx.ravel(), len(cols))[kept]]
-        cols = pos[np.concatenate(cols)[kept]]
+        rows = pos[np.tile(idx.ravel(), len(cols))]
+        cols = pos[np.concatenate(cols)]
         k = int(np.max(np.abs(rows - cols)))
         # at least 4 cells per axis, so no two entries share a slot
         slot = cols * (3 * k + 1) + 2 * k + rows - cols
         # stable sort: the default quicksort maps 0.25 MB more numpy code
         order = np.argsort(pos, kind="stable")
-        _STENCIL_CACHE[key] = (axes, (k, pos, order, kept, slot))
+        _STENCIL_CACHE[key] = (axes, (k, pos, order, slot))
     return _STENCIL_CACHE[key]
 
 
@@ -181,65 +154,39 @@ def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid,
 
     Returns ``(diag, [(plus, minus), ...])``: row i of the Jacobian holds
     ``diag[i]`` on the diagonal and, per axis, ``plus[i]`` / ``minus[i]`` in
-    the columns ``cols_p[i]`` / ``cols_m[i]`` of :func:`_stencil` (zero
-    where that neighbour is a Dirichlet ghost, which folds into the diagonal).
+    the columns ``cols_p[i]`` / ``cols_m[i]`` of :func:`_stencil`.
     """
     axes, _ = _stencil(grid)
     h = grid.h
     h2 = h * h
     eps = spec.epsilon
     uf = u.ravel()
-    dirichlet = grid.bc == "dirichlet"
 
     if viscous_only:
         dphi = np.zeros_like(uf)
-        dphi_ghost = dphi
         with_flux = False
     else:
         dphi = np.asarray(spec.phi.dphi(uf), dtype=float)
-        dphi_ghost = (np.asarray(spec.phi.dphi(-uf), dtype=float)
-                      if dirichlet else None)
         with_flux = spec.flux.c_f > 0.0
 
     diag = np.zeros(uf.size)
     coefs = []
-    for ax, (cols_p, cols_m, ghost_p, ghost_m) in enumerate(axes):
+    for ax, (cols_p, cols_m) in enumerate(axes):
         plus = (dphi[cols_p] + eps) / h2
         minus = (dphi[cols_m] + eps) / h2
         diag += -2.0 * (dphi + eps) / h2
-        if dirichlet:
-            ghost_coef = -(dphi_ghost + eps) / h2
-            diag += np.where(ghost_p, ghost_coef, 0.0)
-            diag += np.where(ghost_m, ghost_coef, 0.0)
-            plus = np.where(ghost_p, 0.0, plus)
-            minus = np.where(ghost_m, 0.0, minus)
 
         if with_flux:
             comp = spec.flux.components[ax]
             if spec.flux_form == "central":
                 fp = np.asarray(comp.df(uf[cols_p]), dtype=float) / (2.0 * h)
                 fm = -np.asarray(comp.df(uf[cols_m]), dtype=float) / (2.0 * h)
-                if dirichlet:
-                    dg = np.asarray(comp.df(-uf), dtype=float)
-                    diag += np.where(ghost_p, -dg / (2.0 * h), 0.0)
-                    diag += np.where(ghost_m, dg / (2.0 * h), 0.0)
-                    fp = np.where(ghost_p, 0.0, fp)
-                    fm = np.where(ghost_m, 0.0, fm)
             else:
                 dfp = np.asarray(comp.dfplus(uf), dtype=float)
                 dfm = np.asarray(comp.dfminus(uf), dtype=float)
                 diag += (dfp - dfm) / h
                 fp = np.asarray(comp.dfminus(uf[cols_p]), dtype=float) / h
                 fm = -np.asarray(comp.dfplus(uf[cols_m]), dtype=float) / h
-                if dirichlet:
-                    diag += np.where(
-                        ghost_p, -np.asarray(comp.dfminus(-uf), dtype=float) / h,
-                        0.0)
-                    diag += np.where(
-                        ghost_m, np.asarray(comp.dfplus(-uf), dtype=float) / h,
-                        0.0)
-                    fp = np.where(ghost_p, 0.0, fp)
-                    fm = np.where(ghost_m, 0.0, fm)
             plus = plus + fp
             minus = minus + fm
         coefs.append((plus, minus))
@@ -248,46 +195,41 @@ def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid,
 
 def _band_matrix(diag, coefs, grid: Grid, dt: float):
     """``(k, pos, order, ab)``: I - dt J in the band of :func:`_stencil`."""
-    _, (k, pos, order, kept, slot) = _stencil(grid)
-    stacked = np.concatenate(
-        [1.0 - dt * diag] + [-dt * c for pair in coefs for c in pair])
+    _, (k, pos, order, slot) = _stencil(grid)
     ab = np.zeros((pos.size, 3 * k + 1))
-    ab.flat[slot] = stacked[kept]
+    ab.flat[slot] = np.concatenate(
+        [1.0 - dt * diag] + [-dt * c for pair in coefs for c in pair])
     return k, pos, order, ab.T
 
 
-def _solve_tridiagonal(d, up, lo, rhs, periodic: bool) -> np.ndarray:
-    """Solve lo[i] x[i-1] + d[i] x[i] + up[i] x[i+1] = rhs[i] with LAPACK
-    ``dgtsv`` (Gaussian elimination with partial pivoting).
+def _solve_tridiagonal(d, up, lo, rhs) -> np.ndarray:
+    """Solve lo[i] x[i-1] + d[i] x[i] + up[i] x[i+1] = rhs[i], indices
+    wrapping cyclically, with LAPACK ``dgtsv`` (Gaussian elimination with
+    partial pivoting).
 
-    With ``periodic`` the indices wrap, so ``lo[0]`` and ``up[-1]`` are the
-    corner entries; they are removed by a Sherman-Morrison correction
-    (Numerical Recipes 2.7) whose second right-hand side rides in the same
-    ``dgtsv`` call.  Otherwise ``lo[0]`` and ``up[-1]`` are ignored.
+    The corner entries ``lo[0]`` and ``up[-1]`` are removed by a
+    Sherman-Morrison correction (Numerical Recipes 2.7) whose second
+    right-hand side rides in the same ``dgtsv`` call.
     """
-    if not periodic:
-        _, _, _, x, info = dgtsv(lo[1:], d, up[:-1], rhs)
-    else:
-        # A = T + w v^T, w = (gamma, 0.., alpha), v = (1, 0.., beta/gamma).
-        # gamma opposes d[0] in sign and |gamma| >= |d[0]| + |beta|, so t[0]
-        # cannot cancel and |alpha beta / gamma| <= |alpha|.
-        alpha, beta = up[-1], lo[0]
-        gamma = -np.copysign(abs(d[0]) + abs(alpha) + abs(beta), d[0])
-        t = d.copy()
-        t[0] -= gamma
-        t[-1] -= alpha * beta / gamma
-        b = np.zeros((d.size, 2), order="F")
-        b[:, 0] = rhs
-        b[0, 1] = gamma
-        b[-1, 1] = alpha
-        _, _, _, yz, info = dgtsv(lo[1:], t, up[:-1], b)
-        y, z = yz[:, 0], yz[:, 1]
-        x = y - ((y[0] + beta * y[-1] / gamma)
-                 / (1.0 + z[0] + beta * z[-1] / gamma)) * z
+    # A = T + w v^T, w = (gamma, 0.., alpha), v = (1, 0.., beta/gamma).
+    # gamma opposes d[0] in sign and |gamma| >= |d[0]| + |beta|, so t[0]
+    # cannot cancel and |alpha beta / gamma| <= |alpha|.
+    alpha, beta = up[-1], lo[0]
+    gamma = -np.copysign(abs(d[0]) + abs(alpha) + abs(beta), d[0])
+    t = d.copy()
+    t[0] -= gamma
+    t[-1] -= alpha * beta / gamma
+    b = np.zeros((d.size, 2), order="F")
+    b[:, 0] = rhs
+    b[0, 1] = gamma
+    b[-1, 1] = alpha
+    _, _, _, yz, info = dgtsv(lo[1:], t, up[:-1], b)
     if info != 0:
         raise np.linalg.LinAlgError(
             "tridiagonal Newton matrix is singular (dgtsv info %d)" % info)
-    return x
+    y, z = yz[:, 0], yz[:, 1]
+    return y - ((y[0] + beta * y[-1] / gamma)
+                / (1.0 + z[0] + beta * z[-1] / gamma)) * z
 
 
 def _newton_direction(diag, coefs, grid: Grid, dt: float,
@@ -296,7 +238,7 @@ def _newton_direction(diag, coefs, grid: Grid, dt: float,
     if grid.dim == 1:
         plus, minus = coefs[0]
         return _solve_tridiagonal(1.0 - dt * diag, -dt * plus, -dt * minus,
-                                  rhs, grid.bc == "periodic")
+                                  rhs)
     k, pos, order, ab = _band_matrix(diag, coefs, grid, dt)
     _, _, x, info = dgbsv(k, k, ab, rhs[order], overwrite_ab=1)
     if info != 0:

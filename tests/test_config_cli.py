@@ -33,7 +33,6 @@ def small_config(**overrides):
 def test_defaults_complete():
     cfg = ExperimentConfig.defaults()
     assert cfg.get("model", "phi") == "linear"
-    assert cfg.get("grid", "bc") == "periodic"
 
 
 def test_unknown_section():
@@ -196,6 +195,20 @@ def test_moments_contraction_worker_count_invariance(tmp_path):
         assert name in report
 
 
+def test_moments_with_zero_u0_pass(tmp_path):
+    # u = 0 on every path: the growth fit binds at t = 0 and the closed-form
+    # rate, which needs a spatially constant u0, is not compared
+    cfg = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "moments-linear.cfg"))
+    cfg.set("model", "u0", "zero")
+    cfg.set("run", "paths", 4)
+    cfg.set("run", "steps", 8)
+    assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.csv").read_text()
+    assert report.count(",pass,") == 2
+
+
 def test_contraction_zero_row_for_equal_data(tmp_path):
     # v0 = u0: both solutions coincide under every noise path
     cfg = ExperimentConfig.from_file(
@@ -298,6 +311,7 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
                        "diagnostics.max_principle_cap"),
                       ("[diagnostics]\nmax_principle_cap = nan\n",
                        "diagnostics.max_principle_cap"),
+                      ("[grid]\nbc = dirichlet\n", "grid.bc"),
                       ("[model]\nepsilon = nan\n", "epsilon"),
                       ("[model]\nepsilon = inf\n", "epsilon"),
                       ("[model]\nhorizon = nan\n", "horizon"),

@@ -271,6 +271,37 @@ def test_moment_oracle_requires_linear_family():
         dg.linear_moment_rate(spec, 2, 0.01)
 
 
+def linear_moment_spec(u0):
+    eta = sc.eta_family("separable", g_kind="const", g_height=1.0,
+                        sigma_kind="linear", sigma_scale=0.5)
+    return make_spec(eta=eta, levy=atom_levy(), u0=u0)
+
+
+@pytest.mark.parametrize("u0", [sc.init_family("bump", height=1.0),
+                                sc.init_family("zero")], ids=["bump", "zero"])
+def test_moment_oracle_requires_constant_u0(u0):
+    # a compactly supported u0 (a bump, or zero) is not spatially constant:
+    # its cells interact through the diffusion, so the scalar recursion
+    # behind the closed-form rate does not hold
+    assert dg.linear_moment_rate(
+        linear_moment_spec(sc.init_family("constant")), 2, 0.01) > 0.0
+    with pytest.raises(ValueError, match="constant u0"):
+        dg.linear_moment_rate(linear_moment_spec(u0), 2, 0.01)
+
+
+def test_moment_oracle_skipped_at_knot_zero():
+    # a constant u0 of height 0 stays 0: the fit binds at t = 0, where the
+    # oracle band would be 0/0, so the oracle is not compared
+    spec = linear_moment_spec(sc.init_family("constant", height=0.0))
+    grid = sc.Grid(dim=1, half_width=2.0, cells=16)
+    per_path = [dg.moment_path_rows(spec, grid, path, 2, 4)
+                for path in sampled_paths(spec, [0, 1, 2])]
+    rep = dg.moment_bound_test(spec, 2, per_path,
+                               oracle_rate=dg.linear_moment_rate(spec, 2, 0.1))
+    assert rep.knot == 0 and rep.stable
+    assert rep.oracle_band is None and rep.within_oracle is None
+
+
 # ---------------------------------------------------------------------------
 # Contraction
 
@@ -344,29 +375,29 @@ def test_max_principle_bound_value():
     spec = make_spec(phi="stefan", flux="burgers", eps=0.05, eta=eta,
                      levy=levy, flux_form="engquist_osher",
                      u0=sc.init_family("bump", height=5.0, width=1.0))
-    rep = dg.max_principle_test(spec, 1.0, [4.9, 5.0 + 1e-7])
+    rep = dg.max_principle_test(spec, [4.9, 5.0 + 1e-7])
     # ||u0||_inf = 5 dominates M + M1 = 1.5
     assert rep.bound == pytest.approx(5.0)
     assert rep.worst == 5.0 + 1e-7 and rep.passed
-    # sigma's own cap is M; the caller's m_cap applies only without one
+    # sigma's own cap is M
     small = spec.with_u0(sc.init_family("bump", height=0.2, width=1.0))
-    assert dg.max_principle_test(small, 7.0, [0.1]).bound == \
-        pytest.approx(1.5)
-    const = make_spec(levy=levy, eta=sc.eta_family(
-        "separable", g_kind="const", g_height=1.0, sigma_kind="const",
-        sigma_scale=0.5))
-    rep = dg.max_principle_test(const, 2.0, [0.1, 3.0])
-    assert rep.bound == pytest.approx(2.5)
+    assert dg.max_principle_test(small, [0.1]).bound == pytest.approx(1.5)
+    # silent noise: M = M1 = 0 leaves the deterministic bound ||u0||_inf
+    silent = make_spec(u0=sc.init_family("bump", height=0.5, width=1.0))
+    rep = dg.max_principle_test(silent, [0.1, 0.51])
+    assert rep.bound == 0.5
     assert rep.passed is False
 
 
 def test_max_principle_requires_bounded_noise():
-    levy = atom_levy()
-    eta = sc.eta_family("separable", g_kind="const", g_height=1.0,
-                        sigma_kind="linear", sigma_scale=0.5)
-    spec = make_spec(eta=eta, levy=levy)
-    with pytest.raises(ValueError):
-        dg.max_principle_test(spec, 1.0, [0.0])
+    # neither amplitude vanishes for large |u|, so no sup bound applies
+    for sigma_kind in ("linear", "const"):
+        eta = sc.eta_family("separable", g_kind="const", g_height=1.0,
+                            sigma_kind=sigma_kind, sigma_scale=0.5)
+        spec = make_spec(eta=eta, levy=atom_levy())
+        assert spec.m1 is None
+        with pytest.raises(ValueError):
+            dg.max_principle_test(spec, [0.0])
 
 
 # ---------------------------------------------------------------------------

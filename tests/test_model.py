@@ -78,8 +78,6 @@ def test_grid_invariants():
     assert x[-1] == pytest.approx(2.0 - g.h / 2)
     with pytest.raises(InvalidSpecError):
         sc.Grid(dim=3, half_width=1.0, cells=8)
-    with pytest.raises(InvalidSpecError):
-        sc.Grid(dim=1, half_width=1.0, cells=8, bc="robin")
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +179,6 @@ def test_discretize_domain_too_small():
     grid = sc.Grid(dim=1, half_width=0.5, cells=16)
     with pytest.raises(DomainTooSmallError):
         sc.discretize_initial(spec, grid)
-
-
-def test_constant_u0_needs_periodic():
-    spec = make_spec(u0=sc.init_family("constant", height=1.0))
-    with pytest.raises(InvalidSpecError):
-        sc.discretize_initial(spec, sc.Grid(dim=1, half_width=1.0, cells=16,
-                                            bc="dirichlet"))
-    u = sc.discretize_initial(spec, sc.Grid(dim=1, half_width=1.0, cells=16))
-    assert np.all(u == 1.0)
 
 
 def test_l2_norm_first_order_in_h():
