@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from .config import ConfigError, ExperimentConfig
+from .diagnostics import STATUS_TEXT
 from .harness import convergence_study, replay, run_experiment
 from .model import VALIDATION_SAMPLES, InvalidSpecError, validate_assumptions
 from .solver import StepFailureError
@@ -32,9 +33,8 @@ def _status_code(any_failed: bool, any_inconclusive: bool) -> int:
 
 def _print_report(report) -> None:
     for c in report.checks:
-        status = {True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[c.passed]
         print("%-12s %-28s value=%.6g bound=%.6g" % (
-            status, c.name, c.value, c.bound))
+            STATUS_TEXT[c.passed].upper(), c.name, c.value, c.bound))
 
 
 def _cmd_validate(args) -> int:
@@ -72,9 +72,8 @@ def _cmd_study(args) -> int:
         return EXIT_INVALID
     failed = inconclusive = False
     for rep in reports:
-        status = {True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[rep.status]
         print("%-12s %-13s slope=%.4g ratios=%s" % (
-            status, rep.lane, rep.slope,
+            STATUS_TEXT[rep.status].upper(), rep.lane, rep.slope,
             ["%.3g" % r for r in rep.ratios]))
         failed |= rep.status is False
         inconclusive |= rep.status is None
@@ -94,38 +93,39 @@ def main(argv=None) -> int:
                     "degenerate parabolic conservation laws.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workers", type=int, default=1,
-                        help="processes for the per-path jobs of run, study "
-                             "and replay, at least 1 (results are identical "
-                             "for any worker count)")
-    common.add_argument("--seed", type=int, default=None,
+    # each verb takes only the flags it reads
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
                         help="override run.seed from the config")
-    common.add_argument("--out", default=None,
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--workers", type=int, default=1,
+                        help="processes for the per-path jobs, at least 1 "
+                             "(results are identical for any worker count)")
+    pooled.add_argument("--out", default=None,
                         help="output directory (default: config value)")
 
-    p_val = sub.add_parser("validate", parents=[common],
+    p_val = sub.add_parser("validate", parents=[seeded],
                            help="check config and structural assumptions")
     p_val.add_argument("--config", required=True)
     p_val.set_defaults(fn=_cmd_validate)
 
-    p_run = sub.add_parser("run", parents=[common],
+    p_run = sub.add_parser("run", parents=[seeded, pooled],
                            help="run the experiment and its diagnostics")
     p_run.add_argument("--config", required=True)
     p_run.set_defaults(fn=_cmd_run)
 
-    p_study = sub.add_parser("study", parents=[common],
+    p_study = sub.add_parser("study", parents=[seeded, pooled],
                              help="dt / viscosity convergence study")
     p_study.add_argument("--config", required=True)
     p_study.set_defaults(fn=_cmd_study)
 
-    p_replay = sub.add_parser("replay", parents=[common],
+    p_replay = sub.add_parser("replay", parents=[pooled],
                               help="re-execute a run from its manifest")
     p_replay.add_argument("--manifest", required=True)
     p_replay.set_defaults(fn=_cmd_replay)
 
     args = parser.parse_args(argv)
-    if args.workers < 1:
+    if getattr(args, "workers", 1) < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return EXIT_INVALID
     try:

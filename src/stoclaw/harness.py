@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .diagnostics import (ENTROPY_TOL_COEFF, STATUS_TEXT, THETA_VALUES,
+from .diagnostics import (STATUS_TEXT, THETA_VALUES,
                           CheckResult, DiagnosticsReport, cauchy_path_errors,
                           cauchy_rate_test, contraction_path_distances,
                           contraction_test, entropy_residual,
@@ -55,12 +55,13 @@ _PER_PATH_CHECKS = _RUN_TRAJECTORY_CHECKS | {"moments", "contraction"}
 
 def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
     """Every per-path reduction of the ``selected`` checks and study lanes
-    ("cauchy", "viscosity") on the path of ``seed``, sampled once."""
+    ("cauchy", "viscosity") on the path of ``seed``, sampled once: only
+    what an aggregator reads, each a reduction over whole trajectories."""
     spec = cfg.build_spec()
     grid = cfg.build_grid()
     n_steps = cfg.get("run", "steps")
     path = sample_jump_path(spec.levy, spec.horizon, seed)
-    out = {"seed": seed, "events": path.count}
+    out = {}
 
     if "moments" in selected:
         out["moments"] = [moment_path_rows(spec, grid, path, p, n_steps)
@@ -88,15 +89,11 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
     if need_residual:
         psis = test_function_catalog(grid.half_width, spec.horizon, grid.dim)
         worst = math.inf
-        worst_tag = ""
         for th in THETA_VALUES:
             triple = make_beta_theta(th, phi=spec.phi, flux=spec.flux)
             for psi in psis:
-                r = entropy_residual(traj, path, triple, psi, G)
-                if r < worst:
-                    worst, worst_tag = r, "theta=%g %s" % (th, psi.name)
+                worst = min(worst, entropy_residual(traj, path, triple, psi, G))
         out["residual_min"] = worst
-        out["residual_tag"] = worst_tag
     if "max_principle" in selected:
         out["max_abs"] = float(np.max(np.abs(traj.fields)))
     if "boundary_mass" in selected:
@@ -136,8 +133,7 @@ def _check_assumptions(cfg, spec, grid, report):
             value=e.worst_ratio, bound=1.0 + 1e-8,
             margin=1.0 + 1e-8 - e.worst_ratio, passed=e.passed,
             statement="worst sampled ratio of %s against its declared "
-                      "constant stays <= 1" % e.name,
-            extras={"detail": e.detail}))
+                      "constant stays <= 1" % e.name))
     report.add(CheckResult(
         name="assumption_a1_modulus_trend",
         value=float(rep.modulus_ratio[-1]),
@@ -145,9 +141,7 @@ def _check_assumptions(cfg, spec, grid, report):
         margin=float(rep.modulus_ratio[0] - rep.modulus_ratio[-1]),
         passed=bool(rep.modulus_decreasing) if rep.modulus_required else True,
         statement="sampled sup |sqrt(phi')(a)-sqrt(phi')(b)| / r^(2/3) "
-                  "trends to 0 (finite-sample trend, never a certification)",
-        extras={"required": rep.modulus_required,
-                "ratios": list(map(float, rep.modulus_ratio))}))
+                  "trends to 0 (finite-sample trend, never a certification)"))
 
 
 def _check_sandwich(report):
@@ -211,8 +205,7 @@ def _check_energy(cfg, spec, grid, results, report):
     dt = spec.horizon / n_steps
     means = {k: np.mean([r["energy"][k] for r in results], axis=0)
              for k in results[0]["energy"]}
-    u_norm = means["u_norm_sq"]
-    total = (float(np.max(u_norm))
+    total = (float(np.max(means["u_norm_sq"]))
              + spec.epsilon * dt * float(np.sum(means["grad_u_sq"]))
              + dt * float(np.sum(means["grad_g_sq"][1:])))
     finite = bool(np.isfinite(total))
@@ -220,8 +213,7 @@ def _check_energy(cfg, spec, grid, results, report):
         name="energy_bound", value=total, bound=float("inf"),
         margin=float("inf"), passed=finite,
         statement="sup_n E||u_n||^2 + eps dt sum E||grad u_n||^2 + dt sum "
-                  "E||grad G(u_n)||^2 stays bounded",
-        extras={"sup_u_norm_sq": float(np.max(u_norm))}))
+                  "E||grad G(u_n)||^2 stays bounded"))
     return means
 
 
@@ -230,13 +222,11 @@ def _check_residual(cfg, spec, grid, results, report):
     dt = spec.horizon / n_steps
     tol = entropy_tolerance(spec, grid, dt)
     worst = min(r["residual_min"] for r in results)
-    tag = min(results, key=lambda r: r["residual_min"])["residual_tag"]
     report.add(CheckResult(
         name="entropy_residual", value=worst, bound=-tol,
         margin=worst + tol, passed=bool(worst >= -tol),
         statement="entropy-inequality residual >= -C (eps + h + dt) for "
-                  "every path, test function, and smoothing scale",
-        extras={"worst_case": tag, "coefficient": ENTROPY_TOL_COEFF}))
+                  "every path, test function, and smoothing scale"))
 
 
 def _check_max_principle(spec, results, report):
@@ -253,8 +243,7 @@ def _check_max_principle(spec, results, report):
         name="max_principle", value=rep.worst, bound=limit,
         margin=limit - rep.worst, passed=rep.passed,
         statement="|u_n(x)| <= max(M + M1, ||u0||_inf) cellwise at every "
-                  "step on every path",
-        extras=rep.extras))
+                  "step on every path"))
 
 
 def _check_moments(cfg, spec, results, report):
@@ -273,10 +262,7 @@ def _check_moments(cfg, spec, results, report):
             margin=abs(rep.fit - rep.fit_half),
             passed=bool(passed),
             statement="finite growth rate K with E int |u|^p <= exp(K t) "
-                      "E int |u0|^p, stable under dt halving",
-            extras={"oracle_rate": oracle,
-                    "oracle_band": rep.oracle_band,
-                    "within_oracle": rep.within_oracle}))
+                      "E int |u0|^p, stable under dt halving"))
 
 
 def _check_isometry(cfg, spec, grid, report):
@@ -311,8 +297,7 @@ def _check_isometry(cfg, spec, grid, report):
         margin=(3.0 * se - dev) * sig ** 2,
         passed=bool(dev <= 3.0 * se),
         statement="per-cell variance of the compensated sum matches "
-                  "T g(x)^2 int h^2 dm within 3 sigma",
-        extras={"paths": n_paths, "var_emp": var_emp, "var_pred": var_pred}))
+                  "T g(x)^2 int h^2 dm within 3 sigma"))
 
 
 def _check_boundary_mass(cfg, spec, grid, results, report):
@@ -340,8 +325,7 @@ def _check_contraction(spec, grid, results, report):
         name="contraction_growth", value=rep.fit, bound=rep.fit_half,
         margin=abs(rep.fit - rep.fit_half), passed=bool(rep.stable),
         statement="weighted-L1 distance obeys exp(C t) with C stable under "
-                  "dt halving",
-        extras={"c_fit": rep.fit, "c_fit_half": rep.fit_half}))
+                  "dt halving"))
 
 
 def _check_determinism(cfg, spec, grid, report):
@@ -488,17 +472,11 @@ def convergence_study(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     results = _run_paths(cfg, jobs, workers) if lanes else []
     reports = []
     if steps_list:
-        rep = cauchy_rate_test(spec, steps_list,
-                               [r["cauchy"] for r in results if "cauchy" in r])
-        if len(steps_list) < 3:
-            rep.status = None  # too short for a stable rate fit
-        reports.append(rep)
+        reports.append(cauchy_rate_test(
+            spec, steps_list, [r["cauchy"] for r in results if "cauchy" in r]))
     if eps_list:
-        rep = viscosity_convergence_test(eps_list,
-                                         [r["viscosity"] for r in results])
-        if len(eps_list) < 3:
-            rep.status = None
-        reports.append(rep)
+        reports.append(viscosity_convergence_test(
+            eps_list, [r["viscosity"] for r in results]))
     with open(os.path.join(out_dir, "rates.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lane", "parameter", "error", "stderr", "ratio",

@@ -23,8 +23,8 @@ from .noise import JumpPath, compensated_increment
 __all__ = [
     "StepFailureError", "StepStats", "Trajectory", "implicit_step",
     "solve_path", "discrete_energy_report",
-    "l2_sq", "norm_l2", "norm_l1", "grad_sq", "laplacian", "divergence",
-    "mass_outside",
+    "cell_integral", "l2_sq", "norm_l2", "norm_l1", "grad_sq", "laplacian",
+    "divergence", "mass_outside",
 ]
 
 NEWTON_MAX_ITER = 50
@@ -76,19 +76,26 @@ def divergence(u: np.ndarray, spec: ProblemSpec, grid: Grid) -> np.ndarray:
     return out
 
 
-def grad_sq(u: np.ndarray, grid: Grid) -> float:
-    """Face-summed squared gradient matching the summation-by-parts identity."""
+def cell_integral(v: np.ndarray, grid: Grid):
+    """Midpoint integral over the cells of one field, or of each field of a
+    stack: sums the last ``grid.dim`` axes and scales by the cell volume."""
+    return np.sum(v, axis=tuple(range(-grid.dim, 0))) * grid.cell_volume
+
+
+def grad_sq(u: np.ndarray, grid: Grid):
+    """Face-summed squared gradient matching the summation-by-parts
+    identity, of one field or of each field of a stack."""
+    flat = u.reshape(u.shape[:u.ndim - grid.dim] + (-1,))
     total = 0.0
-    h = grid.h
-    vol = grid.cell_volume
-    for ax in range(grid.dim):
-        d = (_neighbor(u, ax, +1, grid) - u) / h
-        total += float(np.sum(d * d)) * vol
+    for cols_p, _ in _stencil(grid)[0]:
+        d = (flat[..., cols_p] - flat) / grid.h
+        total = total + cell_integral((d * d).reshape(u.shape), grid)
     return total
 
 
-def l2_sq(u: np.ndarray, grid: Grid) -> float:
-    return float(np.sum(u * u)) * grid.cell_volume
+def l2_sq(u: np.ndarray, grid: Grid):
+    """||u||^2 of one field, or of each field of a stack."""
+    return cell_integral(u * u, grid)
 
 
 def norm_l2(u: np.ndarray, grid: Grid) -> float:
@@ -96,7 +103,7 @@ def norm_l2(u: np.ndarray, grid: Grid) -> float:
 
 
 def norm_l1(u: np.ndarray, grid: Grid) -> float:
-    return float(np.sum(np.abs(u))) * grid.cell_volume
+    return float(cell_integral(np.abs(u), grid))
 
 
 def mass_outside(u: np.ndarray, grid: Grid) -> float:
@@ -437,22 +444,18 @@ def discrete_energy_report(traj: Trajectory,
     ``u_norm_sq`` ||u_k||^2 and ``grad_g_sq`` ||grad G(u_k)||^2 at k = 0..N,
     ``increment_sq`` ||u_{k+1} - u_k||^2, and ``grad_phi_sq`` and
     ``grad_u_sq`` (||grad phi(u)||^2 and ||grad u||^2) at u_{k+1}, k < N.
+
+    Each term is one reduction over the trajectory's field stack; G is
+    evaluated once on all N+1 fields and phi once on u_1..u_N.
     """
     grid = traj.grid
-    n = traj.n_steps
-    g_vals = kirchhoff_fn(traj.fields.reshape(n + 1, -1)).reshape(
-        traj.fields.shape)
+    u = traj.fields
+    g_vals = kirchhoff_fn(u.reshape(len(u), -1)).reshape(u.shape)
     return {
-        "u_norm_sq": np.array([l2_sq(traj.fields[k], grid)
-                               for k in range(n + 1)]),
-        "increment_sq": np.array([
-            l2_sq(traj.fields[k + 1] - traj.fields[k], grid)
-            for k in range(n)]),
-        "grad_phi_sq": np.array([
-            grad_sq(np.asarray(traj.spec.phi.phi(traj.fields[k + 1]),
-                               dtype=float), grid) for k in range(n)]),
-        "grad_u_sq": np.array([grad_sq(traj.fields[k + 1], grid)
-                               for k in range(n)]),
-        "grad_g_sq": np.array([grad_sq(g_vals[k], grid)
-                               for k in range(n + 1)]),
+        "u_norm_sq": l2_sq(u, grid),
+        "increment_sq": l2_sq(u[1:] - u[:-1], grid),
+        "grad_phi_sq": grad_sq(
+            np.asarray(traj.spec.phi.phi(u[1:]), dtype=float), grid),
+        "grad_u_sq": grad_sq(u[1:], grid),
+        "grad_g_sq": grad_sq(g_vals, grid),
     }

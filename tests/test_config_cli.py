@@ -337,9 +337,10 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
                       ("[grid]\nhalf_width = inf\n[run]\nsteps_list = 4\n",
                        "half_width")):
         p.write_text(text)
-        for verb in ("validate", "run", "study"):
-            assert main([verb, "--config", str(p),
-                         "--out", str(tmp_path / "bad")]) == 2
+        for verb, out in (("validate", []),
+                          ("run", ["--out", str(tmp_path / "bad")]),
+                          ("study", ["--out", str(tmp_path / "bad")])):
+            assert main([verb, "--config", str(p)] + out) == 2
             assert key in capsys.readouterr().err
     # a pool needs at least one worker
     good = write_config(tmp_path, small_config())
@@ -348,6 +349,14 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
             assert main([verb, "--config", good, "--workers", workers,
                          "--out", str(tmp_path / "w")]) == 2
             assert "--workers must be >= 1" in capsys.readouterr().err
+    # a flag the verb does not read is an argparse error, not ignored
+    for argv in (["replay", "--manifest", good, "--seed", "3"],
+                 ["validate", "--config", good, "--workers", "2"],
+                 ["validate", "--config", good, "--out", str(tmp_path)]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_2():

@@ -6,7 +6,8 @@ import pytest
 import stoclaw as sc
 import stoclaw.solver as solver_mod
 from stoclaw.noise import JumpPath, LevyIntensity, SizeMeasure
-from stoclaw.solver import StepFailureError, grad_sq, laplacian, norm_l2
+from stoclaw.solver import (StepFailureError, cell_integral, grad_sq, l2_sq,
+                            laplacian, norm_l2)
 
 
 def silent_levy():
@@ -383,3 +384,28 @@ def test_grad_sq_matches_summation_by_parts():
     u = rng.uniform(-1, 1, 32)
     lhs = -float(np.sum(laplacian(u, grid) * u)) * grid.cell_volume
     np.testing.assert_allclose(lhs, grad_sq(u, grid), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 96), (2, 32)])
+def test_stacked_reductions_match_per_field(dim, cells):
+    # a whole-trajectory reduction gives each field's per-field loop value,
+    # summed cell by cell as before the stack form, bit for bit
+    grid = sc.Grid(dim=dim, half_width=3.0, cells=cells)
+    stack = np.random.default_rng(11).normal(size=(9,) + grid.shape)
+    vol = grid.cell_volume
+
+    def grad_loop(u):
+        total = 0.0
+        for ax in range(dim):
+            d = (solver_mod._neighbor(u, ax, +1, grid) - u) / grid.h
+            total += float(np.sum(d * d)) * vol
+        return total
+
+    for reduce, loop in (
+            (l2_sq, lambda u: float(np.sum(u * u)) * vol),
+            (grad_sq, grad_loop),
+            (lambda u, g: cell_integral(np.abs(u) ** 4, g),
+             lambda u: float(np.sum(np.abs(u) ** 4)) * vol)):
+        want = [loop(u) for u in stack]
+        np.testing.assert_array_equal(reduce(stack, grid), want)
+        np.testing.assert_array_equal([reduce(u, grid) for u in stack], want)
