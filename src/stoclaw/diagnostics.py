@@ -11,8 +11,9 @@ exponential growth of the seed-order mean at n and 2n steps, and call it
 stable when the two fits agree.
 
 Space-time integrals against a test function use the trajectory's own grid
-(midpoint in space, trapezoid in time at the step knots); test
-function derivatives are analytic, never differenced.
+(midpoint in space, trapezoid in time at the step knots); test functions
+are separable, psi = a(t) b(x), with analytic derivatives, so each integral
+contracts the whole (N+1, *shape) field stack with b and a knot vector.
 """
 
 from __future__ import annotations
@@ -50,26 +51,37 @@ class TestFunction:
     """Separable psi(t, x) = a(t) b(x) >= 0 with analytic derivatives.
 
     Compactly supported in [0, t_cut) x domain interior; the spatial factor
-    is C^2, the time factor C^1.
+    is C^2, the time factor C^1. At an array of times, psi and its
+    derivatives are outer products of the time and the spatial factor.
     """
 
     name: str
-    value: Callable      # (t, coords) -> (...)
-    dt: Callable         # time derivative
-    grad: Callable       # (t, coords) -> (..., d)
-    lap: Callable
+    a: Callable          # t -> time factor
+    da: Callable         # its derivative
+    b: Callable          # coords (..., d) -> (...)
+    grad_b: Callable     # coords -> (..., d)
+    lap_b: Callable
 
     def __call__(self, t, coords):
-        return self.value(t, coords)
+        return np.multiply.outer(self.a(t), self.b(coords))
+
+    def dt(self, t, coords):
+        return np.multiply.outer(self.da(t), self.b(coords))
+
+    def grad(self, t, coords):
+        return np.multiply.outer(self.a(t), self.grad_b(coords))
+
+    def lap(self, t, coords):
+        return np.multiply.outer(self.a(t), self.lap_b(coords))
 
 
 def _time_cutoff(t_cut: float):
     def a(t):
-        s = max(0.0, 1.0 - t / t_cut)
+        s = np.maximum(0.0, 1.0 - t / t_cut)
         return s * s
 
     def da(t):
-        s = max(0.0, 1.0 - t / t_cut)
+        s = np.maximum(0.0, 1.0 - t / t_cut)
         return -2.0 * s / t_cut
 
     return a, da
@@ -100,23 +112,18 @@ def bump_test_function(center, width: float, t_cut: float,
         d = coords.shape[-1]
         return 24.0 * v * r2 / width ** 4 - 6.0 * v * v * d / width ** 2
 
-    return TestFunction(
-        name=name,
-        value=lambda t, x: a(t) * b(x),
-        dt=lambda t, x: da(t) * b(x),
-        grad=lambda t, x: a(t) * grad_b(x),
-        lap=lambda t, x: a(t) * lap_b(x))
+    return TestFunction(name=name, a=a, da=da, b=b, grad_b=grad_b,
+                        lap_b=lap_b)
 
 
 def uniform_test_function(t_cut: float, name: str = "uniform") -> TestFunction:
     """Spatially constant test function; admissible on the periodic torus."""
     a, da = _time_cutoff(t_cut)
     return TestFunction(
-        name=name,
-        value=lambda t, x: a(t) * np.ones(x.shape[:-1]),
-        dt=lambda t, x: da(t) * np.ones(x.shape[:-1]),
-        grad=lambda t, x: np.zeros(x.shape),
-        lap=lambda t, x: np.zeros(x.shape[:-1]))
+        name=name, a=a, da=da,
+        b=lambda x: np.ones(x.shape[:-1]),
+        grad_b=lambda x: np.zeros(x.shape),
+        lap_b=lambda x: np.zeros(x.shape[:-1]))
 
 
 def test_function_catalog(half_width: float, horizon: float,
@@ -238,52 +245,40 @@ def entropy_residual(traj: Trajectory, path: JumpPath, triple: EntropyTriple,
 
     Positive part of the inequality minus the dissipation term plus the
     initial term; nonnegative for an exact entropy solution, and bounded
-    below by -C (eps + h + dt) for the viscous scheme.
+    below by -C (eps + h + dt) for the viscous scheme. Each term sums a
+    function of the field stack against b over cells, then against the
+    trapezoid weights times a or a' over knots; the dissipation takes face
+    averages of b and beta''.
     """
-    spec, grid = traj.spec, traj.grid
+    grid = traj.grid
+    u = traj.fields
     coords = grid.coords()
-    vol = grid.cell_volume
-    dt = traj.dt
-    n = traj.n_steps
-    w_t = _trapezoid_weights(n, dt)
-    times = traj.times
+    w_t = _trapezoid_weights(traj.n_steps, traj.dt)
+    w_a = w_t * psi.a(traj.times)
+    b = psi.b(coords)
 
-    t_time = t_lap = t_flux = t_diss = 0.0
-    have_nu = triple.nu is not None
-    have_zeta = triple.zeta is not None
-    for k in range(n + 1):
-        u = traj.fields[k]
-        tk = times[k]
-        t_time += w_t[k] * float(np.sum(triple.beta(u) * psi.dt(tk, coords))) * vol
-        if have_nu:
-            t_lap += w_t[k] * float(np.sum(triple.nu(u) * psi.lap(tk, coords))) * vol
-        if have_zeta:
-            zeta_u = triple.zeta(u)
-            t_flux -= w_t[k] * float(
-                np.sum(np.sum(zeta_u * psi.grad(tk, coords), axis=-1))) * vol
-        g_u = np.asarray(kirchhoff_fn(u), dtype=float)
-        t_diss += w_t[k] * _face_dissipation(g_u, u, triple, psi, tk, grid)
+    beta_b = cell_integral(triple.beta(u) * b, grid)
+    t_time = (w_t * psi.da(traj.times)) @ beta_b
+    t_lap = t_flux = 0.0
+    if triple.nu is not None:
+        t_lap = w_a @ cell_integral(triple.nu(u) * psi.lap_b(coords), grid)
+    if triple.zeta is not None:
+        t_flux = -(w_a @ cell_integral(
+            np.sum(triple.zeta(u) * psi.grad_b(coords), axis=-1), grid))
 
-    t_noise = martingale_term(path, spec, grid, traj, triple, psi)
-    t_init = float(np.sum(triple.beta(traj.fields[0]) * psi(0.0, coords))) * vol
-    return t_time + t_lap + t_flux + t_noise - t_diss + t_init
+    # one G call per field: perfbench pins 496P kirchhoff evals until D1
+    g_u = np.stack([kirchhoff_fn(v) for v in u])
+    d2 = triple.d2beta(u)
+    t_diss = 0.0
+    for ax in range(-grid.dim, 0):
+        diff = (np.roll(g_u, -1, axis=ax) - g_u) / grid.h
+        t_diss += w_a @ cell_integral(
+            diff * diff * 0.5 * (b + np.roll(b, -1, axis=ax))
+            * 0.5 * (d2 + np.roll(d2, -1, axis=ax)), grid)
 
-
-def _face_dissipation(g_u, u, triple, psi, t, grid) -> float:
-    """sum over faces of beta''(u) |grad G(u)|^2 psi with face averages."""
-    total = 0.0
-    h = grid.h
-    vol = grid.cell_volume
-    psi_c = psi(t, grid.coords())
-    d2_c = triple.d2beta(u)
-    for ax in range(grid.dim):
-        g_n = np.roll(g_u, -1, axis=ax)
-        psi_n = np.roll(psi_c, -1, axis=ax)
-        d2_n = np.roll(d2_c, -1, axis=ax)
-        diff = (g_n - g_u) / h
-        total += float(np.sum(diff * diff * 0.5 * (psi_c + psi_n)
-                              * 0.5 * (d2_c + d2_n))) * vol
-    return total
+    t_noise = martingale_term(path, traj.spec, grid, traj, triple, psi)
+    t_init = psi.a(0.0) * beta_b[0]
+    return float(t_time + t_lap + t_flux + t_noise - t_diss + t_init)
 
 
 def calibrate_entropy_tolerance(samples: Sequence[tuple]) -> float:

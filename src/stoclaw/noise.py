@@ -226,30 +226,31 @@ def martingale_term(path: JumpPath, spec, grid, traj, triple, psi) -> float:
 
     In their sum the compensator's beta(u + eta) terms cancel, leaving the
     jump sum of beta(u_n + eta_j) - beta(u_n) against psi(t_j), with u_n the
-    state of the step window containing event j, minus the linear
-    compensator dt x rate x sum_n g sigma(u_n) beta'(u_n) psibar_n, where
-    psibar_n is the trapezoid average of psi over step n and rate is the
-    lambda(O) int h dmu that ``compensated_increment`` subtracts.
+    state of the step window [n dt, (n+1) dt) containing event j (events at
+    t >= N dt fall in no window), minus the linear compensator
+    dt x rate x sum_n g sigma(u_n) beta'(u_n) psibar_n, where psibar_n is
+    the trapezoid average of psi over step n and rate is the
+    lambda(O) int h dmu that ``compensated_increment`` subtracts. Both sums
+    are one array expression each, over (events, cells) and (N, cells).
     """
     if spec.eta.is_zero:
         return 0.0
     coords = grid.coords()
-    gx = spec.eta.g(coords)
     vol = grid.cell_volume
-    dt = traj.dt
+    u = traj.fields[:-1]
+    amp_u = spec.eta.g(coords) * spec.eta.sigma(u)
     rate = path.intensity.h_moment(spec.eta.h_power)
 
-    jumps = comp = 0.0
-    for n in range(traj.n_steps):
-        u = traj.fields[n]
-        amp_u = gx * spec.eta.sigma(u)
-        # the window the solver's compensated_increment used for step n
-        sl = path.window(n * dt, (n + 1) * dt)
-        for t_j, v_j in zip(path.times[sl], path.sizes[sl]):
-            amp = amp_u * float(spec.eta.h(v_j))
-            jumps += float(np.sum((triple.beta(u + amp) - triple.beta(u))
-                                  * psi(t_j, coords))) * vol
-        psi_bar = 0.5 * (psi(n * dt, coords) + psi((n + 1) * dt, coords))
-        comp += float(np.sum(amp_u * triple.dbeta(u) * psi_bar))
-    return jumps - dt * rate * comp * vol
+    # each event's step: the solver's window path.window(n dt, (n+1) dt)
+    step = np.searchsorted(traj.times, path.times, side="right") - 1
+    inside = step < traj.n_steps
+    step, t_j = step[inside], path.times[inside]
+    h_j = spec.eta.h(path.sizes[inside]).reshape((-1,) + (1,) * grid.dim)
+    u_j = u[step]
+    jumps = float(np.sum((triple.beta(u_j + amp_u[step] * h_j)
+                          - triple.beta(u_j)) * psi(t_j, coords))) * vol
 
+    a = psi.a(traj.times)
+    comp = (0.5 * (a[:-1] + a[1:])) @ np.sum(
+        amp_u * triple.dbeta(u) * psi.b(coords), axis=tuple(range(1, u.ndim)))
+    return float(jumps - traj.dt * rate * comp * vol)

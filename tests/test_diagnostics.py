@@ -1,12 +1,18 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 import stoclaw as sc
 from stoclaw import diagnostics as dg
+from stoclaw.config import ExperimentConfig
+from stoclaw.harness import path_seed
 from stoclaw.noise import JumpPath, LevyIntensity, SizeMeasure
 from stoclaw.solver import l2_sq
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def silent_levy():
@@ -80,6 +86,26 @@ def test_catalog_properties():
         # compact support inside [0, T) x interior
         assert np.all(psi(0.5, coords) == 0.0)
         assert vals[0] == 0.0 and vals[-1] == 0.0
+
+
+def test_separable_tables_match_per_time_values():
+    # psi and its derivatives at an array of times are the per-time values,
+    # bit for bit, past the time cutoff included
+    grid2 = sc.Grid(dim=2, half_width=1.0, cells=8)
+    cases = [
+        (dg.bump_test_function(np.array([0.3]), 0.8, 0.4),
+         np.linspace(-0.45, 1.05, 31)[:, None]),
+        (dg.bump_test_function(np.array([0.1, -0.2]), 0.9, 0.4),
+         grid2.coords()),
+        (dg.uniform_test_function(0.4), grid2.coords()),
+    ]
+    times = np.linspace(0.0, 0.6, 13)
+    for psi, x in cases:
+        for fn in (psi, psi.dt, psi.grad, psi.lap):
+            table = fn(times, x)
+            assert table.shape == times.shape + fn(0.1, x).shape
+            for k, t in enumerate(times):
+                assert np.array_equal(table[k], fn(float(t), x))
 
 
 def test_weight_tail_identity_and_monotonicity():
@@ -192,6 +218,131 @@ def test_calibration_runs_without_noise_intensity():
     grid = sc.Grid(dim=1, half_width=2.0, cells=16)
     coeff = dg.calibrate_entropy_tolerance([(spec, grid, 4)])
     assert np.isfinite(coeff) and coeff >= 0.05
+
+
+# The per-knot residual the stack contractions replaced, kept as the
+# reference: one pass per knot for the time, laplacian, flux and face terms,
+# and one window per step for the noise term's events.
+
+def _oracle_martingale_term(path, spec, grid, traj, triple, psi):
+    if spec.eta.is_zero:
+        return 0.0
+    coords = grid.coords()
+    gx = spec.eta.g(coords)
+    vol = grid.cell_volume
+    dt = traj.dt
+    rate = path.intensity.h_moment(spec.eta.h_power)
+    jumps = comp = 0.0
+    for n in range(traj.n_steps):
+        u = traj.fields[n]
+        amp_u = gx * spec.eta.sigma(u)
+        sl = path.window(n * dt, (n + 1) * dt)
+        for t_j, v_j in zip(path.times[sl], path.sizes[sl]):
+            amp = amp_u * float(spec.eta.h(v_j))
+            jumps += float(np.sum((triple.beta(u + amp) - triple.beta(u))
+                                  * psi(t_j, coords))) * vol
+        psi_bar = 0.5 * (psi(n * dt, coords) + psi((n + 1) * dt, coords))
+        comp += float(np.sum(amp_u * triple.dbeta(u) * psi_bar))
+    return jumps - dt * rate * comp * vol
+
+
+def _oracle_face_dissipation(g_u, u, triple, psi, t, grid):
+    total = 0.0
+    h = grid.h
+    vol = grid.cell_volume
+    psi_c = psi(t, grid.coords())
+    d2_c = triple.d2beta(u)
+    for ax in range(grid.dim):
+        g_n = np.roll(g_u, -1, axis=ax)
+        psi_n = np.roll(psi_c, -1, axis=ax)
+        d2_n = np.roll(d2_c, -1, axis=ax)
+        diff = (g_n - g_u) / h
+        total += float(np.sum(diff * diff * 0.5 * (psi_c + psi_n)
+                              * 0.5 * (d2_c + d2_n))) * vol
+    return total
+
+
+def _oracle_entropy_residual(traj, path, triple, psi, kirchhoff_fn):
+    spec, grid = traj.spec, traj.grid
+    coords = grid.coords()
+    vol = grid.cell_volume
+    dt = traj.dt
+    n = traj.n_steps
+    w_t = np.full(n + 1, dt)
+    w_t[0] = w_t[-1] = 0.5 * dt
+    t_time = t_lap = t_flux = t_diss = 0.0
+    for k in range(n + 1):
+        u = traj.fields[k]
+        tk = traj.times[k]
+        t_time += w_t[k] * float(np.sum(triple.beta(u)
+                                        * psi.dt(tk, coords))) * vol
+        if triple.nu is not None:
+            t_lap += w_t[k] * float(np.sum(triple.nu(u)
+                                           * psi.lap(tk, coords))) * vol
+        if triple.zeta is not None:
+            t_flux -= w_t[k] * float(np.sum(np.sum(
+                triple.zeta(u) * psi.grad(tk, coords), axis=-1))) * vol
+        g_u = np.asarray(kirchhoff_fn(u), dtype=float)
+        t_diss += w_t[k] * _oracle_face_dissipation(g_u, u, triple, psi, tk,
+                                                    grid)
+    t_noise = _oracle_martingale_term(path, spec, grid, traj, triple, psi)
+    t_init = float(np.sum(triple.beta(traj.fields[0])
+                          * psi(0.0, coords))) * vol
+    return t_time + t_lap + t_flux + t_noise - t_diss + t_init
+
+
+def _assert_residuals_match_oracle(spec, grid, traj, path):
+    G = sc.kirchhoff(spec.phi)
+    psis = dg.test_function_catalog(grid.half_width, spec.horizon, grid.dim)
+    for theta in dg.THETA_VALUES:
+        triple = sc.make_beta_theta(theta, phi=spec.phi, flux=spec.flux)
+        for psi in psis:
+            assert abs(sc.martingale_term(path, spec, grid, traj, triple, psi)
+                       - _oracle_martingale_term(path, spec, grid, traj,
+                                                 triple, psi)) <= 1e-12
+            assert abs(dg.entropy_residual(traj, path, triple, psi, G)
+                       - _oracle_entropy_residual(traj, path, triple, psi,
+                                                  G)) <= 1e-12
+
+
+# Stefan's G is flat where the bundled u lives, so its dissipation term is
+# 0; the porous cases give every face term weight.
+@pytest.mark.parametrize("dim, cells, steps, n_paths, phi",
+                         [(1, 96, 32, 3, "stefan"), (2, 16, 8, 1, "porous")])
+def test_residual_matches_per_knot_oracle(dim, cells, steps, n_paths, phi):
+    cfg = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
+    cfg.set("model", "dim", dim)
+    cfg.set("model", "phi", phi)
+    cfg.set("grid", "cells", cells)
+    spec, grid = cfg.build_spec(), cfg.build_grid()
+    events = 0
+    for k in range(n_paths):
+        path = sc.sample_jump_path(
+            spec.levy, spec.horizon, path_seed(cfg.get("run", "seed"), k))
+        events += path.count
+        traj = sc.solve_path(spec, grid, steps, path)
+        _assert_residuals_match_oracle(spec, grid, traj, path)
+    assert events > 0
+
+
+def test_residual_matches_oracle_with_events_on_knots():
+    # dt = 1/9: the event at 7 dt divides back to just under knot 7 but
+    # belongs to window 7; the event at N dt lies in no window
+    levy = atom_levy(mass=1.0, v=0.7)
+    eta = sc.eta_family("separable", g_kind="const", g_height=1.0,
+                        sigma_kind="compact", sigma_scale=0.8, sigma_cap=1.0)
+    spec = make_spec(phi="porous", flux="burgers", eps=0.05, eta=eta,
+                     levy=levy, horizon=1.0, flux_form="engquist_osher")
+    grid = sc.Grid(dim=1, half_width=2.0, cells=32)
+    n_steps = 9
+    dt = spec.horizon / n_steps
+    t_knot = 7 * dt
+    assert int(t_knot / dt) == 6
+    path = JumpPath(np.array([0.3, t_knot, n_steps * dt]),
+                    np.array([0.7, 0.7, 0.7]), 1.0, levy)
+    traj = sc.solve_path(spec, grid, n_steps, path)
+    _assert_residuals_match_oracle(spec, grid, traj, path)
 
 
 # ---------------------------------------------------------------------------
