@@ -58,7 +58,6 @@ _SCHEMA = {
         "phi_scale": (float, 1.0, None),
         "flux": (str, "zero", ("zero", "linear", "burgers")),
         "flux_scale": (float, 1.0, None),
-        "flux_form": (str, "central", ("central", "engquist_osher")),
         "u0": (str, "bump", ("zero", "bump", "box", "constant")),
         "u0_height": (float, 1.0, None),
         "u0_center": (float, 0.0, None),
@@ -279,8 +278,7 @@ class ExperimentConfig:
                          center=m["u0_center"], width=m["u0_width"], dim=dim)
         return ProblemSpec(
             phi=phi, flux=flux, eta=eta, u0=u0, levy=self.build_intensity(),
-            epsilon=m["epsilon"], horizon=m["horizon"], dim=dim,
-            flux_form=m["flux_form"])
+            epsilon=m["epsilon"], horizon=m["horizon"], dim=dim)
 
     def build_v0(self):
         name = self.get("diagnostics", "v0")

@@ -392,7 +392,6 @@ class ProblemSpec:
     epsilon: float
     horizon: float
     dim: int
-    flux_form: str = "central"  # central | engquist_osher
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < math.inf:
@@ -401,8 +400,6 @@ class ProblemSpec:
         if not 0.0 < self.horizon < math.inf:
             raise InvalidSpecError(
                 "horizon must be finite and > 0, got %r" % (self.horizon,))
-        if self.flux_form not in ("central", "engquist_osher"):
-            raise InvalidSpecError("flux_form must be central or engquist_osher")
         if self.flux.dim != self.dim:
             raise InvalidSpecError("flux dimension does not match spec dim")
 

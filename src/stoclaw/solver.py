@@ -2,10 +2,10 @@
 elliptic solve per step, driven by windowed compensated jump increments,
 plus the discrete energy terms.
 
-Spatial operators are second-order central differences on the cell
-centers of the periodic torus that truncates R^d; div f(u) optionally
-switches to an Engquist-Osher monotone form.  Newton matrices go to LAPACK:
-a cyclic ``dgtsv`` solve in 1D, ``dgbsv`` on a folded band in 2D.
+The diffusion terms are second-order central differences on the cell
+centers of the periodic torus that truncates R^d; div f(u) is the
+Engquist-Osher flux splitting.  Newton matrices go to LAPACK: a cyclic
+``dgtsv`` solve in 1D, ``dgbsv`` on a folded band in 2D.
 """
 
 from __future__ import annotations
@@ -66,13 +66,9 @@ def divergence(u: np.ndarray, spec: ProblemSpec, grid: Grid) -> np.ndarray:
     out = np.zeros_like(u)
     h = grid.h
     for ax, comp in enumerate(spec.flux.components):
-        if spec.flux_form == "central":
-            out += (comp.f(_neighbor(u, ax, +1, grid))
-                    - comp.f(_neighbor(u, ax, -1, grid))) / (2.0 * h)
-        else:
-            out += (comp.fplus(u) + comp.fminus(_neighbor(u, ax, +1, grid))
-                    - comp.fplus(_neighbor(u, ax, -1, grid))
-                    - comp.fminus(u)) / h
+        out += (comp.fplus(u) + comp.fminus(_neighbor(u, ax, +1, grid))
+                - comp.fplus(_neighbor(u, ax, -1, grid))
+                - comp.fminus(u)) / h
     return out
 
 
@@ -185,15 +181,11 @@ def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid,
 
         if with_flux:
             comp = spec.flux.components[ax]
-            if spec.flux_form == "central":
-                fp = np.asarray(comp.df(uf[cols_p]), dtype=float) / (2.0 * h)
-                fm = -np.asarray(comp.df(uf[cols_m]), dtype=float) / (2.0 * h)
-            else:
-                dfp = np.asarray(comp.dfplus(uf), dtype=float)
-                dfm = np.asarray(comp.dfminus(uf), dtype=float)
-                diag += (dfp - dfm) / h
-                fp = np.asarray(comp.dfminus(uf[cols_p]), dtype=float) / h
-                fm = -np.asarray(comp.dfplus(uf[cols_m]), dtype=float) / h
+            dfp = np.asarray(comp.dfplus(uf), dtype=float)
+            dfm = np.asarray(comp.dfminus(uf), dtype=float)
+            diag += (dfp - dfm) / h
+            fp = np.asarray(comp.dfminus(uf[cols_p]), dtype=float) / h
+            fm = -np.asarray(comp.dfplus(uf[cols_m]), dtype=float) / h
             plus = plus + fp
             minus = minus + fm
         coefs.append((plus, minus))
@@ -378,7 +370,7 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Whole-path solve and interpolants
+# Whole-path solve
 
 @dataclass
 class Trajectory:

@@ -12,13 +12,14 @@ import os
 import numpy as np
 import pytest
 
-from stoclaw import diagnostics
+from stoclaw import diagnostics, harness, solver
 from stoclaw.config import ExperimentConfig
 from stoclaw.harness import run_experiment
 from stoclaw.noise import JumpPath
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 REAL_MARTINGALE_TERM = diagnostics.martingale_term
+REAL_COMPENSATED_INCREMENT = solver.compensated_increment
 
 
 def _no_events(path):
@@ -37,14 +38,42 @@ def martingale_without_compensator(path, *args):
             - REAL_MARTINGALE_TERM(_no_events(path), *args))
 
 
-def stochastic_default_residual():
-    cfg = ExperimentConfig.from_file(
-        os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
-    cfg.set("grid", "cells", 48)
-    cfg.set("run", "steps", 16)
-    cfg.set("run", "paths", 4)
-    cfg.set("diagnostics", "checks", ("entropy_residual",))
+def increment_without_compensator(path, *args, **kwargs):
+    # as above: the event-free increment is the compensator alone
+    return (REAL_COMPENSATED_INCREMENT(path, *args, **kwargs)
+            - REAL_COMPENSATED_INCREMENT(_no_events(path), *args, **kwargs))
+
+
+def one_seed_for_every_path(base, k):
+    return base
+
+
+def _bundled(name, overrides):
+    cfg = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, name + ".cfg"))
+    for (section, key), value in overrides.items():
+        cfg.set(section, key, value)
     return cfg
+
+
+def stochastic_default_residual():
+    return _bundled("stochastic-default", {
+        ("grid", "cells"): 48, ("run", "steps"): 16, ("run", "paths"): 4,
+        ("diagnostics", "checks"): ("entropy_residual",)})
+
+
+def linear_smoke_isometry():
+    return _bundled("linear-smoke", {
+        ("diagnostics", "checks"): ("isometry",),
+        ("diagnostics", "isometry_paths"): 200})
+
+
+def moments_linear_p2():
+    # u0 and g are constant in space, so the cell count does not change the
+    # moments; the row needs the bundled 400 paths and 32 steps to catch
+    return _bundled("moments-linear", {
+        ("grid", "cells"): 4, ("run", "steps"): 32, ("run", "paths"): 400,
+        ("diagnostics", "checks"): ("moments",),
+        ("diagnostics", "moment_orders"): (2,)})
 
 
 # (mutant name, module, attribute, replacement, config, row, status)
@@ -57,6 +86,12 @@ MUTANTS = [
     ("noise-term-without-compensator", diagnostics,
      "martingale_term", martingale_without_compensator,
      stochastic_default_residual, "entropy_residual", "pass"),
+    ("increment-without-compensator", solver,
+     "compensated_increment", increment_without_compensator,
+     moments_linear_p2, "moment_p2", "fail"),
+    ("one-seed-for-every-path", harness,
+     "path_seed", one_seed_for_every_path,
+     linear_smoke_isometry, "isometry", "fail"),
 ]
 
 

@@ -51,6 +51,9 @@ def test_unknown_key_names_the_key():
     with pytest.raises(ConfigError,
                        match="unknown key diagnostics.theta_values"):
         ExperimentConfig.from_text("[diagnostics]\ntheta_values = 1.0\n")
+    # Engquist-Osher is the only flux discretization
+    with pytest.raises(ConfigError, match="unknown key model.flux_form"):
+        ExperimentConfig.from_text("[model]\nflux_form = central\n")
 
 
 def test_bad_value_names_the_key():
@@ -91,10 +94,16 @@ def test_manifest_round_trip():
 
 
 def test_bundled_configs_parse_and_build():
-    for name in ("linear-smoke", "stochastic-default", "maxprinciple",
-                 "moments-linear", "contraction"):
-        cfg = ExperimentConfig.from_file(
-            os.path.join(CONFIG_DIR, name + ".cfg"))
+    cfgs = [ExperimentConfig.from_file(os.path.join(CONFIG_DIR, name + ".cfg"))
+            for name in ("linear-smoke", "stochastic-default", "maxprinciple",
+                         "moments-linear", "contraction")]
+    # the README's example config, so a key deleted from the schema but
+    # left in the docs fails here
+    with open(os.path.join(CONFIG_DIR, "..", "README.md")) as fh:
+        readme = fh.read()
+    cfgs.append(ExperimentConfig.from_text(
+        readme.split("```ini\n", 1)[1].split("```", 1)[0]))
+    for cfg in cfgs:
         spec = cfg.build_spec()
         grid = cfg.build_grid()
         assert spec.horizon > 0

@@ -24,14 +24,14 @@ def atom_levy(mass=2.0, v=1.0):
 
 
 def make_spec(phi="linear", flux="zero", eps=0.1, eta=None, levy=None,
-              u0=None, horizon=0.5, flux_form="central", phi_scale=1.0):
+              u0=None, horizon=0.5, phi_scale=1.0):
     return sc.ProblemSpec(
         phi=sc.phi_family(phi, phi_scale), flux=sc.flux_family(flux, 1),
         eta=eta if eta is not None else sc.eta_family("zero"),
         u0=u0 if u0 is not None else sc.init_family("bump", height=0.5,
                                                     width=1.0),
         levy=levy if levy is not None else silent_levy(),
-        epsilon=eps, horizon=horizon, dim=1, flux_form=flux_form)
+        epsilon=eps, horizon=horizon, dim=1)
 
 
 def empty_path(levy, horizon=0.5):
@@ -185,7 +185,7 @@ def test_residual_theta_stability():
     eta = sc.eta_family("separable", g_kind="const", g_height=1.0,
                         sigma_kind="compact", sigma_scale=0.8, sigma_cap=1.0)
     spec = make_spec(phi="stefan", flux="burgers", eps=0.05, eta=eta,
-                     levy=levy, flux_form="engquist_osher")
+                     levy=levy)
     grid = sc.Grid(dim=1, half_width=3.0, cells=96)
     path = sc.sample_jump_path(levy, 0.5, 4)
     traj = sc.solve_path(spec, grid, 16, path)
@@ -333,7 +333,7 @@ def test_residual_matches_oracle_with_events_on_knots():
     eta = sc.eta_family("separable", g_kind="const", g_height=1.0,
                         sigma_kind="compact", sigma_scale=0.8, sigma_cap=1.0)
     spec = make_spec(phi="porous", flux="burgers", eps=0.05, eta=eta,
-                     levy=levy, horizon=1.0, flux_form="engquist_osher")
+                     levy=levy, horizon=1.0)
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
     n_steps = 9
     dt = spec.horizon / n_steps
@@ -461,7 +461,7 @@ def contraction_spec():
     eta = sc.eta_family("separable", g_kind="const", g_height=1.0,
                         sigma_kind="compact", sigma_scale=0.8, sigma_cap=1.0)
     return make_spec(phi="stefan", flux="burgers", eps=0.05, eta=eta,
-                     levy=levy, flux_form="engquist_osher")
+                     levy=levy)
 
 
 def test_contraction_identical_data_exact_zero():
@@ -477,8 +477,7 @@ def test_contraction_identical_data_exact_zero():
 
 def test_contraction_deterministic_l1_nonincreasing():
     # monotone flux, no noise: plain L1 contraction
-    spec = make_spec(phi="zero", flux="burgers", eps=0.05,
-                     flux_form="engquist_osher")
+    spec = make_spec(phi="zero", flux="burgers", eps=0.05)
     grid = sc.Grid(dim=1, half_width=3.0, cells=96)
     v0 = sc.init_family("bump", height=0.4, center=0.3, width=0.8)
     per_path = [dg.contraction_path_distances(spec, grid, path, v0, 50.0,
@@ -512,7 +511,6 @@ def test_contraction_weight_monotone_toward_unweighted():
 
 def test_max_principle_noiseless():
     spec = make_spec(phi="stefan", flux="burgers", eps=0.05,
-                     flux_form="engquist_osher",
                      u0=sc.init_family("bump", height=0.5, width=1.0))
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
     traj = sc.solve_path(spec, grid, 16, empty_path(silent_levy()))
@@ -524,7 +522,7 @@ def test_max_principle_bound_value():
     eta = sc.eta_family("separable", g_kind="const", g_height=1.0,
                         sigma_kind="bump", sigma_scale=0.5, sigma_cap=1.0)
     spec = make_spec(phi="stefan", flux="burgers", eps=0.05, eta=eta,
-                     levy=levy, flux_form="engquist_osher",
+                     levy=levy,
                      u0=sc.init_family("bump", height=5.0, width=1.0))
     rep = dg.max_principle_test(spec, [4.9, 5.0 + 1e-7])
     # ||u0||_inf = 5 dominates M + M1 = 1.5

@@ -50,7 +50,7 @@ def test_tracer_counts_one_small_solve():
         eta=sc.eta_family("separable", sigma_kind="compact",
                           sigma_scale=0.8),
         u0=sc.init_family("bump", height=0.5), levy=levy, epsilon=0.05,
-        horizon=0.5, dim=1, flux_form="engquist_osher")
+        horizon=0.5, dim=1)
     grid = sc.Grid(dim=1, half_width=3.0, cells=16)
     path = sc.sample_jump_path(levy, spec.horizon, 3)
     tracer = tracing.Tracer()

@@ -19,8 +19,7 @@ def atom_levy(mass=2.0):
 
 
 def make_spec(phi="zero", flux="zero", eps=0.0, eta=None, levy=None,
-              u0=None, horizon=0.5, dim=1, flux_form="central",
-              phi_scale=1.0, flux_scale=1.0):
+              u0=None, horizon=0.5, dim=1, phi_scale=1.0, flux_scale=1.0):
     return sc.ProblemSpec(
         phi=sc.phi_family(phi, phi_scale),
         flux=sc.flux_family(flux, dim, flux_scale),
@@ -28,7 +27,7 @@ def make_spec(phi="zero", flux="zero", eps=0.0, eta=None, levy=None,
         u0=u0 if u0 is not None else sc.init_family("bump", height=0.5,
                                                     width=1.0, dim=dim),
         levy=levy if levy is not None else silent_levy(),
-        epsilon=eps, horizon=horizon, dim=dim, flux_form=flux_form)
+        epsilon=eps, horizon=horizon, dim=dim)
 
 
 def empty_path(levy, horizon=0.5):
@@ -47,13 +46,11 @@ def test_identity_step():
 
 
 def test_constant_state_fixed_point():
-    for flux_form in ("central", "engquist_osher"):
-        spec = make_spec(phi="stefan", flux="burgers", eps=0.5,
-                         flux_form=flux_form)
-        grid = sc.Grid(dim=1, half_width=2.0, cells=32)
-        u = np.full(grid.shape, 0.37)
-        out, _ = sc.implicit_step(spec, grid, u, np.zeros_like(u), 0.05)
-        np.testing.assert_allclose(out, u, atol=1e-12)
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.5)
+    grid = sc.Grid(dim=1, half_width=2.0, cells=32)
+    u = np.full(grid.shape, 0.37)
+    out, _ = sc.implicit_step(spec, grid, u, np.zeros_like(u), 0.05)
+    np.testing.assert_allclose(out, u, atol=1e-12)
 
 
 def test_linear_step_matches_periodic_oracle():
@@ -75,8 +72,7 @@ def test_linear_step_matches_periodic_oracle():
 
 
 def test_step_residual_within_tolerance():
-    spec = make_spec(phi="stefan", flux="burgers", eps=0.05,
-                     flux_form="engquist_osher")
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.05)
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
     u = sc.discretize_initial(spec, grid)
     _, stats = sc.implicit_step(spec, grid, u, np.zeros_like(u), 0.02)
@@ -145,10 +141,8 @@ def dense_newton_matrix(diag, coefs, grid, dt):
 
 @pytest.mark.parametrize("dim,cells", [(1, 48), (2, 32)],
                          ids=["1-48-periodic", "2-32-periodic"])
-@pytest.mark.parametrize("flux_form", ["central", "engquist_osher"])
-def test_newton_matrix_matches_finite_difference(dim, cells, flux_form):
-    spec = make_spec(phi="stefan", flux="burgers", eps=0.05, dim=dim,
-                     flux_form=flux_form)
+def test_newton_matrix_matches_finite_difference(dim, cells):
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.05, dim=dim)
     grid = sc.Grid(dim=dim, half_width=2.0, cells=cells)
     dt = 0.01
     u = away_from_kinks(np.random.default_rng(3), grid.shape).ravel()
@@ -173,8 +167,7 @@ def test_newton_matrix_matches_finite_difference(dim, cells, flux_form):
 def test_periodic_newton_solve_matches_dense():
     # cyclic tridiagonal solve of a nonlinear, nonsymmetric Newton matrix
     # against a dense solve with both corner entries in place
-    spec = make_spec(phi="stefan", flux="burgers", eps=0.05,
-                     flux_form="engquist_osher")
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.05)
     grid = sc.Grid(dim=1, half_width=2.0, cells=96)
     rng = np.random.default_rng(11)
     u = away_from_kinks(rng, grid.shape)
@@ -194,8 +187,7 @@ def test_periodic_newton_solve_matches_dense():
 def test_banded_newton_solve_matches_dense(cells):
     # 2D band solve of a nonsymmetric Newton matrix on the folded ordering
     # (odd and even fold) against a dense solve
-    spec = make_spec(phi="stefan", flux="burgers", eps=0.05, dim=2,
-                     flux_form="engquist_osher")
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.05, dim=2)
     grid = sc.Grid(dim=2, half_width=2.0, cells=cells)
     half_bandwidth = solver_mod._stencil(grid)[1][0]
     assert half_bandwidth == 2 * cells
@@ -271,7 +263,7 @@ def test_bitwise_determinism():
     eta = sc.eta_family("separable", g_kind="const", g_height=0.5,
                         sigma_kind="compact", sigma_scale=0.5, sigma_cap=1.0)
     spec = make_spec(phi="stefan", flux="burgers", eps=0.05, eta=eta,
-                     levy=levy, flux_form="engquist_osher")
+                     levy=levy)
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
     path = sc.sample_jump_path(levy, 0.5, 33)
     t1 = sc.solve_path(spec, grid, 16, path)
@@ -282,8 +274,7 @@ def test_bitwise_determinism():
 
 def test_comparison_monotonicity_smoke():
     # ordered initial states stay ordered for the monotone form
-    spec = make_spec(phi="stefan", flux="burgers", eps=0.1,
-                     flux_form="engquist_osher")
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.1)
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
     lo = sc.discretize_initial(
         spec.with_u0(sc.init_family("bump", height=0.3, width=1.0)), grid)
@@ -297,7 +288,6 @@ def test_comparison_monotonicity_smoke():
 
 def test_2d_solver_smoke():
     spec = make_spec(phi="porous", flux="burgers", eps=0.05, dim=2,
-                     flux_form="engquist_osher",
                      u0=sc.init_family("bump", height=0.5, width=0.8, dim=2),
                      horizon=0.25)
     grid = sc.Grid(dim=2, half_width=2.0, cells=64)
@@ -326,8 +316,7 @@ def test_energy_zero_data():
 
 
 def test_energy_noiseless_monotone():
-    spec = make_spec(phi="stefan", flux="burgers", eps=0.1,
-                     flux_form="engquist_osher")
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.1)
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
     traj = sc.solve_path(spec, grid, 16, empty_path(silent_levy()))
     rep = sc.discrete_energy_report(traj, sc.kirchhoff(spec.phi))
@@ -344,7 +333,7 @@ def test_viscous_energy_bound_uniform_in_epsilon():
     totals = []
     for eps in (0.1, 0.05, 0.025):
         spec = make_spec(phi="stefan", flux="burgers", eps=eps, eta=eta,
-                         levy=levy, flux_form="engquist_osher")
+                         levy=levy)
         grid = sc.Grid(dim=1, half_width=2.0, cells=64)
         acc = 0.0
         for seed in range(10):
@@ -360,8 +349,7 @@ def test_viscous_energy_bound_uniform_in_epsilon():
 
 def test_initial_condition_time_average():
     # (1/tau) int_0^tau int |u - u0| psi shrinks as tau -> 0 (noiseless)
-    spec = make_spec(phi="porous", flux="burgers", eps=0.1,
-                     flux_form="engquist_osher")
+    spec = make_spec(phi="porous", flux="burgers", eps=0.1)
     grid = sc.Grid(dim=1, half_width=2.0, cells=128)
     traj = sc.solve_path(spec, grid, 64, empty_path(silent_levy()))
     u0 = traj.fields[0]
