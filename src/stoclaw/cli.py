@@ -99,7 +99,7 @@ def main(argv=None) -> int:
                         help="override run.seed from the config")
     pooled = argparse.ArgumentParser(add_help=False)
     pooled.add_argument("--workers", type=int, default=1,
-                        help="processes for the per-path jobs, at least 1 "
+                        help="processes for the (path, lane) jobs, at least 1 "
                              "(results are identical for any worker count)")
     pooled.add_argument("--out", default=None,
                         help="output directory (default: config value)")

@@ -2,9 +2,10 @@
 workers, assembles the diagnostics report, and writes the run artifacts
 (manifest, report CSV, energy CSV, field snapshots).
 
-Every Monte-Carlo loop of ``run`` and ``study`` is one per-path job, a pure
-function of (config, seed, checks), so worker count changes wall time only;
-the checks aggregate the results in seed order.
+Every solve of ``run`` and ``study`` is one pool job, a pure function of
+(config, seed, checks): one lane of checks on one path, or one of the two
+path-0 jobs (determinism, snapshot). Worker count changes wall time only;
+the results are merged per seed and the checks aggregate them in seed order.
 """
 
 from __future__ import annotations
@@ -47,21 +48,34 @@ def path_seed(base: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Per-path reductions
 
-# run's checks with a per-path part; the first four reduce the run.steps solve
-_RUN_TRAJECTORY_CHECKS = {"energy", "entropy_residual", "max_principle",
-                          "boundary_mass"}
-_PER_PATH_CHECKS = _RUN_TRAJECTORY_CHECKS | {"moments", "contraction"}
+# Lanes in job order: groups of per-path checks that read the same
+# trajectories; the first reduces the run.steps solve
+_LANES = (("energy", "entropy_residual", "max_principle", "boundary_mass"),
+          ("moments",), ("contraction",), ("cauchy",), ("viscosity",))
 
 
 def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
     """Every per-path reduction of the ``selected`` checks and study lanes
     ("cauchy", "viscosity") on the path of ``seed``, sampled once: only
-    what an aggregator reads, each a reduction over whole trajectories."""
+    what an aggregator reads, each a reduction over whole trajectories.
+    "determinism" solves the path twice and compares the two bitwise;
+    "snapshot" returns the fields at steps 0, N/2, N and the step stats."""
     spec = cfg.build_spec()
     grid = cfg.build_grid()
     n_steps = cfg.get("run", "steps")
     path = sample_jump_path(spec.levy, spec.horizon, seed)
     out = {}
+
+    if "determinism" in selected:
+        again = sample_jump_path(spec.levy, spec.horizon, seed)
+        out["determinism"] = bool(
+            np.array_equal(solve_path(spec, grid, n_steps, path).fields,
+                           solve_path(spec, grid, n_steps, again).fields)
+            and np.array_equal(path.times, again.times))
+    if "snapshot" in selected:
+        traj = solve_path(spec, grid, n_steps, path)
+        out["snapshot"] = (traj.fields[[0, n_steps // 2, n_steps]],
+                           traj.stats)
 
     if "moments" in selected:
         out["moments"] = [moment_path_rows(spec, grid, path, p, n_steps)
@@ -76,7 +90,7 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
     if "viscosity" in selected:
         out["viscosity"] = viscosity_path_errors(
             spec, grid, path, cfg.get("run", "eps_list"), n_steps)
-    if not _RUN_TRAJECTORY_CHECKS & set(selected):
+    if not set(_LANES[0]) & set(selected):
         return out
 
     traj = solve_path(spec, grid, n_steps, path)
@@ -111,14 +125,23 @@ def _worker(args):
 def _run_paths(cfg: ExperimentConfig, jobs: Sequence[tuple],
                workers: int) -> List[dict]:
     """``_path_reductions`` of every (seed, checks) job in job order, from
-    min(workers, jobs) processes, or inline when that is 1."""
-    workers = min(workers, len(jobs))
+    min(workers, jobs, usable CPUs) processes, or inline when that is 1."""
+    workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
     if workers <= 1:
         return [_path_reductions(cfg, seed, checks) for seed, checks in jobs]
     text = cfg.manifest_text()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, [(text, seed, tuple(checks))
                                        for seed, checks in jobs]))
+
+
+def _merge_by_seed(jobs: Sequence[tuple], results: List[dict]) -> List[dict]:
+    """One dict per distinct job seed, in first-job order, holding the
+    results of every job on that seed."""
+    merged = {}
+    for (seed, _), out in zip(jobs, results):
+        merged.setdefault(seed, {}).update(out)
+    return list(merged.values())
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +351,7 @@ def _check_contraction(spec, grid, results, report):
                   "dt halving"))
 
 
-def _check_determinism(cfg, spec, grid, report):
-    seed = path_seed(cfg.get("run", "seed"), 0)
-    path_a = sample_jump_path(spec.levy, spec.horizon, seed)
-    path_b = sample_jump_path(spec.levy, spec.horizon, seed)
-    traj_a = solve_path(spec, grid, cfg.get("run", "steps"), path_a)
-    traj_b = solve_path(spec, grid, cfg.get("run", "steps"), path_b)
-    same = bool(np.array_equal(traj_a.fields, traj_b.fields)
-                and np.array_equal(path_a.times, path_b.times))
+def _check_determinism(same, report):
     report.add(CheckResult(
         name="determinism", value=0.0 if same else 1.0, bound=0.0,
         margin=0.0, passed=same,
@@ -365,27 +381,25 @@ def _write_energy_csv(path, means, dt):
             writer.writerow(row)
 
 
-def _write_snapshots(out_dir, cfg, spec, grid):
+def _write_snapshots(out_dir, cfg, spec, snapshot):
     """Path 0's field at steps 0, N/2 and N, and its per-step solver stats."""
+    fields, stats = snapshot
     n_steps = cfg.get("run", "steps")
-    os.makedirs(os.path.join(out_dir, "fields"), exist_ok=True)
     dt = spec.horizon / n_steps
-    path = sample_jump_path(spec.levy, spec.horizon,
-                            path_seed(cfg.get("run", "seed"), 0))
-    traj = solve_path(spec, grid, n_steps, path)
+    os.makedirs(os.path.join(out_dir, "fields"), exist_ok=True)
     fname = os.path.join(out_dir, "fields", "u_path0000.csv")
     with open(fname, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "index", "u"])
-        for s in (0, n_steps // 2, n_steps):
-            for i, val in enumerate(traj.fields[s].ravel()):
+        for s, field in zip((0, n_steps // 2, n_steps), fields):
+            for i, val in enumerate(field.ravel()):
                 writer.writerow(["%.17g" % (s * dt), i, "%.17g" % val])
     sname = os.path.join(out_dir, "fields", "stats_path0000.csv")
     with open(sname, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "newton_iterations", "picard_iterations",
                          "residual", "used_fallback", "lemma_ratio"])
-        for s, st in enumerate(traj.stats):
+        for s, st in enumerate(stats):
             writer.writerow([s + 1, st.newton_iterations,
                              st.picard_iterations, "%.17g" % st.residual,
                              int(st.used_fallback), "%.17g" % st.lemma_ratio])
@@ -416,9 +430,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
     seeds = [path_seed(cfg.get("run", "seed"), k)
              for k in range(cfg.get("run", "paths"))]
-    results = []
-    if _PER_PATH_CHECKS & set(selected):
-        results = _run_paths(cfg, [(s, selected) for s in seeds], workers)
+    lanes = [tuple(c for c in lane if c in selected) for lane in _LANES]
+    jobs = [(s, lane) for s in seeds for lane in lanes if lane]
+    jobs += [(seeds[0], ("determinism",))] * ("determinism" in selected)
+    jobs.append((seeds[0], ("snapshot",)))
+    results = _merge_by_seed(jobs, _run_paths(cfg, jobs, workers))
 
     if "assumptions" in selected:
         _check_assumptions(cfg, spec, grid, report)
@@ -442,13 +458,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     if "contraction" in selected:
         _check_contraction(spec, grid, results, report)
     if "determinism" in selected:
-        _check_determinism(cfg, spec, grid, report)
+        _check_determinism(results[0]["determinism"], report)
 
     report.write_csv(os.path.join(out_dir, "report.csv"))
     if means is not None:
         _write_energy_csv(os.path.join(out_dir, "energy.csv"), means,
                           spec.horizon / cfg.get("run", "steps"))
-    _write_snapshots(out_dir, cfg, spec, grid)
+    _write_snapshots(out_dir, cfg, spec, results[0]["snapshot"])
     return report
 
 
@@ -463,13 +479,13 @@ def convergence_study(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     spec = cfg.build_spec()
     steps_list = cfg.get("run", "steps_list")
     eps_list = cfg.get("run", "eps_list")
-    lanes = ["cauchy"] * bool(steps_list) + ["viscosity"] * bool(eps_list)
+    lanes = ([("cauchy",)] * bool(steps_list)
+             + [("viscosity",)] * bool(eps_list))
     # silent noise gives every path the same Cauchy ladder: solve one
-    jobs = [(path_seed(cfg.get("run", "seed"), k),
-             [x for x in lanes if not (x == "cauchy" and spec.eta.is_zero
-                                       and k > 0)])
-            for k in range(cfg.get("run", "paths"))]
-    results = _run_paths(cfg, jobs, workers) if lanes else []
+    jobs = [(path_seed(cfg.get("run", "seed"), k), lane)
+            for k in range(cfg.get("run", "paths")) for lane in lanes
+            if not (lane == ("cauchy",) and spec.eta.is_zero and k > 0)]
+    results = _merge_by_seed(jobs, _run_paths(cfg, jobs, workers))
     reports = []
     if steps_list:
         reports.append(cauchy_rate_test(

@@ -14,10 +14,9 @@ from scipy.linalg import solve_circulant
 import stoclaw as sc
 from stoclaw.config import ExperimentConfig
 from stoclaw.diagnostics import (ENTROPY_TOL_COEFF, THETA_VALUES,
-                                 cauchy_rate_test, contraction_path_distances,
-                                 contraction_test, entropy_tolerance,
-                                 linear_moment_rate, max_principle_test,
-                                 moment_bound_test,
+                                 cauchy_rate_test, contraction_test,
+                                 entropy_tolerance, linear_moment_rate,
+                                 max_principle_test, moment_bound_test,
                                  viscosity_convergence_test)
 from stoclaw.entropy import BETA_M1, BETA_M2, identity_check_batch
 from stoclaw.harness import _run_paths, path_seed, replay, run_experiment
@@ -174,15 +173,15 @@ def test_criterion_07_contraction():
     spec = cfg.build_spec()
     grid = cfg.build_grid()
     seeds = [path_seed(cfg.get("run", "seed"), k) for k in range(40)]
-    n = cfg.get("run", "steps")
-    weight = cfg.get("diagnostics", "contraction_weight")
-    paths = [sc.sample_jump_path(spec.levy, spec.horizon, s) for s in seeds]
-    same = contraction_test(spec, [
-        contraction_path_distances(spec, grid, path, spec.u0, weight, n)
-        for path in paths[:10]])
-    rep = contraction_test(spec, [
-        contraction_path_distances(spec, grid, path, cfg.build_v0(), weight, n)
-        for path in paths])
+    # equal data on the first ten paths: v0 = u0
+    cfg_same = ExperimentConfig.from_text(cfg.manifest_text())
+    for key in ("height", "center", "width"):
+        cfg_same.set("diagnostics", "v0_" + key,
+                     cfg.get("model", "u0_" + key))
+    same = contraction_test(spec, [r["contraction"] for r in _run_paths(
+        cfg_same, [(s, ("contraction",)) for s in seeds[:10]], workers=2)])
+    rep = contraction_test(spec, [r["contraction"] for r in _run_paths(
+        cfg, [(s, ("contraction",)) for s in seeds], workers=2)])
     zero = float(np.max(same.mean))
     u0_l1 = norm_l1(sc.discretize_initial(spec, grid), grid)
     ok = same.mean[0] == 0.0 and zero <= 1e-8 * u0_l1 and rep.stable
@@ -196,7 +195,7 @@ def test_criterion_08_max_principle():
     spec = cfg.build_spec()
     seeds = [path_seed(cfg.get("run", "seed"), k) for k in range(100)]
     results = _run_paths(cfg, [(s, ("max_principle",)) for s in seeds],
-                         workers=1)
+                         workers=2)
     rep = max_principle_test(spec, [r["max_abs"] for r in results])
     ok = rep.passed and rep.bound == pytest.approx(1.5)
     assert _report(8, "max_principle", ok,

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+import stoclaw.harness as harness
 import stoclaw.solver as solver_mod
 from stoclaw.cli import main
 from stoclaw.config import ConfigError, ExperimentConfig
@@ -204,6 +205,75 @@ def test_moments_contraction_worker_count_invariance(tmp_path):
         assert name in report
 
 
+def test_single_path_worker_count_invariance(tmp_path, monkeypatch):
+    # one path split into lane, determinism and snapshot jobs: every
+    # artifact is identical whether the jobs run inline or in a pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "contraction.cfg"))
+    cfg.set("model", "dim", 2)
+    cfg.set("grid", "cells", 16)
+    cfg.set("run", "steps", 8)
+    cfg.set("run", "paths", 1)
+    cfg.set("diagnostics", "checks",
+            ("max_principle", "moments", "contraction", "determinism"))
+    for workers in (1, 2, 3):
+        run_experiment(cfg, out_dir=str(tmp_path / ("w%d" % workers)),
+                       workers=workers)
+    for name in ("report.csv", "fields/u_path0000.csv",
+                 "fields/stats_path0000.csv"):
+        first = (tmp_path / "w1" / name).read_bytes()
+        for workers in (2, 3):
+            assert first == (tmp_path / ("w%d" % workers) / name).read_bytes()
+    assert b"determinism" in (tmp_path / "w1" / "report.csv").read_bytes()
+
+    study = small_default_config()
+    study.set("run", "paths", 1)
+    for workers in (1, 2):
+        convergence_study(study, out_dir=str(tmp_path / ("s%d" % workers)),
+                          workers=workers)
+    rates = (tmp_path / "s1" / "rates.csv").read_bytes()
+    assert rates == (tmp_path / "s2" / "rates.csv").read_bytes()
+    assert rates.count(b"\n") == 7
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, cpus, expect", [
+    (8, 2, [2]),      # capped at the usable CPUs, not the job count
+    (3, 4, [3]),
+    (8, 8, [6]),      # capped at the job count
+    (4, 1, []),       # one usable CPU: inline, no pool
+])
+def test_pool_size_is_capped_by_jobs_and_cpus(monkeypatch, workers, cpus,
+                                              expect):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    cfg = small_config()
+    jobs = [(path_seed(cfg.get("run", "seed"), 0), ("max_principle",))] * 6
+    out = harness._run_paths(cfg, jobs, workers)
+    assert _InlinePool.sizes == expect
+    assert len(out) == 6 and all(r == out[0] for r in out)
+
+
 def test_moments_with_zero_u0_pass(tmp_path):
     # u = 0 on every path: the growth fit binds at t = 0 and the closed-form
     # rate, which needs a spatially constant u0, is not compared
@@ -250,6 +320,15 @@ def test_worker_step_failure_reaches_caller(tmp_path, monkeypatch):
     assert len(err.value.history) >= 2
     assert main(["run", "--config", write_config(tmp_path, cfg),
                  "--workers", "2", "--out", str(tmp_path / "cli")]) == 1
+    # one path, determinism only: the failure starts in the determinism or
+    # snapshot job, both of which run in the pool
+    cfg.set("run", "paths", 1)
+    cfg.set("diagnostics", "checks", ("determinism",))
+    with pytest.raises(StepFailureError, match="step 1 of 4") as err:
+        run_experiment(cfg, out_dir=str(tmp_path / "det"), workers=2)
+    assert len(err.value.history) >= 2
+    assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--workers", "2", "--out", str(tmp_path / "det_cli")]) == 1
 
 
 def test_study_worker_step_failure_reaches_caller(tmp_path, monkeypatch):
