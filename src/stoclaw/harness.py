@@ -31,7 +31,8 @@ from .entropy import (BETA_M1, BETA_M2, identity_check_batch, kirchhoff,
                       make_beta_theta)
 from .model import VALIDATION_SAMPLES, discretize_initial, validate_assumptions
 from .noise import sample_jump_path
-from .solver import discrete_energy_report, mass_outside, norm_l1, solve_path
+from .solver import (discrete_energy_report, lemma_ratios, mass_outside,
+                     norm_l1, solve_path)
 
 __all__ = ["run_experiment", "convergence_study", "replay", "path_seed"]
 
@@ -59,7 +60,8 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
     ("cauchy", "viscosity") on the path of ``seed``, sampled once: only
     what an aggregator reads, each a reduction over whole trajectories.
     "determinism" solves the path twice and compares the two bitwise;
-    "snapshot" returns the fields at steps 0, N/2, N and the step stats."""
+    "snapshot" returns the fields at steps 0, N/2, N, the step stats and
+    the one-step estimate ratios, which no other job computes."""
     spec = cfg.build_spec()
     grid = cfg.build_grid()
     n_steps = cfg.get("run", "steps")
@@ -75,7 +77,7 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
     if "snapshot" in selected:
         traj = solve_path(spec, grid, n_steps, path)
         out["snapshot"] = (traj.fields[[0, n_steps // 2, n_steps]],
-                           traj.stats)
+                           traj.stats, lemma_ratios(traj, path))
 
     if "moments" in selected:
         out["moments"] = [moment_path_rows(spec, grid, path, p, n_steps)
@@ -111,8 +113,7 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
     if "max_principle" in selected:
         out["max_abs"] = float(np.max(np.abs(traj.fields)))
     if "boundary_mass" in selected:
-        out["boundary_mass"] = max(
-            mass_outside(traj.fields[k], grid) for k in range(n_steps + 1))
+        out["boundary_mass"] = float(np.max(mass_outside(traj.fields, grid)))
     return out
 
 
@@ -382,8 +383,9 @@ def _write_energy_csv(path, means, dt):
 
 
 def _write_snapshots(out_dir, cfg, spec, snapshot):
-    """Path 0's field at steps 0, N/2 and N, and its per-step solver stats."""
-    fields, stats = snapshot
+    """Path 0's field at steps 0, N/2 and N, and its per-step solver stats
+    and one-step estimate ratios."""
+    fields, stats, ratios = snapshot
     n_steps = cfg.get("run", "steps")
     dt = spec.horizon / n_steps
     os.makedirs(os.path.join(out_dir, "fields"), exist_ok=True)
@@ -399,10 +401,10 @@ def _write_snapshots(out_dir, cfg, spec, snapshot):
         writer = csv.writer(fh)
         writer.writerow(["step", "newton_iterations", "picard_iterations",
                          "residual", "used_fallback", "lemma_ratio"])
-        for s, st in enumerate(stats):
+        for s, (st, ratio) in enumerate(zip(stats, ratios)):
             writer.writerow([s + 1, st.newton_iterations,
                              st.picard_iterations, "%.17g" % st.residual,
-                             int(st.used_fallback), "%.17g" % st.lemma_ratio])
+                             int(st.used_fallback), "%.17g" % ratio])
 
 
 # ---------------------------------------------------------------------------

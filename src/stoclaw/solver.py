@@ -4,7 +4,8 @@ plus the discrete energy terms.
 
 The diffusion terms are second-order central differences on the cell
 centers of the periodic torus that truncates R^d; div f(u) is the
-Engquist-Osher flux splitting.  Newton matrices go to LAPACK: a cyclic
+Engquist-Osher flux splitting.  A residual evaluates phi and, per axis, the
+flux halves once per field.  Newton matrices go to LAPACK: a cyclic
 ``dgtsv`` solve in 1D, ``dgbsv`` on a folded band in 2D.
 """
 
@@ -23,8 +24,8 @@ from .noise import JumpPath, compensated_increment
 __all__ = [
     "StepFailureError", "StepStats", "Trajectory", "implicit_step",
     "solve_path", "discrete_energy_report",
-    "cell_integral", "l2_sq", "norm_l2", "norm_l1", "grad_sq", "laplacian",
-    "divergence", "mass_outside",
+    "lemma_ratios", "cell_integral", "l2_sq", "norm_l2", "norm_l1", "grad_sq",
+    "mass_outside",
 ]
 
 NEWTON_MAX_ITER = 50
@@ -46,31 +47,6 @@ class StepFailureError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Grid operators
-
-def _neighbor(u: np.ndarray, axis: int, step: int, grid: Grid) -> np.ndarray:
-    """Value of the +1 (step > 0) or -1 neighbour of every cell along axis."""
-    cols_p, cols_m = _stencil(grid)[0][axis]
-    return u.ravel()[cols_p if step > 0 else cols_m].reshape(u.shape)
-
-
-def laplacian(u: np.ndarray, grid: Grid) -> np.ndarray:
-    out = np.zeros_like(u)
-    h2 = grid.h ** 2
-    for ax in range(grid.dim):
-        out += (_neighbor(u, ax, +1, grid) + _neighbor(u, ax, -1, grid)
-                - 2.0 * u) / h2
-    return out
-
-
-def divergence(u: np.ndarray, spec: ProblemSpec, grid: Grid) -> np.ndarray:
-    out = np.zeros_like(u)
-    h = grid.h
-    for ax, comp in enumerate(spec.flux.components):
-        out += (comp.fplus(u) + comp.fminus(_neighbor(u, ax, +1, grid))
-                - comp.fplus(_neighbor(u, ax, -1, grid))
-                - comp.fminus(u)) / h
-    return out
-
 
 def cell_integral(v: np.ndarray, grid: Grid):
     """Midpoint integral over the cells of one field, or of each field of a
@@ -102,11 +78,14 @@ def norm_l1(u: np.ndarray, grid: Grid) -> float:
     return float(cell_integral(np.abs(u), grid))
 
 
-def mass_outside(u: np.ndarray, grid: Grid) -> float:
-    """L1 mass in the margin shell next to the truncation boundary."""
+def mass_outside(u: np.ndarray, grid: Grid):
+    """L1 mass in the margin shell next to the truncation boundary, of one
+    field or of each field of a stack."""
     shell = np.max(np.abs(grid.coords()), axis=-1) > \
         grid.half_width - grid.margin
-    return float(np.sum(np.abs(u[shell]))) * grid.cell_volume
+    # C order: each row sums its cells pairwise, like one field's np.sum
+    mass = np.abs(np.ascontiguousarray(u[..., shell])).sum(axis=-1)
+    return mass * grid.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +163,8 @@ def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid,
             dfp = np.asarray(comp.dfplus(uf), dtype=float)
             dfm = np.asarray(comp.dfminus(uf), dtype=float)
             diag += (dfp - dfm) / h
-            fp = np.asarray(comp.dfminus(uf[cols_p]), dtype=float) / h
-            fm = -np.asarray(comp.dfplus(uf[cols_m]), dtype=float) / h
-            plus = plus + fp
-            minus = minus + fm
+            plus = plus + dfm[cols_p] / h
+            minus = minus - dfp[cols_m] / h
         coefs.append((plus, minus))
     return diag, coefs
 
@@ -245,21 +222,41 @@ def _newton_direction(diag, coefs, grid: Grid, dt: float,
     return x[pos]
 
 
+def _stencil_terms(u: np.ndarray, spec: ProblemSpec, grid: Grid):
+    """``(lap phi(u), lap u, div f(u))``, div f in the Engquist-Osher form
+    ``(f+(u_i) + f-(u_{i+1}) - f+(u_{i-1}) - f-(u_i)) / h``, from one
+    evaluation of phi and, per axis, of f+ and f-. Every catalog phi and
+    flux is elementwise, so gathering the neighbours from those values is
+    bitwise the same as evaluating them on the neighbours of u."""
+    axes, _ = _stencil(grid)
+    h = grid.h
+    h2 = h ** 2
+    uf = u.ravel()
+    pf = np.asarray(spec.phi.phi(uf), dtype=float)
+    terms = np.zeros((3, uf.size))
+    lap_phi, lap_u, div = terms
+    for (cols_p, cols_m), comp in zip(axes, spec.flux.components):
+        lap_phi += (pf[cols_p] + pf[cols_m] - 2.0 * pf) / h2
+        lap_u += (uf[cols_p] + uf[cols_m] - 2.0 * uf) / h2
+        fp, fm = comp.fplus(uf), comp.fminus(uf)
+        div += (fp + fm[cols_p] - fp[cols_m] - fm) / h
+    return terms.reshape((3,) + u.shape)
+
+
 def _step_operator(u: np.ndarray, spec: ProblemSpec, grid: Grid) -> np.ndarray:
-    return (laplacian(np.asarray(spec.phi.phi(u), dtype=float), grid)
-            + spec.epsilon * laplacian(u, grid)
-            + divergence(u, spec, grid))
+    lap_phi, lap_u, div = _stencil_terms(u, spec, grid)
+    return lap_phi + spec.epsilon * lap_u + div
 
 
 @dataclass
 class StepStats:
-    """One step's row of ``fields/stats_path0000.csv``."""
+    """How the nonlinear solve of one step went; path 0's steps are the
+    rows of ``fields/stats_path0000.csv``, next to :func:`lemma_ratios`."""
 
     newton_iterations: int
     picard_iterations: int
     residual: float
     used_fallback: bool
-    lemma_ratio: float
 
 
 def _lemma_check(u: np.ndarray, x_rhs: np.ndarray, spec: ProblemSpec,
@@ -344,9 +341,8 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
         lu, piv, _ = dgbtrf(ab, k, k, overwrite_ab=1)  # M-matrix: info 0
         u = u_n.copy()
         for picard_iters in range(1, PICARD_MAX_ITER + 1):
-            rhs = x_rhs + dt * (
-                laplacian(np.asarray(spec.phi.phi(u), dtype=float), grid)
-                + divergence(u, spec, grid))
+            lap_phi, _, div = _stencil_terms(u, spec, grid)
+            rhs = x_rhs + dt * (lap_phi + div)
             u = dgbtrs(lu, k, k, rhs.ravel()[order], piv)[0][pos].reshape(
                 u.shape)
             res = residual(u)
@@ -365,8 +361,7 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
 
     return u, StepStats(
         newton_iterations=newton_iters, picard_iterations=picard_iters,
-        residual=res_norm, used_fallback=used_fallback,
-        lemma_ratio=_lemma_check(u, x_rhs, spec, grid))
+        residual=res_norm, used_fallback=used_fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +420,16 @@ def solve_path(spec: ProblemSpec, grid: Grid, n_steps: int, path: JumpPath,
         stats.append(st)
     return Trajectory(fields=fields, dt=dt, grid=grid, spec=spec,
                       stats=stats)
+
+
+def lemma_ratios(traj: Trajectory, path: JumpPath) -> list:
+    """:func:`_lemma_check` of every step of ``traj``, solved along ``path``,
+    each right-hand side rebuilt from the increment :func:`solve_path` drew."""
+    spec, grid, dt, u = traj.spec, traj.grid, traj.dt, traj.fields
+    gx = None if spec.eta.is_zero else spec.eta.g(grid.coords())
+    return [_lemma_check(u[n + 1], u[n] + compensated_increment(
+        path, spec, grid, u[n], n * dt, (n + 1) * dt, gx=gx), spec, grid)
+        for n in range(traj.n_steps)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import os
 
 import pytest
@@ -8,7 +9,8 @@ from stoclaw.cli import main
 from stoclaw.config import ConfigError, ExperimentConfig
 from stoclaw.harness import (convergence_study, path_seed, replay,
                              run_experiment)
-from stoclaw.solver import StepFailureError
+from stoclaw.noise import compensated_increment, sample_jump_path
+from stoclaw.solver import StepFailureError, solve_path
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -235,6 +237,34 @@ def test_single_path_worker_count_invariance(tmp_path, monkeypatch):
     rates = (tmp_path / "s1" / "rates.csv").read_bytes()
     assert rates == (tmp_path / "s2" / "rates.csv").read_bytes()
     assert rates.count(b"\n") == 7
+
+
+def test_snapshot_lemma_ratios_match_per_step_loop(tmp_path, monkeypatch):
+    # the snapshot job's lemma_ratio column is, byte for byte, the one-step
+    # estimate of every step of path 0 against u_n plus its increment
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = small_default_config()
+    cfg.set("run", "paths", 2)
+    cfg.set("model", "u0_height", 1.5)
+    cfg.set("diagnostics", "checks", ("boundary_mass",))
+    spec, grid = cfg.build_spec(), cfg.build_grid()
+    n_steps = cfg.get("run", "steps")
+    path = sample_jump_path(spec.levy, spec.horizon,
+                            path_seed(cfg.get("run", "seed"), 0))
+    assert path.count > 0
+    traj = solve_path(spec, grid, n_steps, path)
+    want = []
+    for n in range(n_steps):
+        inc = compensated_increment(path, spec, grid, traj.fields[n],
+                                    n * traj.dt, (n + 1) * traj.dt)
+        want.append("%.17g" % solver_mod._lemma_check(
+            traj.fields[n + 1], traj.fields[n] + inc, spec, grid))
+    for workers in (1, 2):
+        out = tmp_path / ("w%d" % workers)
+        run_experiment(cfg, out_dir=str(out), workers=workers)
+        with open(out / "fields" / "stats_path0000.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["lemma_ratio"] for r in rows] == want
 
 
 class _InlinePool:

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -7,7 +8,7 @@ import stoclaw as sc
 import stoclaw.solver as solver_mod
 from stoclaw.noise import JumpPath, LevyIntensity, SizeMeasure
 from stoclaw.solver import (StepFailureError, cell_integral, grad_sq, l2_sq,
-                            laplacian, norm_l2)
+                            lemma_ratios, mass_outside, norm_l2)
 
 
 def silent_levy():
@@ -81,15 +82,21 @@ def test_step_residual_within_tolerance():
 
 def test_lemma_estimate_checked_when_applicable():
     # no flux, so dt c_f^2 <= eps / 2 holds and the one-step elliptic
-    # estimate claims ratio <= 2 (3 + 2 c_phi^2 + c_phi / dt)
-    spec = make_spec(phi="porous", eps=0.1)
+    # estimate claims ratio <= 2 (3 + 2 c_phi^2 + c_phi / dt) on every step
+    levy = atom_levy()
+    eta = sc.eta_family("separable", g_kind="const", g_height=0.5,
+                        sigma_kind="compact", sigma_scale=0.5, sigma_cap=1.0)
+    spec = make_spec(phi="porous", eps=0.1, eta=eta, levy=levy,
+                     u0=sc.init_family("bump", height=1.5, width=1.0))
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
-    u = sc.discretize_initial(spec, grid)
-    dt = 0.05
-    _, stats = sc.implicit_step(spec, grid, u, 0.01 * np.ones_like(u), dt)
+    path = sc.sample_jump_path(levy, 0.5, 5)
+    assert path.count > 0
+    traj = sc.solve_path(spec, grid, 10, path)
     assert spec.c_f == 0.0
-    bound = 2.0 * (3.0 + 2.0 * spec.c_phi ** 2 + spec.c_phi / dt)
-    assert 0.0 < stats.lemma_ratio <= bound
+    bound = 2.0 * (3.0 + 2.0 * spec.c_phi ** 2 + spec.c_phi / traj.dt)
+    ratios = lemma_ratios(traj, path)
+    assert len(ratios) == 10
+    assert all(0.0 < r <= bound for r in ratios)
 
 
 def test_step_failure_carries_history(monkeypatch):
@@ -115,6 +122,100 @@ def test_step_failure_propagates_step_index(monkeypatch):
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
     with pytest.raises(StepFailureError, match="step 1 of 4"):
         sc.solve_path(spec, grid, 4, empty_path(silent_levy(), 2.0))
+
+
+# ---------------------------------------------------------------------------
+# Stencil
+
+def roll_laplacian(v, grid):
+    # per-axis accumulation from zeros, neighbours by np.roll
+    out = np.zeros_like(v)
+    for ax in range(grid.dim):
+        out += (np.roll(v, -1, axis=ax) + np.roll(v, +1, axis=ax)
+                - 2.0 * v) / grid.h ** 2
+    return out
+
+
+def roll_operator_terms(u, spec, grid):
+    """lap phi(u), lap u and the Engquist-Osher div f(u), each flux half
+    evaluated on the rolled neighbours of u."""
+    div = np.zeros_like(u)
+    for ax, comp in enumerate(spec.flux.components):
+        up, um = np.roll(u, -1, axis=ax), np.roll(u, +1, axis=ax)
+        div += (comp.fplus(u) + comp.fminus(up) - comp.fplus(um)
+                - comp.fminus(u)) / grid.h
+    lap_phi = roll_laplacian(np.asarray(spec.phi.phi(u), dtype=float), grid)
+    return lap_phi, roll_laplacian(u, grid), div
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 96), (2, 32)])
+@pytest.mark.parametrize("flux", ["zero", "linear", "burgers"])
+@pytest.mark.parametrize("phi", ["zero", "linear", "stefan", "porous"])
+def test_stencil_matches_roll_oracle_bitwise(phi, flux, dim, cells):
+    # the step operator and the Picard right-hand side from one stencil
+    # pass equal the per-neighbour evaluation bit for bit, across the kinks
+    spec = make_spec(phi=phi, flux=flux, eps=0.07, dim=dim, phi_scale=1.3,
+                     flux_scale=-0.8 if flux == "linear" else 0.8)
+    grid = sc.Grid(dim=dim, half_width=2.0, cells=cells)
+    u = 1.5 * np.random.default_rng(17).normal(size=grid.shape)
+    lap_phi, lap_u, div = roll_operator_terms(u, spec, grid)
+    op = solver_mod._step_operator(u, spec, grid)
+    assert op.shape == grid.shape
+    assert np.array_equal(op, lap_phi + spec.epsilon * lap_u + div)
+    ours_phi, _, ours_div = solver_mod._stencil_terms(u, spec, grid)
+    x_rhs, dt = np.cos(u), 0.03
+    assert np.array_equal(x_rhs + dt * (ours_phi + ours_div),
+                          x_rhs + dt * (lap_phi + div))
+
+
+def counting_spec(dim, calls):
+    # porous phi and Burgers flux whose every evaluation is counted by name
+    spec = make_spec(phi="porous", flux="burgers", eps=0.05, dim=dim,
+                     u0=sc.init_family("bump", height=1.5, width=1.0,
+                                       dim=dim))
+
+    def counted(name, fn):
+        def wrapper(u):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(u)
+        return wrapper
+
+    phi = dataclasses.replace(
+        spec.phi, phi=counted("phi", spec.phi.phi),
+        dphi=counted("dphi", spec.phi.dphi))
+    comp = spec.flux.components[0]
+    comp = dataclasses.replace(comp, **{
+        name: counted(name, getattr(comp, name))
+        for name in ("fplus", "fminus", "dfplus", "dfminus")})
+    flux = dataclasses.replace(spec.flux, components=(comp,) * dim)
+    return dataclasses.replace(spec, phi=phi, flux=flux)
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 96), (2, 32)])
+def test_step_evaluates_each_coefficient_once_per_field(dim, cells,
+                                                        monkeypatch):
+    # one phi and one f+/f- per axis per residual evaluation, one dphi and
+    # one df+/df- per axis per Jacobian: no neighbour is evaluated apart
+    calls = {}
+    spec = counting_spec(dim, calls)
+    grid = sc.Grid(dim=dim, half_width=2.0, cells=cells)
+    for name in ("_step_operator", "_operator_jacobian"):
+        fn = getattr(solver_mod, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(solver_mod, name, counted)
+    u = sc.discretize_initial(spec, grid)
+    calls.clear()
+    _, stats = sc.implicit_step(spec, grid, u, np.zeros_like(u), 0.05)
+    residuals, jacobians = calls["_step_operator"], calls["_operator_jacobian"]
+    assert not stats.used_fallback and jacobians == stats.newton_iterations
+    assert jacobians >= 2 and residuals > jacobians
+    assert calls["phi"] == residuals
+    assert calls["fplus"] == calls["fminus"] == dim * residuals
+    assert calls["dphi"] == jacobians
+    assert calls["dfplus"] == calls["dfminus"] == dim * jacobians
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +471,7 @@ def test_grad_sq_matches_summation_by_parts():
     rng = np.random.default_rng(0)
     grid = sc.Grid(dim=1, half_width=1.0, cells=32)
     u = rng.uniform(-1, 1, 32)
-    lhs = -float(np.sum(laplacian(u, grid) * u)) * grid.cell_volume
+    lhs = -float(np.sum(roll_laplacian(u, grid) * u)) * grid.cell_volume
     np.testing.assert_allclose(lhs, grad_sq(u, grid), atol=1e-12)
 
 
@@ -381,11 +482,13 @@ def test_stacked_reductions_match_per_field(dim, cells):
     grid = sc.Grid(dim=dim, half_width=3.0, cells=cells)
     stack = np.random.default_rng(11).normal(size=(9,) + grid.shape)
     vol = grid.cell_volume
+    shell = np.max(np.abs(grid.coords()), axis=-1) > \
+        grid.half_width - grid.margin
 
     def grad_loop(u):
         total = 0.0
         for ax in range(dim):
-            d = (solver_mod._neighbor(u, ax, +1, grid) - u) / grid.h
+            d = (np.roll(u, -1, axis=ax) - u) / grid.h
             total += float(np.sum(d * d)) * vol
         return total
 
@@ -393,7 +496,11 @@ def test_stacked_reductions_match_per_field(dim, cells):
             (l2_sq, lambda u: float(np.sum(u * u)) * vol),
             (grad_sq, grad_loop),
             (lambda u, g: cell_integral(np.abs(u) ** 4, g),
-             lambda u: float(np.sum(np.abs(u) ** 4)) * vol)):
+             lambda u: float(np.sum(np.abs(u) ** 4)) * vol),
+            (mass_outside, lambda u: float(np.sum(np.abs(u[shell]))) * vol)):
         want = [loop(u) for u in stack]
         np.testing.assert_array_equal(reduce(stack, grid), want)
         np.testing.assert_array_equal([reduce(u, grid) for u in stack], want)
+    # the run's boundary_mass value: the largest field's, as a float
+    assert float(np.max(mass_outside(stack, grid))) == max(
+        float(np.sum(np.abs(u[shell]))) * vol for u in stack)
