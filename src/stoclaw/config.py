@@ -58,7 +58,7 @@ _SCHEMA = {
         "phi_scale": (float, 1.0, None),
         "flux": (str, "zero", ("zero", "linear", "burgers")),
         "flux_scale": (float, 1.0, None),
-        "u0": (str, "bump", ("zero", "bump", "box", "constant")),
+        "u0": (str, "bump", ("zero", "bump", "constant")),
         "u0_height": (float, 1.0, None),
         "u0_center": (float, 0.0, None),
         "u0_width": (float, 1.0, None),
@@ -72,7 +72,7 @@ _SCHEMA = {
         "g_height": (float, 1.0, None),
         "g_center": (float, 0.0, None),
         "g_width": (float, 1.0, None),
-        "sigma": (str, "const", ("const", "linear", "clip", "compact", "bump")),
+        "sigma": (str, "const", ("const", "linear", "compact", "bump")),
         "sigma_scale": (float, 1.0, None),
         "sigma_cap": (float, 1.0, None),
         "h": (str, "identity", ("identity", "const")),
@@ -104,7 +104,7 @@ _SCHEMA = {
         "identity_pairs": (int, 200, None),
         "isometry_paths": (int, 2000, None),
         "contraction_weight": (float, 4.0, None),
-        "v0": (str, "", ("", "zero", "bump", "box", "constant")),
+        "v0": (str, "", ("", "zero", "bump", "constant")),
         "v0_height": (float, 1.0, None),
         "v0_center": (float, 0.0, None),
         "v0_width": (float, 1.0, None),

@@ -158,11 +158,13 @@ def _check_assumptions(cfg, spec, grid, report):
             margin=1.0 + 1e-8 - e.worst_ratio, passed=e.passed,
             statement="worst sampled ratio of %s against its declared "
                       "constant stays <= 1" % e.name))
+    # the trend binds only when eta depends on x; otherwise no bound applies
+    bound = float(rep.modulus_ratio[0]) if rep.modulus_required else \
+        float("inf")
     report.add(CheckResult(
         name="assumption_a1_modulus_trend",
-        value=float(rep.modulus_ratio[-1]),
-        bound=float(rep.modulus_ratio[0]),
-        margin=float(rep.modulus_ratio[0] - rep.modulus_ratio[-1]),
+        value=float(rep.modulus_ratio[-1]), bound=bound,
+        margin=bound - float(rep.modulus_ratio[-1]),
         passed=bool(rep.modulus_decreasing) if rep.modulus_required else True,
         statement="sampled sup |sqrt(phi')(a)-sqrt(phi')(b)| / r^(2/3) "
                   "trends to 0 (finite-sample trend, never a certification)"))
@@ -339,10 +341,11 @@ def _check_contraction(spec, grid, results, report):
     rep = contraction_test(spec, [r["contraction"] for r in results])
     if rep.mean[0] == 0.0:
         worst = float(np.max(rep.mean))
-        scale = max(norm_l1(discretize_initial(spec, grid), grid), 1e-300)
+        bound = 1e-8 * max(norm_l1(discretize_initial(spec, grid), grid),
+                           1e-300)
         report.add(CheckResult(
-            name="contraction_zero", value=worst, bound=0.0, margin=-worst,
-            passed=bool(worst <= 1e-8 * scale),
+            name="contraction_zero", value=worst, bound=bound,
+            margin=bound - worst, passed=bool(worst <= bound),
             statement="equal initial data under one noise stay identical "
                       "in weighted L1"))
     report.add(CheckResult(
@@ -353,9 +356,10 @@ def _check_contraction(spec, grid, results, report):
 
 
 def _check_determinism(same, report):
+    value = 0.0 if same else 1.0
     report.add(CheckResult(
-        name="determinism", value=0.0 if same else 1.0, bound=0.0,
-        margin=0.0, passed=same,
+        name="determinism", value=value, bound=0.0, margin=0.0 - value,
+        passed=same,
         statement="identical seeds reproduce bitwise-identical paths and "
                   "trajectories"))
 
@@ -399,12 +403,11 @@ def _write_snapshots(out_dir, cfg, spec, snapshot):
     sname = os.path.join(out_dir, "fields", "stats_path0000.csv")
     with open(sname, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "newton_iterations", "picard_iterations",
-                         "residual", "used_fallback", "lemma_ratio"])
+        writer.writerow(["step", "newton_iterations", "residual",
+                         "lemma_ratio"])
         for s, (st, ratio) in enumerate(zip(stats, ratios)):
             writer.writerow([s + 1, st.newton_iterations,
-                             st.picard_iterations, "%.17g" % st.residual,
-                             int(st.used_fallback), "%.17g" % ratio])
+                             "%.17g" % st.residual, "%.17g" % ratio])
 
 
 # ---------------------------------------------------------------------------

@@ -304,11 +304,6 @@ def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
     elif sigma_kind == "linear":
         sigma = lambda u: s * np.asarray(u, dtype=float)
         lip, sup_box, support = abs(s), abs(s) * VALIDATION_RANGE, None
-    elif sigma_kind == "clip":
-        if cap <= 0.0:
-            raise InvalidSpecError("eta sigma cap must be positive")
-        sigma = lambda u: s * np.clip(np.asarray(u, dtype=float), -cap, cap)
-        lip, sup_box, support = abs(s), abs(s) * cap, None
     elif sigma_kind == "compact":
         if cap <= 0.0:
             raise InvalidSpecError("eta sigma cap must be positive")
@@ -347,7 +342,7 @@ def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
 
 def init_family(name: str, *, height: float = 1.0, center: float = 0.0,
                 width: float = 1.0, dim: int = 1) -> InitFamily:
-    """Initial data: zero | bump | box | constant."""
+    """Initial data: zero | bump | constant."""
     if name == "zero":
         return InitFamily(
             "zero", lambda x: np.zeros(np.asarray(x, dtype=float).shape[:-1]),
@@ -366,14 +361,6 @@ def init_family(name: str, *, height: float = 1.0, center: float = 0.0,
         u0 = _bump_profile(hgt, c, w)
         radius = float(np.max(np.abs(c))) + w
         return InitFamily("bump", u0, support_radius=radius, linf=abs(hgt))
-    if name == "box":
-        def u0(x):
-            x = np.asarray(x, dtype=float)
-            inside = np.all(np.abs(x - c) <= w, axis=-1)
-            return np.where(inside, hgt, 0.0)
-
-        radius = float(np.max(np.abs(c))) + w
-        return InitFamily("box", u0, support_radius=radius, linf=abs(hgt))
     raise InvalidSpecError("unknown u0 family %r" % (name,))
 
 

@@ -1,6 +1,6 @@
 """Implicit time discretization of the viscous problem: one nonlinear
-elliptic solve per step, driven by windowed compensated jump increments,
-plus the discrete energy terms.
+elliptic solve per step by damped Newton, driven by windowed compensated
+jump increments, plus the discrete energy terms.
 
 The diffusion terms are second-order central differences on the cell
 centers of the periodic torus that truncates R^d; div f(u) is the
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs, dgtsv
+from scipy.linalg.lapack import dgbsv, dgtsv
 from scipy.sparse.linalg import splu, spsolve  # for perfbench's tracer only
 
 from .model import Grid, ProblemSpec
@@ -29,12 +29,13 @@ __all__ = [
 ]
 
 NEWTON_MAX_ITER = 50
-PICARD_MAX_ITER = 500
 ARMIJO_FLOOR = 1e-9
 
 
 class StepFailureError(RuntimeError):
-    """Nonlinear solve failed; carries the residual history."""
+    """The Newton solve of a step failed: singular matrix, stalled line
+    search or iteration cap. Carries the residual history, initial
+    residual first."""
 
     def __init__(self, message: str, history):
         super().__init__(message)
@@ -129,8 +130,7 @@ def _stencil(grid: Grid):
     return _STENCIL_CACHE[key]
 
 
-def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid,
-                       viscous_only: bool = False):
+def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid):
     """Stencil coefficients of the Jacobian of u -> lap phi(u) + eps lap u
     + div f(u).
 
@@ -143,13 +143,8 @@ def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid,
     h2 = h * h
     eps = spec.epsilon
     uf = u.ravel()
-
-    if viscous_only:
-        dphi = np.zeros_like(uf)
-        with_flux = False
-    else:
-        dphi = np.asarray(spec.phi.dphi(uf), dtype=float)
-        with_flux = spec.flux.c_f > 0.0
+    dphi = np.asarray(spec.phi.dphi(uf), dtype=float)
+    with_flux = spec.flux.c_f > 0.0
 
     diag = np.zeros(uf.size)
     coefs = []
@@ -167,15 +162,6 @@ def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid,
             minus = minus - dfp[cols_m] / h
         coefs.append((plus, minus))
     return diag, coefs
-
-
-def _band_matrix(diag, coefs, grid: Grid, dt: float):
-    """``(k, pos, order, ab)``: I - dt J in the band of :func:`_stencil`."""
-    _, (k, pos, order, slot) = _stencil(grid)
-    ab = np.zeros((pos.size, 3 * k + 1))
-    ab.flat[slot] = np.concatenate(
-        [1.0 - dt * diag] + [-dt * c for pair in coefs for c in pair])
-    return k, pos, order, ab.T
 
 
 def _solve_tridiagonal(d, up, lo, rhs) -> np.ndarray:
@@ -210,20 +196,24 @@ def _solve_tridiagonal(d, up, lo, rhs) -> np.ndarray:
 
 def _newton_direction(diag, coefs, grid: Grid, dt: float,
                       rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - dt J) x = rhs: ``dgtsv`` in 1D, else ``dgbsv``."""
+    """Solve (I - dt J) x = rhs: ``dgtsv`` in 1D, else ``dgbsv`` on the
+    band of :func:`_stencil`."""
     if grid.dim == 1:
         plus, minus = coefs[0]
         return _solve_tridiagonal(1.0 - dt * diag, -dt * plus, -dt * minus,
                                   rhs)
-    k, pos, order, ab = _band_matrix(diag, coefs, grid, dt)
-    _, _, x, info = dgbsv(k, k, ab, rhs[order], overwrite_ab=1)
+    _, (k, pos, order, slot) = _stencil(grid)
+    ab = np.zeros((pos.size, 3 * k + 1))
+    ab.flat[slot] = np.concatenate(
+        [1.0 - dt * diag] + [-dt * c for pair in coefs for c in pair])
+    _, _, x, info = dgbsv(k, k, ab.T, rhs[order], overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError("dgbsv: singular matrix, info %d" % info)
     return x[pos]
 
 
-def _stencil_terms(u: np.ndarray, spec: ProblemSpec, grid: Grid):
-    """``(lap phi(u), lap u, div f(u))``, div f in the Engquist-Osher form
+def _step_operator(u: np.ndarray, spec: ProblemSpec, grid: Grid) -> np.ndarray:
+    """lap phi(u) + eps lap u + div f(u), div f in the Engquist-Osher form
     ``(f+(u_i) + f-(u_{i+1}) - f+(u_{i-1}) - f-(u_i)) / h``, from one
     evaluation of phi and, per axis, of f+ and f-. Every catalog phi and
     flux is elementwise, so gathering the neighbours from those values is
@@ -233,19 +223,13 @@ def _stencil_terms(u: np.ndarray, spec: ProblemSpec, grid: Grid):
     h2 = h ** 2
     uf = u.ravel()
     pf = np.asarray(spec.phi.phi(uf), dtype=float)
-    terms = np.zeros((3, uf.size))
-    lap_phi, lap_u, div = terms
+    lap_phi, lap_u, div = np.zeros((3, uf.size))
     for (cols_p, cols_m), comp in zip(axes, spec.flux.components):
         lap_phi += (pf[cols_p] + pf[cols_m] - 2.0 * pf) / h2
         lap_u += (uf[cols_p] + uf[cols_m] - 2.0 * uf) / h2
         fp, fm = comp.fplus(uf), comp.fminus(uf)
         div += (fp + fm[cols_p] - fp[cols_m] - fm) / h
-    return terms.reshape((3,) + u.shape)
-
-
-def _step_operator(u: np.ndarray, spec: ProblemSpec, grid: Grid) -> np.ndarray:
-    lap_phi, lap_u, div = _stencil_terms(u, spec, grid)
-    return lap_phi + spec.epsilon * lap_u + div
+    return (lap_phi + spec.epsilon * lap_u + div).reshape(u.shape)
 
 
 @dataclass
@@ -254,9 +238,8 @@ class StepStats:
     rows of ``fields/stats_path0000.csv``, next to :func:`lemma_ratios`."""
 
     newton_iterations: int
-    picard_iterations: int
     residual: float
-    used_fallback: bool
+    used_fallback = False  # not a field; perfbench/tracing.py reads it
 
 
 def _lemma_check(u: np.ndarray, x_rhs: np.ndarray, spec: ProblemSpec,
@@ -283,15 +266,15 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
 
     Damped Newton with an analytic stencil Jacobian, solved by LAPACK
     (``dgtsv`` in 1D, ``dgbsv`` on the folded band of :func:`_stencil` in
-    2D); the fallback is a Picard sweep on the viscous operator, band-
-    factored once by ``dgbtrf``. The accepted state satisfies
-    ||F(u)||_2 <= 1e-10 (1 + ||u_n||_2) in the discrete L2 norm.
+    2D), with Armijo halving of the step length. The accepted state
+    satisfies ||F(u)||_2 <= 1e-10 (1 + ||u_n||_2) in the discrete L2 norm.
 
     Raises
     ------
     StepFailureError
-        When both Newton and the fallback stall above the tolerance; the
-        error carries the residual history so the caller may halve dt.
+        When the Newton matrix is singular, the line search stalls, or
+        ``NEWTON_MAX_ITER`` iterations leave the residual above the
+        tolerance; the error carries the residual history.
     """
     x_rhs = u_n + noise_inc
     tol = 1e-10 * (1.0 + norm_l2(u_n, grid))
@@ -299,69 +282,41 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
     def residual(u):
         return u - dt * _step_operator(u, spec, grid) - x_rhs
 
-    history = []
+    def failure(reason):
+        return StepFailureError(
+            "%s: residual %.3e (tolerance %.3e, dt %.3e)"
+            % (reason, res_norm, tol, dt), history)
+
     u = u_n.copy()
     res = residual(u)
     res_norm = norm_l2(res, grid)
-    history.append(res_norm)
+    history = [res_norm]
     newton_iters = 0
-    converged = res_norm <= tol
-
-    while not converged and newton_iters < NEWTON_MAX_ITER:
+    while not res_norm <= tol:  # a NaN residual never converges
+        if newton_iters == NEWTON_MAX_ITER:
+            raise failure("no convergence in %d Newton iterations"
+                          % NEWTON_MAX_ITER)
         diag, coefs = _operator_jacobian(u, spec, grid)
-        lam = 1.0
-        accepted = False
         try:
             delta = _newton_direction(diag, coefs, grid, dt,
                                       -res.ravel()).reshape(u.shape)
-        except np.linalg.LinAlgError:
-            lam = 0.0  # singular Newton matrix: go to the fallback
-        while lam >= ARMIJO_FLOOR:
+        except np.linalg.LinAlgError as err:
+            raise failure("singular Newton matrix (%s)" % err) from err
+        lam = 1.0
+        while True:
             trial = u + lam * delta
             trial_res = residual(trial)
             trial_norm = norm_l2(trial_res, grid)
             if np.isfinite(trial_norm) and trial_norm <= (1.0 - 1e-4 * lam) * res_norm:
-                u, res, res_norm = trial, trial_res, trial_norm
-                accepted = True
                 break
             lam *= 0.5
+            if lam < ARMIJO_FLOOR:
+                raise failure("line search stalled")
+        u, res, res_norm = trial, trial_res, trial_norm
         newton_iters += 1
         history.append(res_norm)
-        if not accepted:
-            break
-        if res_norm <= tol:
-            converged = True
 
-    picard_iters = 0
-    used_fallback = False
-    if not converged:
-        used_fallback = True
-        diag, coefs = _operator_jacobian(u, spec, grid, viscous_only=True)
-        k, pos, order, ab = _band_matrix(diag, coefs, grid, dt)
-        lu, piv, _ = dgbtrf(ab, k, k, overwrite_ab=1)  # M-matrix: info 0
-        u = u_n.copy()
-        for picard_iters in range(1, PICARD_MAX_ITER + 1):
-            lap_phi, _, div = _stencil_terms(u, spec, grid)
-            rhs = x_rhs + dt * (lap_phi + div)
-            u = dgbtrs(lu, k, k, rhs.ravel()[order], piv)[0][pos].reshape(
-                u.shape)
-            res = residual(u)
-            res_norm = norm_l2(res, grid)
-            history.append(res_norm)
-            if res_norm <= tol:
-                converged = True
-                break
-            if not np.isfinite(res_norm) or res_norm > 1e9 * (1.0 + history[0]):
-                break
-
-    if not converged:
-        raise StepFailureError(
-            "nonlinear step stalled at residual %.3e (tolerance %.3e, dt %.3e)"
-            % (res_norm, tol, dt), history)
-
-    return u, StepStats(
-        newton_iterations=newton_iters, picard_iterations=picard_iters,
-        residual=res_norm, used_fallback=used_fallback)
+    return u, StepStats(newton_iterations=newton_iters, residual=res_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ import pytest
 import stoclaw.harness as harness
 import stoclaw.solver as solver_mod
 from stoclaw.cli import main
-from stoclaw.config import ConfigError, ExperimentConfig
+from stoclaw.config import _SCHEMA, ConfigError, ExperimentConfig
+from stoclaw.diagnostics import DiagnosticsReport
 from stoclaw.harness import (convergence_study, path_seed, replay,
                              run_experiment)
+from stoclaw.model import (InvalidSpecError, eta_family, flux_family,
+                           init_family, phi_family)
 from stoclaw.noise import compensated_increment, sample_jump_path
 from stoclaw.solver import StepFailureError, solve_path
 
@@ -113,6 +116,59 @@ def test_bundled_configs_parse_and_build():
         assert grid.cells >= 4
         if spec.eta.is_zero is False and spec.levy.total_mass > 0:
             assert spec.lambda_star < 1.0
+
+
+# the schema keys that name a catalog family, and what each builds
+FAMILY_KEYS = {
+    ("model", "phi"): lambda spec, v0: spec.phi.name,
+    ("model", "flux"): lambda spec, v0: spec.flux.name,
+    ("model", "u0"): lambda spec, v0: spec.u0.name,
+    ("noise", "eta"): lambda spec, v0: spec.eta.name.split(":")[0],
+    ("noise", "g"): lambda spec, v0: spec.eta.params["g"],
+    ("noise", "sigma"): lambda spec, v0: spec.eta.params["sigma"],
+    ("noise", "h"): lambda spec, v0: spec.eta.params["h"],
+    ("diagnostics", "v0"): lambda spec, v0: v0.name if v0 else "",
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_schema_names_match_the_model_catalog(dim):
+    # every name the schema allows builds the family of that name
+    for (section, key), built in FAMILY_KEYS.items():
+        for name in _SCHEMA[section][key][2]:
+            cfg = ExperimentConfig.defaults()
+            cfg.set("model", "dim", dim)
+            if section == "noise" and key != "eta":
+                cfg.set("noise", "eta", "separable")
+            cfg.set(section, key, name)
+            assert built(cfg.build_spec(), cfg.build_v0()) == name
+    # and every other name, the deleted ones included, is refused by the
+    # catalog, so neither module keeps a name the other has dropped
+    everything = {v for keys in _SCHEMA.values() for typ, _, allowed
+                  in keys.values() if allowed and typ is str for v in allowed}
+    everything |= {"box", "clip", "no-such-family"}
+
+    def refused(key):
+        return sorted(everything.difference(_SCHEMA[key[0]][key[1]][2]))
+
+    builders = {
+        ("model", "phi"): lambda n: phi_family(n),
+        ("model", "flux"): lambda n: flux_family(n, dim),
+        ("model", "u0"): lambda n: init_family(n, dim=dim),
+        ("noise", "eta"): lambda n: eta_family(n, dim=dim),
+        ("noise", "g"): lambda n: eta_family("separable", g_kind=n, dim=dim),
+        ("noise", "sigma"): lambda n: eta_family("separable", sigma_kind=n,
+                                                 dim=dim),
+        ("noise", "h"): lambda n: eta_family("separable", h_kind=n, dim=dim),
+    }
+    # v0 is built by init_family, like u0
+    assert set(builders) | {("diagnostics", "v0")} == set(FAMILY_KEYS)
+    assert set(_SCHEMA["diagnostics"]["v0"][2]) == \
+        set(_SCHEMA["model"]["u0"][2]) | {""}
+    for key, build in builders.items():
+        for name in refused(key):
+            with pytest.raises(InvalidSpecError):
+                build(name)
 
 
 def test_seed_splitting_rule():
@@ -318,6 +374,40 @@ def test_moments_with_zero_u0_pass(tmp_path):
     assert report.count(",pass,") == 2
 
 
+# rows whose margin is the fit gap |K - K_half|, not a signed distance
+FIT_GAP_ROWS = ("moment_p", "contraction_growth")
+
+
+@pytest.mark.parametrize("name", ["linear-smoke", "stochastic-default",
+                                  "maxprinciple", "moments-linear",
+                                  "contraction"])
+def test_row_passes_exactly_when_its_margin_is_nonnegative(tmp_path, name):
+    cfg = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, name + ".cfg"))
+    cfg.set("run", "paths", 2)
+    cfg.set("run", "steps", 4)
+    cfg.set("diagnostics", "identity_pairs", 20)
+    cfg.set("diagnostics", "isometry_paths", 200)
+    # every config's coefficients through the assumption rows as well
+    checks = cfg.get("diagnostics", "checks")
+    cfg.set("diagnostics", "checks", checks + tuple(
+        c for c in ("assumptions", "determinism") if c not in checks))
+    report = run_experiment(cfg, out_dir=str(tmp_path))
+    signed = [c for c in report.checks if c.passed is not None
+              and not c.name.startswith(FIT_GAP_ROWS)]
+    assert "assumption_a1_modulus_trend" in [c.name for c in signed]
+    for c in signed:
+        assert bool(c.passed) is bool(c.margin >= 0.0), (c.name, c.margin)
+
+
+def test_failed_determinism_row_has_negative_margin():
+    for same, margin in ((True, 0.0), (False, -1.0)):
+        report = DiagnosticsReport()
+        harness._check_determinism(same, report)
+        (row,) = report.checks
+        assert row.passed is same and row.margin == row.bound - row.value
+        assert row.margin == margin
+
+
 def test_contraction_zero_row_for_equal_data(tmp_path):
     # v0 = u0: both solutions coincide under every noise path
     cfg = ExperimentConfig.from_file(
@@ -331,6 +421,9 @@ def test_contraction_zero_row_for_equal_data(tmp_path):
     rows = {c.name: c for c in report.checks}
     assert rows["contraction_zero"].passed is True
     assert rows["contraction_zero"].value == 0.0
+    # judged against 1e-8 ||u0||_1, which is the bound it reports
+    assert rows["contraction_zero"].margin == rows["contraction_zero"].bound
+    assert rows["contraction_zero"].bound > 0.0
     assert rows["contraction_growth"].passed is True
 
 
@@ -338,7 +431,6 @@ def test_worker_step_failure_reaches_caller(tmp_path, monkeypatch):
     # the limits reach the pool workers through fork; the failure must come
     # back as StepFailureError with its history, not as a broken pool
     monkeypatch.setattr(solver_mod, "NEWTON_MAX_ITER", 1)
-    monkeypatch.setattr(solver_mod, "PICARD_MAX_ITER", 1)
     cfg = ExperimentConfig.from_file(
         os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
     cfg.set("run", "paths", 2)
@@ -364,7 +456,6 @@ def test_worker_step_failure_reaches_caller(tmp_path, monkeypatch):
 def test_study_worker_step_failure_reaches_caller(tmp_path, monkeypatch):
     # the study pool hands a worker's failure back the same way
     monkeypatch.setattr(solver_mod, "NEWTON_MAX_ITER", 1)
-    monkeypatch.setattr(solver_mod, "PICARD_MAX_ITER", 1)
     cfg = small_default_config()
     cfg.set("run", "paths", 2)
     with pytest.raises(StepFailureError, match="step 1 of 4") as err:
