@@ -403,10 +403,10 @@ def _write_snapshots(out_dir, cfg, spec, snapshot):
     sname = os.path.join(out_dir, "fields", "stats_path0000.csv")
     with open(sname, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "newton_iterations", "residual",
-                         "lemma_ratio"])
+        writer.writerow(["step", "newton_iterations", "jacobians",
+                         "residual", "lemma_ratio"])
         for s, (st, ratio) in enumerate(zip(stats, ratios)):
-            writer.writerow([s + 1, st.newton_iterations,
+            writer.writerow([s + 1, st.newton_iterations, st.jacobians,
                              "%.17g" % st.residual, "%.17g" % ratio])
 
 

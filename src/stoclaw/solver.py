@@ -1,12 +1,14 @@
 """Implicit time discretization of the viscous problem: one nonlinear
-elliptic solve per step by damped Newton, driven by windowed compensated
+elliptic solve per step by chord Newton, driven by windowed compensated
 jump increments, plus the discrete energy terms.
 
 The diffusion terms are second-order central differences on the cell
 centers of the periodic torus that truncates R^d; div f(u) is the
 Engquist-Osher flux splitting.  A residual evaluates phi and, per axis, the
-flux halves once per field.  Newton matrices go to LAPACK: a cyclic
-``dgtsv`` solve in 1D, ``dgbsv`` on a folded band in 2D.
+flux halves once per field.  A step LU-factors its Newton matrix with
+LAPACK, cyclic ``dgttrf`` in 1D and ``dgbtrf`` on a folded band in 2D, and
+reuses the factors while the residual keeps falling ``1 / CHORD_RATE``-fold
+per iteration; a slower chord step refreshes them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgtsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from scipy.sparse.linalg import splu, spsolve  # for perfbench's tracer only
 
 from .model import Grid, ProblemSpec
@@ -30,6 +32,9 @@ __all__ = [
 
 NEWTON_MAX_ITER = 50
 ARMIJO_FLOOR = 1e-9
+# a chord step is kept only when it cuts the residual norm to this share
+# of its value; a slower one refreshes the Jacobian
+CHORD_RATE = 0.1
 
 
 class StepFailureError(RuntimeError):
@@ -164,14 +169,14 @@ def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid):
     return diag, coefs
 
 
-def _solve_tridiagonal(d, up, lo, rhs) -> np.ndarray:
-    """Solve lo[i] x[i-1] + d[i] x[i] + up[i] x[i+1] = rhs[i], indices
-    wrapping cyclically, with LAPACK ``dgtsv`` (Gaussian elimination with
-    partial pivoting).
+def _factor_tridiagonal(d, up, lo) -> Callable:
+    """LU-factor the cyclic tridiagonal matrix lo[i] x[i-1] + d[i] x[i] +
+    up[i] x[i+1], indices wrapping, with LAPACK ``dgttrf`` (Gaussian
+    elimination with partial pivoting); return its solve.
 
     The corner entries ``lo[0]`` and ``up[-1]`` are removed by a
-    Sherman-Morrison correction (Numerical Recipes 2.7) whose second
-    right-hand side rides in the same ``dgtsv`` call.
+    Sherman-Morrison correction (Numerical Recipes 2.7): its vector ``z``
+    is solved once here, so each solve is one ``dgttrs`` and an update.
     """
     # A = T + w v^T, w = (gamma, 0.., alpha), v = (1, 0.., beta/gamma).
     # gamma opposes d[0] in sign and |gamma| >= |d[0]| + |beta|, so t[0]
@@ -181,35 +186,40 @@ def _solve_tridiagonal(d, up, lo, rhs) -> np.ndarray:
     t = d.copy()
     t[0] -= gamma
     t[-1] -= alpha * beta / gamma
-    b = np.zeros((d.size, 2), order="F")
-    b[:, 0] = rhs
-    b[0, 1] = gamma
-    b[-1, 1] = alpha
-    _, _, _, yz, info = dgtsv(lo[1:], t, up[:-1], b)
+    *lu, info = dgttrf(lo[1:], t, up[:-1])
     if info != 0:
         raise np.linalg.LinAlgError(
-            "tridiagonal Newton matrix is singular (dgtsv info %d)" % info)
-    y, z = yz[:, 0], yz[:, 1]
-    return y - ((y[0] + beta * y[-1] / gamma)
-                / (1.0 + z[0] + beta * z[-1] / gamma)) * z
+            "tridiagonal Newton matrix is singular (dgttrf info %d)" % info)
+    w = np.zeros(d.size)
+    w[0] = gamma
+    w[-1] = alpha
+    z = dgttrs(*lu, w)[0]
+    z /= 1.0 + z[0] + beta * z[-1] / gamma
+
+    def solve(rhs):
+        y = dgttrs(*lu, rhs)[0]
+        return y - (y[0] + beta * y[-1] / gamma) * z
+    return solve
 
 
-def _newton_direction(diag, coefs, grid: Grid, dt: float,
-                      rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - dt J) x = rhs: ``dgtsv`` in 1D, else ``dgbsv`` on the
-    band of :func:`_stencil`."""
+def _factor_newton_matrix(diag, coefs, grid: Grid, dt: float) -> Callable:
+    """LU-factor I - dt J, ``dgttrf`` in 1D, else ``dgbtrf`` on the band
+    of :func:`_stencil`; return the function solving (I - dt J) x = rhs
+    with those factors (``dgttrs`` / ``dgbtrs``)."""
     if grid.dim == 1:
         plus, minus = coefs[0]
-        return _solve_tridiagonal(1.0 - dt * diag, -dt * plus, -dt * minus,
-                                  rhs)
+        return _factor_tridiagonal(1.0 - dt * diag, -dt * plus, -dt * minus)
     _, (k, pos, order, slot) = _stencil(grid)
     ab = np.zeros((pos.size, 3 * k + 1))
     ab.flat[slot] = np.concatenate(
         [1.0 - dt * diag] + [-dt * c for pair in coefs for c in pair])
-    _, _, x, info = dgbsv(k, k, ab.T, rhs[order], overwrite_ab=1)
+    lu, piv, info = dgbtrf(ab.T, k, k, overwrite_ab=1)
     if info != 0:
-        raise np.linalg.LinAlgError("dgbsv: singular matrix, info %d" % info)
-    return x[pos]
+        raise np.linalg.LinAlgError("dgbtrf: singular matrix, info %d" % info)
+
+    def solve(rhs):
+        return dgbtrs(lu, k, k, rhs[order], piv)[0][pos]
+    return solve
 
 
 def _step_operator(u: np.ndarray, spec: ProblemSpec, grid: Grid) -> np.ndarray:
@@ -234,10 +244,12 @@ def _step_operator(u: np.ndarray, spec: ProblemSpec, grid: Grid) -> np.ndarray:
 
 @dataclass
 class StepStats:
-    """How the nonlinear solve of one step went; path 0's steps are the
-    rows of ``fields/stats_path0000.csv``, next to :func:`lemma_ratios`."""
+    """How the nonlinear solve of one step went: accepted Newton steps,
+    Jacobian factorizations and the final residual norm. Path 0's steps are
+    the rows of ``fields/stats_path0000.csv``, next to :func:`lemma_ratios`."""
 
     newton_iterations: int
+    jacobians: int
     residual: float
     used_fallback = False  # not a field; perfbench/tracing.py reads it
 
@@ -264,10 +276,17 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
     """Solve u - dt*(lap phi(u) + eps lap u + div f(u)) = u_n + noise_inc,
     returning ``(u, StepStats)``.
 
-    Damped Newton with an analytic stencil Jacobian, solved by LAPACK
-    (``dgtsv`` in 1D, ``dgbsv`` on the folded band of :func:`_stencil` in
-    2D), with Armijo halving of the step length. The accepted state
-    satisfies ||F(u)||_2 <= 1e-10 (1 + ||u_n||_2) in the discrete L2 norm.
+    Chord Newton (Kelley, Solving Nonlinear Equations with Newton's
+    Method, 5.4) on an analytic stencil Jacobian: the Newton matrix is
+    assembled and LU-factored at u_n by :func:`_factor_newton_matrix`
+    (``dgttrf`` in 1D, ``dgbtrf`` on the folded band of :func:`_stencil`
+    in 2D), and every later iteration reuses the factors for a full step.
+    A chord step that does not cut the residual norm to ``CHORD_RATE``
+    times its value is discarded, and the Jacobian is refreshed and
+    factored at the current iterate. Only a step on fresh factors is damped,
+    by Armijo halving of its length. The accepted state satisfies
+    ||F(u)||_2 <= 1e-10 (1 + ||u_n||_2) in the discrete L2 norm. Nothing is
+    kept between steps.
 
     Raises
     ------
@@ -291,32 +310,44 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
     res = residual(u)
     res_norm = norm_l2(res, grid)
     history = [res_norm]
-    newton_iters = 0
+    newton_iters = jacobians = 0
+    solve = None  # the factored Newton matrix, kept until a chord step stalls
     while not res_norm <= tol:  # a NaN residual never converges
         if newton_iters == NEWTON_MAX_ITER:
             raise failure("no convergence in %d Newton iterations"
                           % NEWTON_MAX_ITER)
-        diag, coefs = _operator_jacobian(u, spec, grid)
-        try:
-            delta = _newton_direction(diag, coefs, grid, dt,
-                                      -res.ravel()).reshape(u.shape)
-        except np.linalg.LinAlgError as err:
-            raise failure("singular Newton matrix (%s)" % err) from err
-        lam = 1.0
-        while True:
-            trial = u + lam * delta
+        if solve is not None:
+            trial = u - solve(res.ravel()).reshape(u.shape)
             trial_res = residual(trial)
             trial_norm = norm_l2(trial_res, grid)
-            if np.isfinite(trial_norm) and trial_norm <= (1.0 - 1e-4 * lam) * res_norm:
-                break
-            lam *= 0.5
-            if lam < ARMIJO_FLOOR:
-                raise failure("line search stalled")
+            if not trial_norm <= CHORD_RATE * res_norm:
+                solve = None  # refresh at u; the chord step is discarded
+                continue
+        else:
+            diag, coefs = _operator_jacobian(u, spec, grid)
+            try:
+                solve = _factor_newton_matrix(diag, coefs, grid, dt)
+            except np.linalg.LinAlgError as err:
+                raise failure("singular Newton matrix (%s)" % err) from err
+            jacobians += 1
+            delta = solve(-res.ravel()).reshape(u.shape)
+            lam = 1.0
+            while True:
+                trial = u + lam * delta
+                trial_res = residual(trial)
+                trial_norm = norm_l2(trial_res, grid)
+                if np.isfinite(trial_norm) and \
+                        trial_norm <= (1.0 - 1e-4 * lam) * res_norm:
+                    break
+                lam *= 0.5
+                if lam < ARMIJO_FLOOR:
+                    raise failure("line search stalled")
         u, res, res_norm = trial, trial_res, trial_norm
         newton_iters += 1
         history.append(res_norm)
 
-    return u, StepStats(newton_iterations=newton_iters, residual=res_norm)
+    return u, StepStats(newton_iterations=newton_iters,
+                        jacobians=jacobians, residual=res_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,30 @@ def test_criterion_03_banded_oracle():
     assert _report(3, "banded_oracle", ok, "worst L2 gap %.2e" % worst)
 
 
+def test_criterion_03_banded_oracle_2d():
+    # criterion 03 on a 32^2 torus: the circulant I - dt eps lap is
+    # diagonal in the 2D Fourier basis, so numpy.fft solves it exactly
+    eps, dt, m = 1.0, 0.1, 32
+    levy = load("linear-smoke").build_intensity()
+    spec = sc.ProblemSpec(
+        phi=sc.phi_family("zero"), flux=sc.flux_family("zero", 2),
+        eta=sc.eta_family("zero"), u0=sc.init_family("bump", dim=2),
+        levy=levy, epsilon=eps, horizon=0.5, dim=2)
+    grid = sc.Grid(dim=2, half_width=2.0, cells=m)
+    # eigenvalue of the 1D periodic second difference for each frequency
+    lam = (2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(m)) - 2.0) / grid.h ** 2
+    symbol = 1.0 - dt * eps * (lam[:, None] + lam[None, :])
+    rng = np.random.default_rng(3318)
+    worst = 0.0
+    for _ in range(100):
+        u = rng.uniform(-1, 1, grid.shape)
+        ours, _ = sc.implicit_step(spec, grid, u, np.zeros_like(u), dt)
+        oracle = np.real(np.fft.ifft2(np.fft.fft2(u) / symbol))
+        worst = max(worst, norm_l2(ours - oracle, grid))
+    ok = worst <= 1e-12
+    assert _report(3, "banded_oracle_2d", ok, "worst L2 gap %.2e" % worst)
+
+
 def _energy_total(results, spec, dt):
     u_norm = np.mean([r["energy"]["u_norm_sq"] for r in results], axis=0)
     grad_u = np.mean([r["energy"]["grad_u_sq"] for r in results], axis=0)

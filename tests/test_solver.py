@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import pickle
 
 import numpy as np
@@ -6,9 +7,12 @@ import pytest
 
 import stoclaw as sc
 import stoclaw.solver as solver_mod
+from stoclaw.config import ExperimentConfig
 from stoclaw.noise import JumpPath, LevyIntensity, SizeMeasure
 from stoclaw.solver import (StepFailureError, cell_integral, grad_sq, l2_sq,
                             lemma_ratios, mass_outside, norm_l2)
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def silent_levy():
@@ -189,11 +193,13 @@ def counting_spec(dim, calls):
 def test_step_evaluates_each_coefficient_once_per_field(dim, cells,
                                                         monkeypatch):
     # one phi and one f+/f- per axis per residual evaluation, one dphi and
-    # one df+/df- per axis per Jacobian: no neighbour is evaluated apart
+    # one df+/df- per axis per Jacobian, one factorization per Jacobian: no
+    # neighbour is evaluated apart, and chord steps reuse the factors
     calls = {}
     spec = counting_spec(dim, calls)
     grid = sc.Grid(dim=dim, half_width=2.0, cells=cells)
-    for name in ("_step_operator", "_operator_jacobian"):
+    for name in ("_step_operator", "_operator_jacobian",
+                 "_factor_newton_matrix"):
         fn = getattr(solver_mod, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -204,12 +210,60 @@ def test_step_evaluates_each_coefficient_once_per_field(dim, cells,
     calls.clear()
     _, stats = sc.implicit_step(spec, grid, u, np.zeros_like(u), 0.05)
     residuals, jacobians = calls["_step_operator"], calls["_operator_jacobian"]
-    assert jacobians == stats.newton_iterations
+    assert calls["_factor_newton_matrix"] == jacobians == stats.jacobians
+    assert jacobians <= stats.newton_iterations
     assert jacobians >= 2 and residuals > jacobians
     assert calls["phi"] == residuals
     assert calls["fplus"] == calls["fminus"] == dim * residuals
     assert calls["dphi"] == jacobians
     assert calls["dfplus"] == calls["dfminus"] == dim * jacobians
+
+
+def bundled_case(name, dim, cells, seed):
+    # a bundled config's data at the given dimension and grid, with one of
+    # its jump paths
+    cfg = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, name + ".cfg"))
+    cfg.set("model", "dim", dim)
+    cfg.set("grid", "cells", cells)
+    spec = cfg.build_spec()
+    return (spec, cfg.build_grid(), cfg.get("run", "steps"),
+            sc.sample_jump_path(spec.levy, spec.horizon, seed))
+
+
+def porous_case(dim, cells):
+    # porous phi at dt = 0.5: chord steps from u_n slow down, so the
+    # Jacobian is refreshed within a step
+    spec = make_spec(phi="porous", flux="burgers", eps=0.05, dim=dim,
+                     u0=sc.init_family("bump", height=1.5, width=1.0,
+                                       dim=dim), horizon=1.0)
+    return (spec, sc.Grid(dim=dim, half_width=2.0, cells=cells), 2,
+            empty_path(silent_levy(), 1.0))
+
+
+@pytest.mark.parametrize("case,refresh", [
+    (lambda: bundled_case("stochastic-default", 1, 96, 3), False),
+    (lambda: bundled_case("contraction", 2, 32, 3), False),
+    (lambda: porous_case(1, 96), True),
+    (lambda: porous_case(2, 32), True),
+], ids=["stochastic-default-1d", "contraction-2d", "porous-refresh-1d",
+        "porous-refresh-2d"])
+def test_accepted_steps_meet_the_residual_tolerance(case, refresh):
+    # F(u) recomputed from the step operator and the rebuilt right-hand
+    # side: every step the chord iteration accepts is within
+    # 1e-10 (1 + ||u_n||), whether or not its Jacobian was refreshed
+    spec, grid, n_steps, path = case()
+    traj = sc.solve_path(spec, grid, n_steps, path)
+    dt, u = traj.dt, traj.fields
+    gx = None if spec.eta.is_zero else spec.eta.g(grid.coords())
+    for n, st in enumerate(traj.stats):
+        x_rhs = u[n] + sc.compensated_increment(
+            path, spec, grid, u[n], n * dt, (n + 1) * dt, gx=gx)
+        res = u[n + 1] - dt * solver_mod._step_operator(u[n + 1], spec,
+                                                        grid) - x_rhs
+        assert norm_l2(res, grid) <= 1e-10 * (1.0 + norm_l2(u[n], grid))
+        assert 1 <= st.jacobians <= st.newton_iterations < \
+            solver_mod.NEWTON_MAX_ITER
+    assert not refresh or max(st.jacobians for st in traj.stats) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +325,11 @@ def test_periodic_newton_solve_matches_dense():
     mat = dense_newton_matrix(diag, coefs, grid, dt)
     assert mat[0, -1] != 0.0 and mat[-1, 0] != 0.0
     assert not np.allclose(mat, mat.T)
-    rhs = rng.uniform(-1, 1, grid.cells)
-    ours = solver_mod._newton_direction(diag, coefs, grid, dt, rhs)
-    oracle = np.linalg.solve(mat, rhs)
-    assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    solve = solver_mod._factor_newton_matrix(diag, coefs, grid, dt)
+    for rhs in rng.uniform(-1, 1, (2, grid.cells)):  # factors reused
+        ours = solve(rhs)
+        oracle = np.linalg.solve(mat, rhs)
+        assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("cells", [32, 33],
@@ -294,10 +349,11 @@ def test_banded_newton_solve_matches_dense(cells):
     wrap = (mat[0, (cells - 1) * cells], mat[0, cells - 1])
     assert all(w != 0.0 for w in wrap)
     assert not np.allclose(mat, mat.T)
-    rhs = rng.uniform(-1, 1, grid.cells ** 2)
-    ours = solver_mod._newton_direction(diag, coefs, grid, dt, rhs)
-    oracle = np.linalg.solve(mat, rhs)
-    assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    solve = solver_mod._factor_newton_matrix(diag, coefs, grid, dt)
+    for rhs in rng.uniform(-1, 1, (2, grid.cells ** 2)):  # factors reused
+        ours = solve(rhs)
+        oracle = np.linalg.solve(mat, rhs)
+        assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_singular_newton_matrix_fails_the_step(monkeypatch):
@@ -305,19 +361,19 @@ def test_singular_newton_matrix_fails_the_step(monkeypatch):
     zeros, d = np.zeros(8), np.zeros(8)
     d[0] = 1.0
     with pytest.raises(np.linalg.LinAlgError):
-        solver_mod._solve_tridiagonal(d, zeros, zeros, np.ones(8))
+        solver_mod._factor_tridiagonal(d, zeros, zeros)
     grid = sc.Grid(dim=2, half_width=2.0, cells=8)
     zeros = np.zeros(64)
     with pytest.raises(np.linalg.LinAlgError):
-        solver_mod._newton_direction(np.ones(64), [(zeros, zeros)] * 2, grid,
-                                     1.0, np.ones(64))
+        solver_mod._factor_newton_matrix(np.ones(64), [(zeros, zeros)] * 2,
+                                         grid, 1.0)
 
     def singular(*args):
         raise np.linalg.LinAlgError("singular")
 
     # no second solver: the first singular matrix fails the step, with the
     # initial residual in the history and the step index from solve_path
-    monkeypatch.setattr(solver_mod, "_newton_direction", singular)
+    monkeypatch.setattr(solver_mod, "_factor_newton_matrix", singular)
     for dim, cells in ((1, 32), (2, 16)):
         spec = make_spec(phi="porous", eps=0.1, dim=dim)
         grid = sc.Grid(dim=dim, half_width=2.0, cells=cells)
@@ -335,8 +391,8 @@ def test_singular_newton_matrix_fails_the_step(monkeypatch):
 def test_line_search_stall_fails_the_step(monkeypatch):
     # a zero Newton direction never decreases the residual: every Armijo
     # halving down to ARMIJO_FLOOR is rejected and the step fails
-    monkeypatch.setattr(solver_mod, "_newton_direction",
-                        lambda diag, coefs, grid, dt, rhs: np.zeros_like(rhs))
+    monkeypatch.setattr(solver_mod, "_factor_newton_matrix",
+                        lambda diag, coefs, grid, dt: np.zeros_like)
     spec = make_spec(phi="porous", eps=0.1)
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
     u = sc.discretize_initial(spec, grid)
