@@ -14,7 +14,8 @@ import sys
 from .config import ConfigError, ExperimentConfig
 from .diagnostics import STATUS_TEXT
 from .harness import convergence_study, replay, run_experiment
-from .model import VALIDATION_SAMPLES, InvalidSpecError, validate_assumptions
+from .model import (VALIDATION_SAMPLES, InvalidSpecError, discretize_initial,
+                    validate_assumptions)
 from .solver import StepFailureError
 
 EXIT_PASS = 0
@@ -43,6 +44,10 @@ def _cmd_validate(args) -> int:
         cfg.set("run", "seed", args.seed)
     spec = cfg.build_spec()
     grid = cfg.build_grid()
+    # the initial data must fit inside the truncation margin
+    discretize_initial(spec, grid)
+    if cfg.get("diagnostics", "v0"):
+        discretize_initial(spec.with_u0(cfg.build_v0()), grid)
     rep = validate_assumptions(spec, VALIDATION_SAMPLES,
                                cfg.get("run", "seed"), grid=grid)
     for e in rep.entries:

@@ -33,7 +33,7 @@ class InvalidSpecError(ValueError):
     """A coefficient family violates its structural requirements."""
 
 
-class DomainTooSmallError(ValueError):
+class DomainTooSmallError(InvalidSpecError):
     """Initial data support reaches the truncation margin."""
 
 
@@ -140,10 +140,7 @@ class Grid:
 
     def coords(self) -> np.ndarray:
         x = self.axis_centers()
-        if self.dim == 1:
-            return x[:, None]
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        return np.stack([X, Y], axis=-1)
+        return np.stack(np.meshgrid(*(x,) * self.dim, indexing="ij"), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +601,10 @@ def discretize_initial(spec: ProblemSpec, grid: Grid) -> np.ndarray:
     if fam.support_radius is not None and \
             fam.support_radius > grid.half_width - grid.margin:
         raise DomainTooSmallError(
-            "u0 support radius %.6g reaches the margin of [-%g, %g)^%d "
-            "(margin %.6g)" % (fam.support_radius, grid.half_width,
-                               grid.half_width, grid.dim, grid.margin))
+            "initial data support radius %.6g reaches the margin of "
+            "[-%g, %g)^%d (margin %.6g)"
+            % (fam.support_radius, grid.half_width, grid.half_width,
+               grid.dim, grid.margin))
     vals = np.asarray(fam.u0(grid.coords()), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise InvalidSpecError("u0 produced non-finite samples")

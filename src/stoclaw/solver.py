@@ -6,7 +6,7 @@ The diffusion terms are second-order central differences on the cell
 centers of the periodic torus that truncates R^d; div f(u) is the
 Engquist-Osher flux splitting.  A residual evaluates phi and, per axis, the
 flux halves once per field.  A step LU-factors its Newton matrix with
-LAPACK, cyclic ``dgttrf`` in 1D and ``dgbtrf`` on a folded band in 2D, and
+LAPACK ``dgbtrf`` on one folded band layout for every dimension, and
 reuses the factors while the residual keeps falling ``1 / CHORD_RATE``-fold
 per iteration; a slower chord step refreshes them.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu, spsolve  # for perfbench's tracer only
 
 from .model import Grid, ProblemSpec
@@ -169,46 +169,11 @@ def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid):
     return diag, coefs
 
 
-def _factor_tridiagonal(d, up, lo) -> Callable:
-    """LU-factor the cyclic tridiagonal matrix lo[i] x[i-1] + d[i] x[i] +
-    up[i] x[i+1], indices wrapping, with LAPACK ``dgttrf`` (Gaussian
-    elimination with partial pivoting); return its solve.
-
-    The corner entries ``lo[0]`` and ``up[-1]`` are removed by a
-    Sherman-Morrison correction (Numerical Recipes 2.7): its vector ``z``
-    is solved once here, so each solve is one ``dgttrs`` and an update.
-    """
-    # A = T + w v^T, w = (gamma, 0.., alpha), v = (1, 0.., beta/gamma).
-    # gamma opposes d[0] in sign and |gamma| >= |d[0]| + |beta|, so t[0]
-    # cannot cancel and |alpha beta / gamma| <= |alpha|.
-    alpha, beta = up[-1], lo[0]
-    gamma = -np.copysign(abs(d[0]) + abs(alpha) + abs(beta), d[0])
-    t = d.copy()
-    t[0] -= gamma
-    t[-1] -= alpha * beta / gamma
-    *lu, info = dgttrf(lo[1:], t, up[:-1])
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            "tridiagonal Newton matrix is singular (dgttrf info %d)" % info)
-    w = np.zeros(d.size)
-    w[0] = gamma
-    w[-1] = alpha
-    z = dgttrs(*lu, w)[0]
-    z /= 1.0 + z[0] + beta * z[-1] / gamma
-
-    def solve(rhs):
-        y = dgttrs(*lu, rhs)[0]
-        return y - (y[0] + beta * y[-1] / gamma) * z
-    return solve
-
-
 def _factor_newton_matrix(diag, coefs, grid: Grid, dt: float) -> Callable:
-    """LU-factor I - dt J, ``dgttrf`` in 1D, else ``dgbtrf`` on the band
-    of :func:`_stencil`; return the function solving (I - dt J) x = rhs
-    with those factors (``dgttrs`` / ``dgbtrs``)."""
-    if grid.dim == 1:
-        plus, minus = coefs[0]
-        return _factor_tridiagonal(1.0 - dt * diag, -dt * plus, -dt * minus)
+    """LU-factor I - dt J with ``dgbtrf`` on the folded band of
+    :func:`_stencil`, in every dimension (half-bandwidth 2 in 1D, 2 * cells
+    in 2D); return the function solving (I - dt J) x = rhs with those
+    factors by ``dgbtrs``."""
     _, (k, pos, order, slot) = _stencil(grid)
     ab = np.zeros((pos.size, 3 * k + 1))
     ab.flat[slot] = np.concatenate(
@@ -279,8 +244,8 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
     Chord Newton (Kelley, Solving Nonlinear Equations with Newton's
     Method, 5.4) on an analytic stencil Jacobian: the Newton matrix is
     assembled and LU-factored at u_n by :func:`_factor_newton_matrix`
-    (``dgttrf`` in 1D, ``dgbtrf`` on the folded band of :func:`_stencil`
-    in 2D), and every later iteration reuses the factors for a full step.
+    (``dgbtrf`` on the folded band of :func:`_stencil`, in 1D and 2D alike),
+    and every later iteration reuses the factors for a full step.
     A chord step that does not cut the residual norm to ``CHORD_RATE``
     times its value is discarded, and the Jacobian is refreshed and
     factored at the current iterate. Only a step on fresh factors is damped,

@@ -5,8 +5,11 @@ runs a small config, and names the report row and the status that row must
 show. A mutant whose row fails is caught by that row. A mutant listed with
 "pass" is one that no row catches; the README's check-power table gives the
 reason, and the entry pins it so that a change in either direction shows.
+A mutant of the step itself is caught by an exact oracle of the solver
+tests instead of a report row.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -16,10 +19,12 @@ from stoclaw import diagnostics, harness, solver
 from stoclaw.config import ExperimentConfig
 from stoclaw.harness import run_experiment
 from stoclaw.noise import JumpPath
+from test_solver import BARENBLATT_LADDERS, barenblatt_orders
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 REAL_MARTINGALE_TERM = diagnostics.martingale_term
 REAL_COMPENSATED_INCREMENT = solver.compensated_increment
+REAL_STEP_OPERATOR = solver._step_operator
 
 
 def _no_events(path):
@@ -112,3 +117,19 @@ def test_mutant_row_status(name, module, attr, mutant, config, row, status,
                            tmp_path, monkeypatch):
     monkeypatch.setattr(module, attr, mutant)
     assert _row_status(config(), tmp_path, row) == status, name
+
+
+def lap_phi_halved(u, spec, grid):
+    # the residual's lap phi(u) term at half strength; the Newton matrix
+    # keeps the full dphi, so Newton still converges, to the wrong step
+    half = dataclasses.replace(spec.phi, phi=lambda v: 0.5 * spec.phi.phi(v))
+    return REAL_STEP_OPERATOR(u, dataclasses.replace(spec, phi=half), grid)
+
+
+def test_lap_phi_mutant_caught_by_barenblatt_order(monkeypatch):
+    # the mutant solves u_t = lap phi(u) / 2, which reaches B(x, 1.5), not
+    # B(x, 2): the L1 error stalls and the observed orders fall below the
+    # h^(1/2) floor that test_barenblatt_l1_order asserts
+    monkeypatch.setattr(solver, "_step_operator", lap_phi_halved)
+    orders = barenblatt_orders(1, BARENBLATT_LADDERS[1])
+    assert np.all(orders < 0.5), orders

@@ -572,6 +572,37 @@ def test_cli_missing_file_exit_2():
     assert main(["run", "--config", "/nonexistent/x.cfg"]) == 2
 
 
+def test_cli_initial_data_in_margin_exit_2(tmp_path, capsys):
+    # initial data reaching the truncation margin are invalid input: every
+    # verb exits 2 with one error line, at any worker count, and so does
+    # the replay of the manifest the failed run wrote
+    cfg = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
+    cfg.set("grid", "half_width", 1.0)
+    cfg.set("run", "paths", 2)
+    contraction = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "contraction.cfg"))
+    contraction.set("run", "paths", 2)
+    contraction.set("diagnostics", "v0_center", 2.5)  # u0 alone fits
+    # the study does not solve from v0
+    for name, c, verbs in (("default", cfg, ("run", "study")),
+                           ("v0", contraction, ("run",))):
+        p = write_config(tmp_path, c)
+        argvs = [["validate", "--config", p]]
+        for workers in ("1", "2"):
+            out = str(tmp_path / ("%s_%s" % (name, workers)))
+            argvs += [[verb, "--config", p, "--workers", workers,
+                       "--out", out + verb] for verb in verbs]
+            argvs.append(["replay", "--manifest",
+                          os.path.join(out + "run", "manifest.txt"),
+                          "--workers", workers, "--out", out + "replay"])
+        for argv in argvs:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "reaches the margin" in err
+            assert "Traceback" not in err
+
+
 def test_cli_validate_pass(tmp_path):
     cfg = small_config()
     assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
