@@ -7,8 +7,11 @@ Each Monte-Carlo check is a per-path part (``*_path_*``: the solves along
 one sampled path and their reduction), which the harness runs in its worker
 pool, and an aggregator over the per-path results in seed order. The
 contraction and moment aggregators share one rule, ``growth_test``: fit the
-exponential growth of the seed-order mean at n and 2n steps, and call it
-stable when the two fits agree.
+exponential growth of the seed-order mean at n and 2n steps, and return
+the signed slack by which the two fits agree.
+
+A report row's status is the sign of its margin (``CheckResult.passed``),
+so the aggregators that feed rows return signed slacks, not booleans.
 
 Space-time integrals against a test function use the trajectory's own grid
 (midpoint in space, trapezoid in time at the step knots); test functions
@@ -165,12 +168,19 @@ STATUS_TEXT = {True: "pass", False: "fail", None: "inconclusive"}
 
 @dataclass
 class CheckResult:
+    """A report row: ``margin`` is the smallest signed slack of the row's
+    conditions, ``passed`` its sign; a None margin is inconclusive."""
+
     name: str
     value: float
     bound: float
-    margin: float
-    passed: Optional[bool]  # None = inconclusive
+    margin: Optional[float]
     statement: str
+
+    @property
+    def passed(self) -> Optional[bool]:
+        # a NaN margin fails
+        return None if self.margin is None else bool(self.margin >= 0.0)
 
 
 @dataclass
@@ -180,35 +190,22 @@ class DiagnosticsReport:
     def add(self, check: CheckResult) -> None:
         self.checks.append(check)
 
-    @property
-    def any_failed(self) -> bool:
-        return any(c.passed is False for c in self.checks)
-
-    @property
-    def any_inconclusive(self) -> bool:
-        return any(c.passed is None for c in self.checks)
-
     def rows(self) -> List[dict]:
-        out = []
-        for c in self.checks:
-            out.append({
-                "check": c.name,
-                "value": "%.17g" % c.value,
-                "bound": "%.17g" % c.bound,
-                "margin": "%.17g" % c.margin,
-                "status": STATUS_TEXT[c.passed],
-                "statement": c.statement,
-            })
-        return out
+        return [{"check": c.name,
+                 "value": "%.17g" % c.value,
+                 "bound": "%.17g" % c.bound,
+                 "margin": "%.17g" % (math.nan if c.margin is None
+                                      else c.margin),
+                 "status": STATUS_TEXT[c.passed],
+                 "statement": c.statement} for c in self.checks]
 
     def write_csv(self, path) -> None:
-        rows = self.rows()
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(
                 fh, fieldnames=["check", "value", "bound", "margin", "status",
                                 "statement"])
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(self.rows())
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +381,9 @@ class GrowthReport:
     fit: float            # C at n steps
     fit_half: float       # C at 2n steps
     knot: int             # the knot that binds ``fit``
-    stable: bool          # the two fits agree within the relative tolerance
+    slack: float          # tolerance minus |fit - fit_half|; stable if >= 0
     oracle_band: Optional[float] = None    # moments with a closed-form rate
-    within_oracle: Optional[bool] = None
+    oracle_slack: float = math.inf  # band - |fit - rate|; inf without a rate
 
 
 def _fit_growth(times, dist, floor=1e-14):
@@ -404,15 +401,15 @@ def _fit_growth(times, dist, floor=1e-14):
 def growth_test(horizon: float, per_path: Sequence[tuple],
                 rel_tol: float) -> GrowthReport:
     """Fit the growth of the mean of ``per_path``, pairs of per-knot rows
-    at n and 2n steps in seed order; stable when the two fits differ by at
-    most ``rel_tol`` max(|C_n|, |C_2n|, 0.05)."""
+    at n and 2n steps in seed order; its slack is ``rel_tol``
+    max(|C_n|, |C_2n|, 0.05) - |C_n - C_2n|, stable when >= 0."""
     means = [sum(row[i] for row in per_path) / len(per_path) for i in (0, 1)]
     fits = [_fit_growth(horizon / (m.size - 1) * np.arange(m.size), m)
             for m in means]
     (c1, knot), (c2, _) = fits
     return GrowthReport(
         mean=means[0], fit=c1, fit_half=c2, knot=knot,
-        stable=abs(c1 - c2) <= rel_tol * max(abs(c1), abs(c2), 0.05))
+        slack=rel_tol * max(abs(c1), abs(c2), 0.05) - abs(c1 - c2))
 
 
 def contraction_path_distances(spec: ProblemSpec, grid: Grid, path: JumpPath,
@@ -472,8 +469,8 @@ def moment_bound_test(spec: ProblemSpec, p: int, per_path: Sequence[tuple],
             if n_paths > 1 else 0.0
         t_j = (spec.horizon / n_steps * np.arange(n_steps + 1))[j]
         rep.oracle_band = 3.0 * float(se) / max(rep.mean[j], 1e-300) / t_j
-        rep.within_oracle = bool(abs(rep.fit - oracle_rate)
-                                 <= rep.oracle_band + 1e-12)
+        rep.oracle_slack = (rep.oracle_band + 1e-12
+                            - abs(rep.fit - oracle_rate))
     return rep
 
 
@@ -514,7 +511,10 @@ class BoundReport:
     bound: float
     tolerance: float
     worst: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.worst <= self.bound + self.tolerance)
 
 
 def max_principle_test(spec: ProblemSpec,
@@ -533,8 +533,7 @@ def max_principle_test(spec: ProblemSpec,
     bound = max(m_cap + m1, spec.u0.linf)
     tol = 1e-6 * bound
     worst = float(np.max(np.asarray(per_path_max, dtype=float)))
-    return BoundReport(bound=bound, tolerance=tol, worst=worst,
-                       passed=bool(worst <= bound + tol))
+    return BoundReport(bound=bound, tolerance=tol, worst=worst)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Batch driver: resolves a config, runs the Monte-Carlo path loop across
-workers, assembles the diagnostics report, and writes the run artifacts
-(manifest, report CSV, energy CSV, field snapshots).
+workers, assembles the diagnostics report (each row's margin is the signed
+slack of its condition, which alone decides the row's status), and writes
+the run artifacts (manifest, report CSV, energy CSV, field snapshots).
 
 Every solve of ``run`` and ``study`` is one pool job, a pure function of
 (config, seed, checks): one lane of checks on one path, or one of the two
@@ -154,18 +155,16 @@ def _check_assumptions(cfg, spec, grid, report):
     for e in rep.entries:
         report.add(CheckResult(
             name="assumption_%s" % e.name.lower(),
-            value=e.worst_ratio, bound=1.0 + 1e-8,
-            margin=1.0 + 1e-8 - e.worst_ratio, passed=e.passed,
+            value=e.worst_ratio, bound=1.0 + 1e-8, margin=e.margin,
             statement="worst sampled ratio of %s against its declared "
                       "constant stays <= 1" % e.name))
     # the trend binds only when eta depends on x; otherwise no bound applies
-    bound = float(rep.modulus_ratio[0]) if rep.modulus_required else \
-        float("inf")
+    required = rep.modulus_required
     report.add(CheckResult(
         name="assumption_a1_modulus_trend",
-        value=float(rep.modulus_ratio[-1]), bound=bound,
-        margin=bound - float(rep.modulus_ratio[-1]),
-        passed=bool(rep.modulus_decreasing) if rep.modulus_required else True,
+        value=float(rep.modulus_ratio[-1]),
+        bound=float(rep.modulus_ratio[0]) if required else math.inf,
+        margin=rep.modulus_slack if required else math.inf,
         statement="sampled sup |sqrt(phi')(a)-sqrt(phi')(b)| / r^(2/3) "
                   "trends to 0 (finite-sample trend, never a certification)"))
 
@@ -182,18 +181,16 @@ def _check_sandwich(report):
         d2 = np.abs(triple.d2beta(mesh))
         allowed = np.where(np.abs(mesh) <= th, BETA_M2 / th, 0.0)
         worst_d2 = max(worst_d2, float(np.max(d2 - allowed)))
-    report.add(CheckResult(
-        name="sandwich_lower", value=worst_low, bound=1e-12,
-        margin=1e-12 - worst_low, passed=bool(worst_low <= 1e-12),
-        statement="|r| - M1 theta <= beta_theta(r) on a 10^4-point mesh"))
-    report.add(CheckResult(
-        name="sandwich_upper", value=worst_high, bound=1e-12,
-        margin=1e-12 - worst_high, passed=bool(worst_high <= 1e-12),
-        statement="beta_theta(r) <= |r| on a 10^4-point mesh"))
-    report.add(CheckResult(
-        name="sandwich_curvature", value=worst_d2, bound=1e-12,
-        margin=1e-12 - worst_d2, passed=bool(worst_d2 <= 1e-12),
-        statement="|beta_theta''| <= (M2/theta) 1_{|r| <= theta}"))
+    bound = 1e-12
+    for name, worst, statement in (
+            ("sandwich_lower", worst_low,
+             "|r| - M1 theta <= beta_theta(r) on a 10^4-point mesh"),
+            ("sandwich_upper", worst_high,
+             "beta_theta(r) <= |r| on a 10^4-point mesh"),
+            ("sandwich_curvature", worst_d2,
+             "|beta_theta''| <= (M2/theta) 1_{|r| <= theta}")):
+        report.add(CheckResult(name=name, value=worst, bound=bound,
+                               margin=bound - worst, statement=statement))
 
 
 def _check_identities(cfg, spec, report):
@@ -221,9 +218,8 @@ def _check_identities(cfg, spec, report):
             ("ibeta_identity2", worst_id2,
              "2 I + both entropy-flux differences equal the nonnegative "
              "square-difference double integral")):
-        report.add(CheckResult(
-            name=name, value=worst, bound=bound, margin=bound - worst,
-            passed=bool(worst <= bound), statement=statement))
+        report.add(CheckResult(name=name, value=worst, bound=bound,
+                               margin=bound - worst, statement=statement))
 
 
 def _check_energy(cfg, spec, grid, results, report):
@@ -234,10 +230,9 @@ def _check_energy(cfg, spec, grid, results, report):
     total = (float(np.max(means["u_norm_sq"]))
              + spec.epsilon * dt * float(np.sum(means["grad_u_sq"]))
              + dt * float(np.sum(means["grad_g_sq"][1:])))
-    finite = bool(np.isfinite(total))
     report.add(CheckResult(
-        name="energy_bound", value=total, bound=float("inf"),
-        margin=float("inf"), passed=finite,
+        name="energy_bound", value=total, bound=math.inf,
+        margin=math.inf if np.isfinite(total) else -math.inf,
         statement="sup_n E||u_n||^2 + eps dt sum E||grad u_n||^2 + dt sum "
                   "E||grad G(u_n)||^2 stays bounded"))
     return means
@@ -249,8 +244,7 @@ def _check_residual(cfg, spec, grid, results, report):
     tol = entropy_tolerance(spec, grid, dt)
     worst = min(r["residual_min"] for r in results)
     report.add(CheckResult(
-        name="entropy_residual", value=worst, bound=-tol,
-        margin=worst + tol, passed=bool(worst >= -tol),
+        name="entropy_residual", value=worst, bound=-tol, margin=worst + tol,
         statement="entropy-inequality residual >= -C (eps + h + dt) for "
                   "every path, test function, and smoothing scale"))
 
@@ -258,8 +252,7 @@ def _check_residual(cfg, spec, grid, results, report):
 def _check_max_principle(spec, results, report):
     if spec.m1 is None:
         report.add(CheckResult(
-            name="max_principle", value=float("nan"), bound=float("nan"),
-            margin=float("nan"), passed=None,
+            name="max_principle", value=math.nan, bound=math.nan, margin=None,
             statement="sup bound requires a noise amplitude with compact "
                       "u-support"))
         return
@@ -267,14 +260,13 @@ def _check_max_principle(spec, results, report):
     limit = rep.bound + rep.tolerance
     report.add(CheckResult(
         name="max_principle", value=rep.worst, bound=limit,
-        margin=limit - rep.worst, passed=rep.passed,
+        margin=limit - rep.worst,
         statement="|u_n(x)| <= max(M + M1, ||u0||_inf) cellwise at every "
                   "step on every path"))
 
 
 def _check_moments(cfg, spec, results, report):
     for i, p in enumerate(cfg.get("diagnostics", "moment_orders")):
-        oracle = None
         try:
             oracle = linear_moment_rate(
                 spec, p, spec.horizon / cfg.get("run", "steps"))
@@ -282,25 +274,24 @@ def _check_moments(cfg, spec, results, report):
             oracle = None
         rep = moment_bound_test(spec, p, [r["moments"][i] for r in results],
                                 oracle_rate=oracle)
-        passed = rep.stable and (rep.within_oracle is not False)
         report.add(CheckResult(
             name="moment_p%d" % p, value=rep.fit, bound=rep.fit_half,
-            margin=abs(rep.fit - rep.fit_half),
-            passed=bool(passed),
+            margin=min(rep.slack, rep.oracle_slack),
             statement="finite growth rate K with E int |u|^p <= exp(K t) "
                       "E int |u0|^p, stable under dt halving"))
 
 
 def _check_isometry(cfg, spec, grid, report):
-    if spec.eta.is_zero:
+    # eta vanishes identically when sigma_scale g_inf = 0, as for silent noise
+    sig = spec.eta.params.get("sigma_scale", 0.0) * spec.eta.g_inf
+    if sig == 0.0:
         report.add(CheckResult(
-            name="isometry", value=0.0, bound=0.0, margin=0.0, passed=True,
+            name="isometry", value=0.0, bound=0.0, margin=0.0,
             statement="silent noise: compensated sums vanish identically"))
         return
     if spec.eta.params.get("sigma") != "const":
         report.add(CheckResult(
-            name="isometry", value=float("nan"), bound=float("nan"),
-            margin=float("nan"), passed=None,
+            name="isometry", value=math.nan, bound=math.nan, margin=None,
             statement="isometry check applies to state-independent noise "
                       "amplitudes (constant sigma)"))
         return
@@ -317,11 +308,9 @@ def _check_isometry(cfg, spec, grid, report):
     centered_sq = (w - np.mean(w)) ** 2
     se = float(np.std(centered_sq, ddof=1) / math.sqrt(n_paths))
     dev = abs(var_emp - var_pred)
-    sig = spec.eta.params["sigma_scale"] * spec.eta.g_inf
     report.add(CheckResult(
         name="isometry", value=dev * sig ** 2, bound=3.0 * se * sig ** 2,
         margin=(3.0 * se - dev) * sig ** 2,
-        passed=bool(dev <= 3.0 * se),
         statement="per-cell variance of the compensated sum matches "
                   "T g(x)^2 int h^2 dm within 3 sigma"))
 
@@ -331,8 +320,7 @@ def _check_boundary_mass(cfg, spec, grid, results, report):
     budget = 1e-6 * max(norm_l1(u0, grid), 1e-300)
     worst = max(r["boundary_mass"] for r in results)
     report.add(CheckResult(
-        name="boundary_mass", value=worst, bound=budget,
-        margin=budget - worst, passed=bool(worst <= budget),
+        name="boundary_mass", value=worst, bound=budget, margin=budget - worst,
         statement="L1 mass inside the truncation margin stays below "
                   "1e-6 ||u0||_1 (domain truncation is inert)"))
 
@@ -345,12 +333,12 @@ def _check_contraction(spec, grid, results, report):
                            1e-300)
         report.add(CheckResult(
             name="contraction_zero", value=worst, bound=bound,
-            margin=bound - worst, passed=bool(worst <= bound),
+            margin=bound - worst,
             statement="equal initial data under one noise stay identical "
                       "in weighted L1"))
     report.add(CheckResult(
         name="contraction_growth", value=rep.fit, bound=rep.fit_half,
-        margin=abs(rep.fit - rep.fit_half), passed=bool(rep.stable),
+        margin=rep.slack,
         statement="weighted-L1 distance obeys exp(C t) with C stable under "
                   "dt halving"))
 
@@ -359,7 +347,6 @@ def _check_determinism(same, report):
     value = 0.0 if same else 1.0
     report.add(CheckResult(
         name="determinism", value=value, bound=0.0, margin=0.0 - value,
-        passed=same,
         statement="identical seeds reproduce bitwise-identical paths and "
                   "trajectories"))
 
@@ -414,15 +401,12 @@ def _write_snapshots(out_dir, cfg, spec, snapshot):
 # Entry points
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
-                   workers: int = 1,
-                   seed_override: Optional[int] = None) -> DiagnosticsReport:
+                   workers: int = 1) -> DiagnosticsReport:
     """Execute every selected check and write the run artifacts.
 
     Deterministic given the resolved config: the manifest written next to
     the report is sufficient to reproduce every output byte for byte.
     """
-    if seed_override is not None:
-        cfg.set("run", "seed", int(seed_override))
     out_dir = out_dir or cfg.get("output", "directory")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:

@@ -434,7 +434,7 @@ class ProblemSpec:
 class CheckEntry:
     name: str
     worst_ratio: float
-    passed: bool
+    margin: float  # smallest slack of the assumption's conditions; pass >= 0
     detail: str = ""
 
 
@@ -444,12 +444,8 @@ class ValidationReport:
     modulus_r: np.ndarray
     modulus_omega: np.ndarray
     modulus_ratio: np.ndarray
-    modulus_decreasing: bool
+    modulus_slack: float  # the trend's slack; decreasing when >= 0
     modulus_required: bool
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries)
 
     def entry(self, name: str) -> CheckEntry:
         for e in self.entries:
@@ -478,6 +474,8 @@ def _ratio(num, den):
 
 
 def _modulus_trend(phi: PhiFamily, r_mesh: np.ndarray) -> tuple:
+    """omega(r), omega / r^(2/3), and the trend's slack: each ratio rises by
+    at most 1e-12 + 5 percent, the last is at most half the first."""
     base = np.linspace(-VALIDATION_RANGE, VALIDATION_RANGE, 2001)
     near = [k + np.linspace(-2.0, 2.0, 81) for k in phi.kinks]
     a = np.concatenate([base] + near) if near else base
@@ -493,14 +491,9 @@ def _modulus_trend(phi: PhiFamily, r_mesh: np.ndarray) -> tuple:
         omegas.append(worst)
     omega = np.asarray(omegas)
     ratio = omega / r_mesh ** (2.0 / 3.0)
-    nonzero = ratio[ratio > 0]
-    if nonzero.size == 0:
-        decreasing = True
-    else:
-        head, tail = ratio[0], ratio[-1]
-        decreasing = bool(np.all(np.diff(ratio) <= 1e-12 + 0.05 * ratio[:-1])
-                          and tail <= 0.5 * max(head, 1e-300))
-    return omega, ratio, decreasing
+    slack = min(float(np.min(1e-12 + 0.05 * ratio[:-1] - np.diff(ratio))),
+                0.5 * float(ratio[0]) - float(ratio[-1]))
+    return omega, ratio, slack
 
 
 def validate_assumptions(spec: ProblemSpec, samples: int, seed: int,
@@ -508,9 +501,10 @@ def validate_assumptions(spec: ProblemSpec, samples: int, seed: int,
     """Sample-based check of the structural assumptions on the coefficients.
 
     Reports, per assumption, the worst sampled ratio against its declared
-    constant (pass at ratio <= 1 + 1e-8), plus the trend of the continuity
-    modulus of sqrt(phi') against r^(2/3) on a dyadic mesh. The trend is
-    reported as observed; a finite sample cannot certify the limit.
+    constant and the smallest slack of its conditions (ratio <= 1 + 1e-8,
+    and phi monotone for A1, lambda_star < 1 for A3), plus the trend of the
+    continuity modulus of sqrt(phi') against r^(2/3) on a dyadic mesh. The
+    trend is reported as observed; a finite sample cannot certify the limit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -530,36 +524,36 @@ def validate_assumptions(spec: ProblemSpec, samples: int, seed: int,
     phi_v = _require_finite("phi", spec.phi.phi(v), v)
     phi0 = float(np.asarray(spec.phi.phi(np.zeros(1)))[0])
     if abs(phi0) > TOL_VALIDATE:
-        entries.append(CheckEntry("A1", np.inf, False, "phi(0) != 0"))
+        entries.append(CheckEntry("A1", np.inf, -np.inf, "phi(0) != 0"))
     else:
-        mono = np.min((phi_u - phi_v) * (u - v))
+        mono = float(np.min((phi_u - phi_v) * (u - v)))
         lip = _ratio(np.abs(phi_u - phi_v), spec.c_phi * np.abs(u - v))
         worst = float(np.max(lip))
-        ok = worst <= 1.0 + TOL_VALIDATE and mono >= -TOL_VALIDATE
-        detail = "" if ok else (
+        margin = min(1.0 + TOL_VALIDATE - worst, mono + TOL_VALIDATE)
+        detail = "" if margin >= 0.0 else (
             "monotonicity violated" if mono < -TOL_VALIDATE else "Lipschitz ratio > 1")
-        entries.append(CheckEntry("A1", worst, ok, detail))
+        entries.append(CheckEntry("A1", worst, margin, detail))
 
     # A2: each flux component Lipschitz with f_k(0) = 0
-    worst_a2, ok_a2, detail_a2 = 0.0, True, ""
+    worst_a2, detail_a2 = 0.0, ""
     for k, comp in enumerate(spec.flux.components):
         fk0 = float(np.asarray(comp.f(np.zeros(1)))[0])
         if abs(fk0) > TOL_VALIDATE:
-            ok_a2, detail_a2 = False, "f_%d(0) != 0" % k
-            worst_a2 = np.inf
+            worst_a2, detail_a2 = np.inf, "f_%d(0) != 0" % k
             break
         fu = _require_finite("flux", comp.f(u), u)
         fv = _require_finite("flux", comp.f(v), v)
         lip = _ratio(np.abs(fu - fv), spec.c_f * np.abs(u - v))
         worst_a2 = max(worst_a2, float(np.max(lip)))
-    if ok_a2 and worst_a2 > 1.0 + TOL_VALIDATE:
-        ok_a2, detail_a2 = False, "Lipschitz ratio > 1"
-    entries.append(CheckEntry("A2", worst_a2, ok_a2, detail_a2))
+    margin_a2 = 1.0 + TOL_VALIDATE - worst_a2
+    if margin_a2 < 0.0 and not detail_a2:
+        detail_a2 = "Lipschitz ratio > 1"
+    entries.append(CheckEntry("A2", worst_a2, margin_a2, detail_a2))
 
     # A3 / A5 on sampled (x, u, z) tuples
     if spec.eta.is_zero or spec.levy is None or spec.levy.total_mass == 0.0:
-        entries.append(CheckEntry("A3", 0.0, True, "eta inactive"))
-        entries.append(CheckEntry("A5", 0.0, True, "eta inactive"))
+        entries += [CheckEntry(name, 0.0, 1.0 + TOL_VALIDATE, "eta inactive")
+                    for name in ("A3", "A5")]
     else:
         marks = spec.levy.sample_sizes(rng, samples)
         h_vals = _require_finite("eta h", spec.eta.h(marks), marks)
@@ -573,22 +567,23 @@ def validate_assumptions(spec: ProblemSpec, samples: int, seed: int,
         budget = (spec.lambda_star * np.abs(u - v) + spec.k_x * dist) * h1
         ratio3 = _ratio(np.abs(eta_xu - eta_yv), budget)
         worst3 = float(np.max(ratio3))
-        lam_ok = spec.lambda_star < 1.0
+        # strict lambda_star < 1: lambda_star = 1 has slack below 0
+        lam_slack = float(np.nextafter(1.0, 0.0)) - spec.lambda_star
         entries.append(CheckEntry(
-            "A3", worst3, worst3 <= 1.0 + TOL_VALIDATE and lam_ok,
-            "" if lam_ok else "lambda_star >= 1"))
+            "A3", worst3, min(1.0 + TOL_VALIDATE - worst3, lam_slack),
+            "" if lam_slack >= 0.0 else "lambda_star >= 1"))
 
         h2 = np.abs(h_vals)
         env = gx * (1.0 + np.abs(u)) * h2
         ratio5 = _ratio(np.abs(eta_xu), env)
         worst5 = float(np.max(ratio5))
-        entries.append(CheckEntry("A5", worst5, worst5 <= 1.0 + TOL_VALIDATE))
+        entries.append(CheckEntry("A5", worst5, 1.0 + TOL_VALIDATE - worst5))
 
     r_mesh = 2.0 ** -np.arange(0, 11, dtype=float)
-    omega, ratio, decreasing = _modulus_trend(spec.phi, r_mesh)
+    omega, ratio, slack = _modulus_trend(spec.phi, r_mesh)
     return ValidationReport(
         entries=entries, modulus_r=r_mesh, modulus_omega=omega,
-        modulus_ratio=ratio, modulus_decreasing=decreasing,
+        modulus_ratio=ratio, modulus_slack=slack,
         modulus_required=spec.eta.depends_on_x())
 
 

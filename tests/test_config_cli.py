@@ -1,5 +1,8 @@
 import csv
+import importlib.util
+import math
 import os
+import sys
 
 import pytest
 
@@ -15,7 +18,8 @@ from stoclaw.model import (InvalidSpecError, eta_family, flux_family,
 from stoclaw.noise import compensated_increment, sample_jump_path
 from stoclaw.solver import StepFailureError, solve_path
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIG_DIR = os.path.join(ROOT, "configs")
 
 
 def small_config(**overrides):
@@ -374,8 +378,28 @@ def test_moments_with_zero_u0_pass(tmp_path):
     assert report.count(",pass,") == 2
 
 
-# rows whose margin is the fit gap |K - K_half|, not a signed distance
-FIT_GAP_ROWS = ("moment_p", "contraction_growth")
+def read_signed_report(path):
+    """report.csv rows by check, after asserting the report contract: an
+    inconclusive row prints a nan margin, any other row passes exactly when
+    its margin is >= 0."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for r in rows:
+        if r["status"] == "inconclusive":
+            assert r["margin"] == "nan", r
+        else:
+            assert (r["status"] == "pass") is (float(r["margin"]) >= 0.0), r
+    return {r["check"]: r for r in rows}
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("name", ["linear-smoke", "stochastic-default",
@@ -391,12 +415,62 @@ def test_row_passes_exactly_when_its_margin_is_nonnegative(tmp_path, name):
     checks = cfg.get("diagnostics", "checks")
     cfg.set("diagnostics", "checks", checks + tuple(
         c for c in ("assumptions", "determinism") if c not in checks))
+    run_experiment(cfg, out_dir=str(tmp_path))
+    rows = read_signed_report(tmp_path / "report.csv")
+    assert "assumption_a1_modulus_trend" in rows
+
+
+def test_failing_fit_rows_have_negative_margins(tmp_path):
+    # the checks-2d benchmark workload at reference seed 2 fails both moment
+    # rows and the contraction growth row: their fits disagree under dt
+    # halving by more than the tolerance, so the slack is negative
+    workloads = load_workloads()
+    cfg = ExperimentConfig.from_text(workloads.config_text(
+        ROOT, workloads.WORKLOADS["checks-2d"], 2))
+    run_experiment(cfg, out_dir=str(tmp_path))
+    rows = read_signed_report(tmp_path / "report.csv")
+    for name in ("moment_p2", "moment_p4", "contraction_growth"):
+        assert rows[name]["status"] == "fail"
+        assert float(rows[name]["margin"]) < 0.0
+
+
+@pytest.mark.parametrize("sigma_scale", [2.0, 1.0])
+def test_a3_fails_with_negative_margin_from_lambda_star_one(tmp_path,
+                                                             sigma_scale):
+    # linear sigma under unit atoms: lambda_star = sigma_scale. The sampled
+    # A3 ratio is 1, inside its 1 + 1e-8 bound, so the strict
+    # lambda_star < 1 binds; lambda_star = 1 must fail too
+    cfg = ExperimentConfig.from_text(
+        "[noise]\neta = separable\nsigma = linear\nsigma_scale = %r\n"
+        "position_mass = 1\nsize_atoms = 1.0:1.0\n"
+        "[run]\npaths = 2\nsteps = 4\n"
+        "[diagnostics]\nchecks = assumptions\n" % sigma_scale)
+    assert cfg.build_spec().lambda_star == sigma_scale
+    assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    a3 = read_signed_report(tmp_path / "out" / "report.csv")["assumption_a3"]
+    assert a3["status"] == "fail" and float(a3["margin"]) < 0.0
+    assert float(a3["value"]) <= 1.0 + 1e-8
+
+
+def test_nonfinite_energy_total_fails_with_negative_margin(tmp_path,
+                                                           monkeypatch):
+    real = harness.discrete_energy_report
+
+    def blown_up(traj, kirchhoff_fn):
+        terms = real(traj, kirchhoff_fn)
+        terms["u_norm_sq"][-1] = math.inf
+        return terms
+
+    monkeypatch.setattr(harness, "discrete_energy_report", blown_up)
+    cfg = small_config()
+    cfg.set("run", "paths", 2)
     report = run_experiment(cfg, out_dir=str(tmp_path))
-    signed = [c for c in report.checks if c.passed is not None
-              and not c.name.startswith(FIT_GAP_ROWS)]
-    assert "assumption_a1_modulus_trend" in [c.name for c in signed]
-    for c in signed:
-        assert bool(c.passed) is bool(c.margin >= 0.0), (c.name, c.margin)
+    (row,) = [c for c in report.checks if c.name == "energy_bound"]
+    assert row.value == math.inf and row.margin == -math.inf
+    assert row.passed is False
+    assert read_signed_report(tmp_path / "report.csv")[
+        "energy_bound"]["status"] == "fail"
 
 
 def test_failed_determinism_row_has_negative_margin():
@@ -406,6 +480,19 @@ def test_failed_determinism_row_has_negative_margin():
         (row,) = report.checks
         assert row.passed is same and row.margin == row.bound - row.value
         assert row.margin == margin
+
+
+def test_isometry_with_vanishing_amplitude_is_silent():
+    # sigma_scale = 0 makes eta vanish identically; at this seed the bare
+    # h sums stray beyond their 3-sigma band, which must not fail the row
+    cfg = ExperimentConfig.from_text(
+        "[noise]\neta = separable\nsigma = const\nsigma_scale = 0\n"
+        "[run]\nseed = 32\n[diagnostics]\nisometry_paths = 30\n")
+    report = DiagnosticsReport()
+    harness._check_isometry(cfg, cfg.build_spec(), cfg.build_grid(), report)
+    (row,) = report.checks
+    assert row.passed is True and row.margin == 0.0
+    assert row.statement.startswith("silent noise")
 
 
 def test_contraction_zero_row_for_equal_data(tmp_path):
@@ -469,7 +556,8 @@ def test_seed_override_changes_outputs(tmp_path):
     cfg = small_config()
     cfg.set("diagnostics", "checks", ("energy",))
     run_experiment(cfg, out_dir=str(tmp_path / "s0"))
-    run_experiment(cfg, out_dir=str(tmp_path / "s1"), seed_override=999)
+    cfg.set("run", "seed", 999)
+    run_experiment(cfg, out_dir=str(tmp_path / "s1"))
     assert (tmp_path / "s0" / "energy.csv").read_bytes() != \
         (tmp_path / "s1" / "energy.csv").read_bytes()
 
@@ -650,7 +738,8 @@ def test_linear_smoke_baseline(tmp_path):
     tic = time.time()
     rep = run_experiment(cfg, out_dir=str(tmp_path / "smoke"))
     elapsed = time.time() - tic
-    assert not rep.any_failed and not rep.any_inconclusive
+    assert all(c.margin is not None and c.margin >= 0.0
+               for c in rep.checks)
     assert elapsed < 60.0
 
 

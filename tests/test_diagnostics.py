@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -449,8 +450,8 @@ def test_moment_oracle_skipped_at_knot_zero():
                 for path in sampled_paths(spec, [0, 1, 2])]
     rep = dg.moment_bound_test(spec, 2, per_path,
                                oracle_rate=dg.linear_moment_rate(spec, 2, 0.1))
-    assert rep.knot == 0 and rep.stable
-    assert rep.oracle_band is None and rep.within_oracle is None
+    assert rep.knot == 0 and rep.slack >= 0.0
+    assert rep.oracle_band is None and rep.oracle_slack == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +473,7 @@ def test_contraction_identical_data_exact_zero():
                 for path in sampled_paths(spec, [0, 1])]
     rep = dg.contraction_test(spec, per_path)
     assert float(np.max(rep.mean)) == 0.0
-    assert rep.fit == 0.0 and rep.fit_half == 0.0 and rep.stable
+    assert rep.fit == 0.0 and rep.fit_half == 0.0 and rep.slack >= 0.0
 
 
 def test_contraction_deterministic_l1_nonincreasing():
@@ -554,13 +555,16 @@ def test_max_principle_requires_bounded_noise():
 
 def test_report_rows_and_csv(tmp_path):
     rep = dg.DiagnosticsReport()
-    rep.add(dg.CheckResult("a", 1.0, 2.0, 1.0, True, "first"))
-    rep.add(dg.CheckResult("b", 3.0, 2.0, -1.0, False, "second"))
-    rep.add(dg.CheckResult("c", 0.0, 0.0, 0.0, None, "third"))
-    assert rep.any_failed and rep.any_inconclusive
+    rep.add(dg.CheckResult("a", 1.0, 2.0, 1.0, "first"))
+    rep.add(dg.CheckResult("b", 3.0, 2.0, -1.0, "second"))
+    rep.add(dg.CheckResult("c", 0.0, 0.0, None, "third"))
+    rep.add(dg.CheckResult("d", 0.0, 0.0, math.nan, "fourth"))
+    # the status is the sign of the margin; a NaN margin fails
+    assert [c.passed for c in rep.checks] == [True, False, None, False]
     out = tmp_path / "report.csv"
     rep.write_csv(out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "check,value,bound,margin,status,statement"
-    assert len(lines) == 4
-    assert "inconclusive" in lines[3]
+    assert len(lines) == 5
+    assert lines[3] == "c,0,0,nan,inconclusive,third"
+    assert lines[4] == "d,0,0,nan,fail,fourth"
