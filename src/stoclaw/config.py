@@ -171,8 +171,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, "r") as fh:
+                text = fh.read()
+        except OSError as err:
+            raise ConfigError("cannot read %s: %s"
+                              % (path, err.strerror or err)) from err
+        return cls.from_text(text)
 
     def validate(self) -> None:
         for name in self.get("diagnostics", "checks"):

@@ -10,8 +10,9 @@ contraction and moment aggregators share one rule, ``growth_test``: fit the
 exponential growth of the seed-order mean at n and 2n steps, and return
 the signed slack by which the two fits agree.
 
-A report row's status is the sign of its margin (``CheckResult.passed``),
-so the aggregators that feed rows return signed slacks, not booleans.
+A verdict, a report row's or a ``study`` lane's, is the sign of a signed
+margin (``Verdict.passed``; a None margin is inconclusive), so the
+aggregators return signed slacks, never booleans.
 
 Space-time integrals against a test function use the trajectory's own grid
 (midpoint in space, trapezoid in time at the step knots); test functions
@@ -35,12 +36,12 @@ from .solver import Trajectory, cell_integral, l2_sq, solve_path
 
 __all__ = [
     "TestFunction", "bump_test_function", "uniform_test_function",
-    "test_function_catalog", "WeightPhiN", "CheckResult", "DiagnosticsReport",
-    "entropy_residual", "entropy_tolerance", "calibrate_entropy_tolerance",
-    "ENTROPY_TOL_COEFF", "THETA_VALUES", "cauchy_path_errors",
-    "cauchy_rate_test", "RateReport", "GrowthReport", "growth_test",
-    "contraction_path_distances", "contraction_test", "moment_path_rows",
-    "moment_bound_test", "linear_moment_rate",
+    "test_function_catalog", "WeightPhiN", "Verdict", "CheckResult",
+    "DiagnosticsReport", "entropy_residual", "entropy_tolerance",
+    "calibrate_entropy_tolerance", "ENTROPY_TOL_COEFF", "THETA_VALUES",
+    "cauchy_path_errors", "cauchy_rate_test", "RateReport", "GrowthReport",
+    "growth_test", "contraction_path_distances", "contraction_test",
+    "moment_path_rows", "moment_bound_test", "linear_moment_rate",
     "max_principle_test", "BoundReport", "viscosity_path_errors",
     "viscosity_convergence_test",
 ]
@@ -166,21 +167,27 @@ class WeightPhiN:
 STATUS_TEXT = {True: "pass", False: "fail", None: "inconclusive"}
 
 
+class Verdict:
+    """A verdict held as ``margin``, the smallest signed slack of its
+    conditions: ``passed`` is its sign, and a None margin is inconclusive."""
+
+    margin: Optional[float]
+
+    @property
+    def passed(self) -> Optional[bool]:
+        # a NaN margin fails
+        return None if self.margin is None else bool(self.margin >= 0.0)
+
+
 @dataclass
-class CheckResult:
-    """A report row: ``margin`` is the smallest signed slack of the row's
-    conditions, ``passed`` its sign; a None margin is inconclusive."""
+class CheckResult(Verdict):
+    """A report row."""
 
     name: str
     value: float
     bound: float
     margin: Optional[float]
     statement: str
-
-    @property
-    def passed(self) -> Optional[bool]:
-        # a NaN margin fails
-        return None if self.margin is None else bool(self.margin >= 0.0)
 
 
 @dataclass
@@ -309,14 +316,14 @@ def calibrate_entropy_tolerance(samples: Sequence[tuple]) -> float:
 # Cauchy rate in dt
 
 @dataclass
-class RateReport:
+class RateReport(Verdict):
     lane: str
     parameters: np.ndarray
     errors_sq: np.ndarray
     stderr: np.ndarray
     ratios: np.ndarray
     slope: float
-    status: Optional[bool]  # None = inconclusive
+    margin: Optional[float]
 
 
 def _coupled_error_sq(traj_c: Trajectory, traj_f: Trajectory) -> float:
@@ -341,12 +348,13 @@ def cauchy_rate_test(spec: ProblemSpec, n_steps_list: Sequence[int],
     """Coupled-step self-refinement: fit the slope of log E||u_dt - u_dt/2||^2
     against log dt with common jump paths across every step count.
 
-    ``per_path`` holds ``cauchy_path_errors`` of each path, in seed order.
-    Stochastic lane passes on slope inside (0.8, 1.3). Fewer than three step
-    counts (too short for a stable fit; two still give a slope) or
-    noise-dominated estimates give an inconclusive report. Silent noise gives
-    every path the same errors: the deterministic lane reads the first path
-    (slope ~ 2 for the squared error) and is judged against (1.7, 2.3).
+    ``per_path`` holds ``cauchy_path_errors`` of each path, in seed order. The
+    margin is the slope's distance inside its window: the stochastic lane
+    passes on slope inside (0.8, 1.3). Fewer than three step counts (too short
+    for a stable fit; two still give a slope) or noise-dominated estimates give
+    an inconclusive report. Silent noise gives every path the same errors: the
+    deterministic lane reads the first path (slope ~ 2 for the squared error)
+    and is judged against (1.7, 2.3).
     """
     lane = "deterministic" if spec.eta.is_zero else "stochastic"
     window = (0.8, 1.3)
@@ -361,12 +369,12 @@ def cauchy_rate_test(spec: ProblemSpec, n_steps_list: Sequence[int],
     ratios = err[:-1] / np.maximum(err[1:], 1e-300)
     if len(n_steps_list) < 2:
         return RateReport(lane, dts, err, se, ratios, slope=float("nan"),
-                          status=None)
-    slope, _ = np.polyfit(np.log(dts), np.log(np.maximum(err, 1e-300)), 1)
+                          margin=None)
+    slope = float(np.polyfit(np.log(dts),
+                             np.log(np.maximum(err, 1e-300)), 1)[0])
     unsure = len(n_steps_list) < 3 or bool(np.any(err < 3.0 * se))
-    status = None if unsure else bool(window[0] <= slope <= window[1])
-    return RateReport(lane, dts, err, se, ratios, slope=float(slope),
-                      status=status)
+    margin = None if unsure else min(slope - window[0], window[1] - slope)
+    return RateReport(lane, dts, err, se, ratios, slope=slope, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +521,8 @@ class BoundReport:
     worst: float
 
     @property
-    def passed(self) -> bool:
-        return bool(self.worst <= self.bound + self.tolerance)
+    def slack(self) -> float:
+        return self.bound + self.tolerance - self.worst
 
 
 def max_principle_test(spec: ProblemSpec,
@@ -562,9 +570,9 @@ def viscosity_convergence_test(eps_list: Sequence[float],
                                ) -> RateReport:
     """Successive-halving differences E||u_eps - u_{eps/2}|| along shared
     jump paths, from ``viscosity_path_errors`` of each path in seed order;
-    passes when decreasing with successive ratios <= 0.9. Fewer than three
-    eps values (two still give a slope) or noise-dominated differences are
-    inconclusive."""
+    passes when decreasing with successive ratios <= 0.9: the margin is
+    0.9 - max(ratios). Fewer than three eps values (two still give a slope)
+    or noise-dominated differences are inconclusive."""
     per_path = np.asarray(per_path, dtype=float)
     diffs = per_path.mean(axis=0)
     se = per_path.std(axis=0, ddof=1) / math.sqrt(len(per_path)) \
@@ -573,9 +581,9 @@ def viscosity_convergence_test(eps_list: Sequence[float],
     eps_arr = np.asarray(eps_list, dtype=float)
     if len(eps_list) < 2:
         return RateReport("viscosity", eps_arr, diffs, se, ratios,
-                          slope=float("nan"), status=None)
+                          slope=float("nan"), margin=None)
     unsure = len(eps_list) < 3 or bool(np.any(diffs < 3.0 * se))
     slope, _ = np.polyfit(np.log(eps_arr), np.log(np.maximum(diffs, 1e-300)), 1)
-    status = None if unsure else bool(np.all(ratios <= 0.9))
+    margin = None if unsure else 0.9 - float(np.max(ratios))
     return RateReport("viscosity", eps_arr, diffs, se, ratios,
-                      slope=float(slope), status=status)
+                      slope=float(slope), margin=margin)

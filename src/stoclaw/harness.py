@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .diagnostics import (STATUS_TEXT, THETA_VALUES,
                           CheckResult, DiagnosticsReport, cauchy_path_errors,
                           cauchy_rate_test, contraction_path_distances,
@@ -35,7 +35,8 @@ from .noise import sample_jump_path
 from .solver import (discrete_energy_report, lemma_ratios, mass_outside,
                      norm_l1, solve_path)
 
-__all__ = ["run_experiment", "convergence_study", "replay", "path_seed"]
+__all__ = ["run_experiment", "convergence_study", "replay", "path_seed",
+           "assumption_rows"]
 
 
 # Half-width of the box the exchange-identity pairs are drawn from.
@@ -149,24 +150,25 @@ def _merge_by_seed(jobs: Sequence[tuple], results: List[dict]) -> List[dict]:
 # ---------------------------------------------------------------------------
 # Individual report sections
 
-def _check_assumptions(cfg, spec, grid, report):
+def assumption_rows(cfg, spec, grid) -> List[CheckResult]:
+    """The ``assumption_*`` rows, which ``run`` reports and ``validate``
+    prints: A1-A5 and the modulus trend of sqrt(phi')."""
     rep = validate_assumptions(spec, VALIDATION_SAMPLES,
                                cfg.get("run", "seed"), grid=grid)
-    for e in rep.entries:
-        report.add(CheckResult(
-            name="assumption_%s" % e.name.lower(),
-            value=e.worst_ratio, bound=1.0 + 1e-8, margin=e.margin,
-            statement="worst sampled ratio of %s against its declared "
-                      "constant stays <= 1" % e.name))
+    rows = [CheckResult(
+        name="assumption_%s" % e.name.lower(),
+        value=e.worst_ratio, bound=1.0 + 1e-8, margin=e.margin,
+        statement="worst sampled ratio of %s against its declared "
+                  "constant stays <= 1" % e.name) for e in rep.entries]
     # the trend binds only when eta depends on x; otherwise no bound applies
     required = rep.modulus_required
-    report.add(CheckResult(
+    return rows + [CheckResult(
         name="assumption_a1_modulus_trend",
         value=float(rep.modulus_ratio[-1]),
         bound=float(rep.modulus_ratio[0]) if required else math.inf,
         margin=rep.modulus_slack if required else math.inf,
         statement="sampled sup |sqrt(phi')(a)-sqrt(phi')(b)| / r^(2/3) "
-                  "trends to 0 (finite-sample trend, never a certification)"))
+                  "trends to 0 (finite-sample trend, never a certification)")]
 
 
 def _check_sandwich(report):
@@ -257,10 +259,9 @@ def _check_max_principle(spec, results, report):
                       "u-support"))
         return
     rep = max_principle_test(spec, [r["max_abs"] for r in results])
-    limit = rep.bound + rep.tolerance
     report.add(CheckResult(
-        name="max_principle", value=rep.worst, bound=limit,
-        margin=limit - rep.worst,
+        name="max_principle", value=rep.worst,
+        bound=rep.bound + rep.tolerance, margin=rep.slack,
         statement="|u_n(x)| <= max(M + M1, ||u0||_inf) cellwise at every "
                   "step on every path"))
 
@@ -426,7 +427,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     results = _merge_by_seed(jobs, _run_paths(cfg, jobs, workers))
 
     if "assumptions" in selected:
-        _check_assumptions(cfg, spec, grid, report)
+        report.checks += assumption_rows(cfg, spec, grid)
     if "sandwich" in selected:
         _check_sandwich(report)
     if "identities" in selected:
@@ -461,13 +462,15 @@ def convergence_study(cfg: ExperimentConfig, out_dir: Optional[str] = None,
                       workers: int = 1) -> List:
     """Rate studies driven by steps_list (coupled dt refinement) and
     eps_list (vanishing viscosity); emits rates.csv."""
+    spec = cfg.build_spec()
+    steps_list = cfg.get("run", "steps_list")
+    eps_list = cfg.get("run", "eps_list")
+    if not (steps_list or eps_list):
+        raise ConfigError("study needs run.steps_list or run.eps_list")
     out_dir = out_dir or cfg.get("output", "directory")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write(cfg.manifest_text())
-    spec = cfg.build_spec()
-    steps_list = cfg.get("run", "steps_list")
-    eps_list = cfg.get("run", "eps_list")
     lanes = ([("cauchy",)] * bool(steps_list)
              + [("viscosity",)] * bool(eps_list))
     # silent noise gives every path the same Cauchy ladder: solve one
@@ -492,7 +495,7 @@ def convergence_study(cfg: ExperimentConfig, out_dir: Optional[str] = None,
                     rep.lane, "%.17g" % p, "%.17g" % rep.errors_sq[i],
                     "%.17g" % rep.stderr[i],
                     "%.17g" % rep.ratios[i - 1] if i > 0 else "",
-                    "%.17g" % rep.slope, STATUS_TEXT[rep.status]])
+                    "%.17g" % rep.slope, STATUS_TEXT[rep.passed]])
     return reports
 
 

@@ -10,7 +10,7 @@ import stoclaw.harness as harness
 import stoclaw.solver as solver_mod
 from stoclaw.cli import main
 from stoclaw.config import _SCHEMA, ConfigError, ExperimentConfig
-from stoclaw.diagnostics import DiagnosticsReport
+from stoclaw.diagnostics import STATUS_TEXT, DiagnosticsReport
 from stoclaw.harness import (convergence_study, path_seed, replay,
                              run_experiment)
 from stoclaw.model import (InvalidSpecError, eta_family, flux_family,
@@ -660,6 +660,47 @@ def test_cli_missing_file_exit_2():
     assert main(["run", "--config", "/nonexistent/x.cfg"]) == 2
 
 
+def assert_one_error_line(capsys, text):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err, err
+    assert err.count("\n") == 1, err
+
+
+def test_cli_negative_seed_exit_2_before_any_artifact(tmp_path, capsys):
+    # --seed goes through the config's own range checks
+    p = write_config(tmp_path, small_default_config())
+    out = tmp_path / "out"
+    for verb, flags in (("validate", []), ("run", ["--out", str(out)]),
+                        ("study", ["--out", str(out)])):
+        assert main([verb, "--config", p, "--seed", "-1"] + flags) == 2
+        assert_one_error_line(capsys, "run.seed must be >= 0")
+        assert not out.exists()
+
+
+def test_cli_study_without_lists_exit_2_before_any_artifact(tmp_path,
+                                                             capsys):
+    cfg = small_config()
+    cfg.set("run", "steps_list", ())
+    cfg.set("run", "eps_list", ())
+    out = tmp_path / "out"
+    assert main(["study", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "run.steps_list or run.eps_list")
+    assert not out.exists()
+
+
+def test_cli_unreadable_input_path_exit_2(tmp_path, capsys):
+    # a directory where a config or manifest file is expected
+    out = tmp_path / "out"
+    for argv in (["validate", "--config", str(tmp_path)],
+                 ["run", "--config", str(tmp_path), "--out", str(out)],
+                 ["study", "--config", str(tmp_path), "--out", str(out)],
+                 ["replay", "--manifest", str(tmp_path), "--out", str(out)]):
+        assert main(argv) == 2, argv
+        assert_one_error_line(capsys, "cannot read %s" % tmp_path)
+        assert not out.exists()
+
+
 def test_cli_initial_data_in_margin_exit_2(tmp_path, capsys):
     # initial data reaching the truncation margin are invalid input: every
     # verb exits 2 with one error line, at any worker count, and so does
@@ -694,6 +735,33 @@ def test_cli_initial_data_in_margin_exit_2(tmp_path, capsys):
 def test_cli_validate_pass(tmp_path):
     cfg = small_config()
     assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+# x-dependent eta makes the modulus trend bind, and Stefan's jump in
+# sqrt(phi') keeps the trend from decreasing: A1-A5 pass, the trend fails
+MODULUS_TREND_FAILS = ("[model]\nphi = stefan\n[noise]\neta = separable\n"
+                       "g = bump\ng_height = 0.5\nsigma = compact\n")
+
+
+@pytest.mark.parametrize("name, code", [
+    ("linear-smoke", 0), ("stochastic-default", 0), ("maxprinciple", 0),
+    ("moments-linear", 0), ("contraction", 0), ("modulus-trend", 1)])
+def test_validate_prints_the_assumption_rows_of_run(tmp_path, capsys, name,
+                                                    code):
+    if name == "modulus-trend":
+        cfg = ExperimentConfig.from_text(MODULUS_TREND_FAILS)
+    else:
+        cfg = ExperimentConfig.from_file(
+            os.path.join(CONFIG_DIR, name + ".cfg"))
+    cfg.set("run", "paths", 1)
+    cfg.set("diagnostics", "checks", ("assumptions",))
+    p = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", p]) == code
+    validated = capsys.readouterr().out.splitlines()
+    assert main(["run", "--config", p, "--out", str(tmp_path / "o")]) == code
+    ran = capsys.readouterr().out.splitlines()
+    assert validated == [line for line in ran if " assumption_" in line]
+    assert len(validated) == 5
 
 
 def test_cli_run_pass_and_artifacts(tmp_path, capsys):
@@ -748,9 +816,34 @@ def test_study_short_lists_inconclusive(tmp_path):
     cfg.set("run", "steps_list", (8, 16))
     cfg.set("run", "paths", 3)
     reports = convergence_study(cfg, out_dir=str(tmp_path / "short"))
-    assert reports[0].status is None
+    assert reports[0].margin is None and reports[0].passed is None
     rows = (tmp_path / "short" / "rates.csv").read_text().splitlines()
     assert "inconclusive" in rows[1]
+
+
+@pytest.mark.parametrize("steps_list, eps_list, statuses", [
+    # noiseless linear diffusion at 32 cells: the Cauchy slope reads 1.61,
+    # below the deterministic window, and the viscosity ratios stay < 0.9
+    ((4, 8, 16), (0.2, 0.1, 0.05), ["fail", "pass"]),
+    ((4, 8), (0.2, 0.1), ["inconclusive", "inconclusive"])])
+def test_study_lane_status_is_the_sign_of_its_margin(tmp_path, steps_list,
+                                                     eps_list, statuses):
+    cfg = ExperimentConfig.from_text("[grid]\ncells = 32\n[run]\npaths = 2\n"
+                                     "steps = 8\n")
+    cfg.set("run", "steps_list", steps_list)
+    cfg.set("run", "eps_list", eps_list)
+    reports = convergence_study(cfg, out_dir=str(tmp_path))
+    cauchy, viscosity = reports
+    if statuses[0] != "inconclusive":
+        assert cauchy.margin == min(cauchy.slope - 1.7, 2.3 - cauchy.slope)
+        assert viscosity.margin == 0.9 - max(viscosity.ratios)
+    with open(tmp_path / "rates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for rep, status in zip(reports, statuses):
+        assert rep.passed is (None if rep.margin is None
+                              else rep.margin >= 0.0)
+        assert STATUS_TEXT[rep.passed] == status
+        assert {r["status"] for r in rows if r["lane"] == rep.lane} == {status}
 
 
 def test_cli_replay_verb(tmp_path):

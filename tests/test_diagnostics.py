@@ -357,8 +357,9 @@ def test_cauchy_deterministic_lane_second_order():
                 for path in sampled_paths(spec, [0])]
     rep = dg.cauchy_rate_test(spec, steps, per_path)
     assert rep.lane == "deterministic"
-    assert rep.status is True
+    assert rep.passed is True
     assert 1.7 <= rep.slope <= 2.3
+    assert rep.margin == min(rep.slope - 1.7, 2.3 - rep.slope)
 
 
 def test_cauchy_single_parameter_inconclusive():
@@ -367,7 +368,7 @@ def test_cauchy_single_parameter_inconclusive():
     per_path = [dg.cauchy_path_errors(spec, grid, path, [8])
                 for path in sampled_paths(spec, [0])]
     rep = dg.cauchy_rate_test(spec, [8], per_path)
-    assert rep.status is None
+    assert rep.margin is None and rep.passed is None
 
 
 def test_viscosity_single_epsilon_inconclusive():
@@ -376,7 +377,7 @@ def test_viscosity_single_epsilon_inconclusive():
     per_path = [dg.viscosity_path_errors(spec, grid, path, [0.1], 8)
                 for path in sampled_paths(spec, [0])]
     rep = dg.viscosity_convergence_test([0.1], per_path)
-    assert rep.status is None
+    assert rep.margin is None and rep.passed is None
 
 
 def test_viscosity_absorbing_zero():
@@ -528,7 +529,7 @@ def test_max_principle_bound_value():
     rep = dg.max_principle_test(spec, [4.9, 5.0 + 1e-7])
     # ||u0||_inf = 5 dominates M + M1 = 1.5
     assert rep.bound == pytest.approx(5.0)
-    assert rep.worst == 5.0 + 1e-7 and rep.passed
+    assert rep.worst == 5.0 + 1e-7 and rep.slack >= 0.0
     # sigma's own cap is M
     small = spec.with_u0(sc.init_family("bump", height=0.2, width=1.0))
     assert dg.max_principle_test(small, [0.1]).bound == pytest.approx(1.5)
@@ -536,7 +537,7 @@ def test_max_principle_bound_value():
     silent = make_spec(u0=sc.init_family("bump", height=0.5, width=1.0))
     rep = dg.max_principle_test(silent, [0.1, 0.51])
     assert rep.bound == 0.5
-    assert rep.passed is False
+    assert rep.slack == pytest.approx(0.5e-6 - 0.01)
 
 
 def test_max_principle_requires_bounded_noise():
