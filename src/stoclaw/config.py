@@ -172,11 +172,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         try:
-            with open(path, "r") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as err:
-            raise ConfigError("cannot read %s: %s"
-                              % (path, err.strerror or err)) from err
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError("cannot read %s: %s" % (
+                path, getattr(err, "strerror", None) or err)) from err
         return cls.from_text(text)
 
     def validate(self) -> None:

@@ -401,6 +401,20 @@ def _write_snapshots(out_dir, cfg, spec, snapshot):
 # ---------------------------------------------------------------------------
 # Entry points
 
+def _open_out_dir(cfg: ExperimentConfig, out_dir: Optional[str]) -> str:
+    """Create the output directory, ``output.directory`` unless given, and
+    write the manifest there; a ConfigError if it cannot be a directory."""
+    out_dir = out_dir or cfg.get("output", "directory")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError("cannot create output directory %s: %s" % (
+            out_dir, err.strerror or err)) from err
+    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
+        fh.write(cfg.manifest_text())
+    return out_dir
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
                    workers: int = 1) -> DiagnosticsReport:
     """Execute every selected check and write the run artifacts.
@@ -408,10 +422,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     Deterministic given the resolved config: the manifest written next to
     the report is sufficient to reproduce every output byte for byte.
     """
-    out_dir = out_dir or cfg.get("output", "directory")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write(cfg.manifest_text())
+    out_dir = _open_out_dir(cfg, out_dir)
 
     spec = cfg.build_spec()
     grid = cfg.build_grid()
@@ -467,10 +478,7 @@ def convergence_study(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     eps_list = cfg.get("run", "eps_list")
     if not (steps_list or eps_list):
         raise ConfigError("study needs run.steps_list or run.eps_list")
-    out_dir = out_dir or cfg.get("output", "directory")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write(cfg.manifest_text())
+    out_dir = _open_out_dir(cfg, out_dir)
     lanes = ([("cauchy",)] * bool(steps_list)
              + [("viscosity",)] * bool(eps_list))
     # silent noise gives every path the same Cauchy ladder: solve one

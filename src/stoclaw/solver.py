@@ -8,7 +8,8 @@ Engquist-Osher flux splitting.  A residual evaluates phi and, per axis, the
 flux halves once per field.  A step LU-factors its Newton matrix with
 LAPACK ``dgbtrf`` on one folded band layout for every dimension, and
 reuses the factors while the residual keeps falling ``1 / CHORD_RATE``-fold
-per iteration; a slower chord step refreshes them.
+per iteration; a slower chord step refreshes them.  A path carries the
+factors from each step to the next.
 """
 
 from __future__ import annotations
@@ -237,21 +238,25 @@ def _lemma_check(u: np.ndarray, x_rhs: np.ndarray, spec: ProblemSpec,
 
 
 def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
-                  noise_inc: np.ndarray, dt: float):
+                  noise_inc: np.ndarray, dt: float,
+                  solve: Optional[Callable] = None):
     """Solve u - dt*(lap phi(u) + eps lap u + div f(u)) = u_n + noise_inc,
-    returning ``(u, StepStats)``.
+    returning ``(u, StepStats, solve)``: ``solve`` is the factored Newton
+    matrix the step ended with.
 
     Chord Newton (Kelley, Solving Nonlinear Equations with Newton's
     Method, 5.4) on an analytic stencil Jacobian: the Newton matrix is
-    assembled and LU-factored at u_n by :func:`_factor_newton_matrix`
-    (``dgbtrf`` on the folded band of :func:`_stencil`, in 1D and 2D alike),
-    and every later iteration reuses the factors for a full step.
+    assembled and LU-factored by :func:`_factor_newton_matrix` (``dgbtrf``
+    on the folded band of :func:`_stencil`, in 1D and 2D alike), at u_n
+    unless the factors of an earlier step are passed as ``solve``, and
+    every later iteration reuses the factors for a full step.
     A chord step that does not cut the residual norm to ``CHORD_RATE``
     times its value is discarded, and the Jacobian is refreshed and
-    factored at the current iterate. Only a step on fresh factors is damped,
-    by Armijo halving of its length. The accepted state satisfies
-    ||F(u)||_2 <= 1e-10 (1 + ||u_n||_2) in the discrete L2 norm. Nothing is
-    kept between steps.
+    factored at the current iterate, so stale factors cost one trial.
+    Only a step on fresh factors is damped, by Armijo halving of its
+    length. The accepted state satisfies ||F(u)||_2 <= 1e-10 (1 + ||u_n||_2)
+    in the discrete L2 norm; ``StepStats.jacobians`` counts the
+    factorizations the step made, 0 when the passed factors sufficed.
 
     Raises
     ------
@@ -276,7 +281,6 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
     res_norm = norm_l2(res, grid)
     history = [res_norm]
     newton_iters = jacobians = 0
-    solve = None  # the factored Newton matrix, kept until a chord step stalls
     while not res_norm <= tol:  # a NaN residual never converges
         if newton_iters == NEWTON_MAX_ITER:
             raise failure("no convergence in %d Newton iterations"
@@ -312,7 +316,7 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
         history.append(res_norm)
 
     return u, StepStats(newton_iterations=newton_iters,
-                        jacobians=jacobians, residual=res_norm)
+                        jacobians=jacobians, residual=res_norm), solve
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +349,9 @@ def solve_path(spec: ProblemSpec, grid: Grid, n_steps: int, path: JumpPath,
     """March the implicit scheme over [0, T] along one jump path.
 
     Deterministic: identical (spec, grid, n_steps, path) reproduce the
-    trajectory bitwise. Noise windows use the state at the left knot.
+    trajectory bitwise. Noise windows use the state at the left knot. Each
+    step starts on the Newton factors the previous step ended with; they
+    never leave this call.
     """
     from .model import discretize_initial
 
@@ -358,11 +364,12 @@ def solve_path(spec: ProblemSpec, grid: Grid, n_steps: int, path: JumpPath,
     fields = np.empty((n_steps + 1,) + grid.shape)
     fields[0] = u
     stats = []
+    solve = None
     for n in range(n_steps):
         inc = compensated_increment(path, spec, grid, u, n * dt, (n + 1) * dt,
                                     gx=gx)
         try:
-            u, st = implicit_step(spec, grid, u, inc, dt)
+            u, st, solve = implicit_step(spec, grid, u, inc, dt, solve)
         except StepFailureError as err:
             raise StepFailureError(
                 "step %d of %d failed: %s" % (n + 1, n_steps, err),

@@ -114,7 +114,7 @@ def test_criterion_03_banded_oracle():
     worst = 0.0
     for _ in range(100):
         u = rng.uniform(-1, 1, m)
-        ours, _ = sc.implicit_step(spec, grid, u, np.zeros(m), dt)
+        ours, _, _ = sc.implicit_step(spec, grid, u, np.zeros(m), dt)
         oracle = solve_circulant(col, u)
         worst = max(worst, norm_l2(ours - oracle, grid))
     ok = worst <= 1e-12
@@ -138,7 +138,7 @@ def test_criterion_03_banded_oracle_2d():
     worst = 0.0
     for _ in range(100):
         u = rng.uniform(-1, 1, grid.shape)
-        ours, _ = sc.implicit_step(spec, grid, u, np.zeros_like(u), dt)
+        ours, _, _ = sc.implicit_step(spec, grid, u, np.zeros_like(u), dt)
         oracle = np.real(np.fft.ifft2(np.fft.fft2(u) / symbol))
         worst = max(worst, norm_l2(ours - oracle, grid))
     ok = worst <= 1e-12

@@ -690,15 +690,33 @@ def test_cli_study_without_lists_exit_2_before_any_artifact(tmp_path,
 
 
 def test_cli_unreadable_input_path_exit_2(tmp_path, capsys):
-    # a directory where a config or manifest file is expected
+    # a directory where a config or manifest file is expected, and a file
+    # that is not valid UTF-8
     out = tmp_path / "out"
-    for argv in (["validate", "--config", str(tmp_path)],
-                 ["run", "--config", str(tmp_path), "--out", str(out)],
-                 ["study", "--config", str(tmp_path), "--out", str(out)],
-                 ["replay", "--manifest", str(tmp_path), "--out", str(out)]):
-        assert main(argv) == 2, argv
-        assert_one_error_line(capsys, "cannot read %s" % tmp_path)
-        assert not out.exists()
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe" + small_config().manifest_text().encode())
+    for bad in (str(tmp_path), str(binary)):
+        for argv in (["validate", "--config", bad],
+                     ["run", "--config", bad, "--out", str(out)],
+                     ["study", "--config", bad, "--out", str(out)],
+                     ["replay", "--manifest", bad, "--out", str(out)]):
+            assert main(argv) == 2, argv
+            assert_one_error_line(capsys, "cannot read %s" % bad)
+            assert not out.exists()
+
+
+def test_cli_out_names_a_file_exit_2(tmp_path, capsys):
+    # --out naming an existing plain file: one error line, nothing written
+    p = write_config(tmp_path, small_default_config())
+    out = tmp_path / "out.txt"
+    out.write_text("keep\n")
+    before = sorted(os.listdir(tmp_path))
+    for verb in ("run", "study"):
+        assert main([verb, "--config", p, "--out", str(out)]) == 2, verb
+        assert_one_error_line(capsys, "cannot create output directory %s"
+                              % out)
+        assert out.read_text() == "keep\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_cli_initial_data_in_margin_exit_2(tmp_path, capsys):
