@@ -5,10 +5,11 @@ and the small-viscosity limit.
 
 Each Monte-Carlo check is a per-path part (``*_path_*``: the solves along
 one sampled path and their reduction), which the harness runs in its worker
-pool, and an aggregator over the per-path results in seed order. The
-contraction and moment aggregators share one rule, ``growth_test``: fit the
-exponential growth of the seed-order mean at n and 2n steps, and return
-the signed slack by which the two fits agree.
+pool, and an aggregator over the per-path results in seed order; every
+mean that carries a standard error comes from ``path_mean_stderr``.
+The contraction and moment aggregators share ``growth_test``: fit the
+exponential growth of the mean at n and 2n steps, and return the signed
+slack by which the two fits agree. The two rate lanes share ``_rate_test``.
 
 A verdict, a report row's or a ``study`` lane's, is the sign of a signed
 margin (``Verdict.passed``; a None margin is inconclusive), so the
@@ -39,6 +40,7 @@ __all__ = [
     "test_function_catalog", "WeightPhiN", "Verdict", "CheckResult",
     "DiagnosticsReport", "entropy_residual", "entropy_tolerance",
     "calibrate_entropy_tolerance", "ENTROPY_TOL_COEFF", "THETA_VALUES",
+    "BAND_SIGMAS", "path_mean_stderr",
     "cauchy_path_errors", "cauchy_rate_test", "RateReport", "GrowthReport",
     "growth_test", "contraction_path_distances", "contraction_test",
     "moment_path_rows", "moment_bound_test", "linear_moment_rate",
@@ -215,6 +217,19 @@ class DiagnosticsReport:
             writer.writerows(self.rows())
 
 
+BAND_SIGMAS = 3.0  # half-width of every Monte-Carlo band, in standard errors
+
+
+def path_mean_stderr(per_path):
+    """Seed-order mean over axis 0, the paths, of ``per_path`` and its
+    standard error std (ddof 1) / sqrt(P), which is 0 at one path."""
+    rows = np.asarray(per_path, dtype=float)
+    mean = rows.mean(axis=0)
+    if len(rows) < 2:
+        return mean, np.zeros_like(mean)
+    return mean, rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
+
+
 # ---------------------------------------------------------------------------
 # Entropy residual
 
@@ -343,38 +358,43 @@ def cauchy_path_errors(spec: ProblemSpec, grid: Grid, path: JumpPath,
             for n in n_steps_list]
 
 
+def _rate_test(lane: str, parameters: np.ndarray,
+               per_path: Sequence[Sequence[float]], ratios_of: Callable,
+               margin_of: Callable) -> RateReport:
+    """Both rate lanes: path means and standard errors per parameter, the
+    ``ratios_of(mean)`` and the log-log slope, none at one parameter. The
+    margin is ``margin_of(slope, ratios)``; fewer than three parameters or
+    a mean within ``BAND_SIGMAS`` standard errors of 0 is inconclusive."""
+    mean, se = path_mean_stderr(per_path)
+    ratios = ratios_of(mean)
+    slope, margin = float("nan"), None
+    if len(parameters) >= 2:
+        slope = float(np.polyfit(np.log(parameters),
+                                 np.log(np.maximum(mean, 1e-300)), 1)[0])
+        if len(parameters) >= 3 and not np.any(mean < BAND_SIGMAS * se):
+            margin = margin_of(slope, ratios)
+    return RateReport(lane, parameters, mean, se, ratios, slope, margin)
+
+
 def cauchy_rate_test(spec: ProblemSpec, n_steps_list: Sequence[int],
                      per_path: Sequence[Sequence[float]]) -> RateReport:
     """Coupled-step self-refinement: fit the slope of log E||u_dt - u_dt/2||^2
     against log dt with common jump paths across every step count.
 
-    ``per_path`` holds ``cauchy_path_errors`` of each path, in seed order. The
-    margin is the slope's distance inside its window: the stochastic lane
-    passes on slope inside (0.8, 1.3). Fewer than three step counts (too short
-    for a stable fit; two still give a slope) or noise-dominated estimates give
-    an inconclusive report. Silent noise gives every path the same errors: the
-    deterministic lane reads the first path (slope ~ 2 for the squared error)
-    and is judged against (1.7, 2.3).
+    ``per_path`` holds ``cauchy_path_errors`` of each path, in seed order;
+    the ratios are coarse over fine. The margin is the slope's distance
+    inside its window: the stochastic lane passes on slope inside
+    (0.8, 1.3). Silent noise gives every path the same errors: the
+    deterministic lane reads the first path (slope ~ 2 for the squared
+    error) and is judged against (1.7, 2.3).
     """
-    lane = "deterministic" if spec.eta.is_zero else "stochastic"
-    window = (0.8, 1.3)
-    if lane == "deterministic":
-        per_path = per_path[:1]
-        window = (1.7, 2.3)
-    dts = np.array([spec.horizon / n for n in n_steps_list])
-    arrs = [np.asarray(errors) for errors in zip(*per_path)]
-    err = np.array([float(np.mean(a)) for a in arrs])
-    se = np.array([float(np.std(a, ddof=1) / math.sqrt(a.size))
-                   if a.size > 1 else 0.0 for a in arrs])
-    ratios = err[:-1] / np.maximum(err[1:], 1e-300)
-    if len(n_steps_list) < 2:
-        return RateReport(lane, dts, err, se, ratios, slope=float("nan"),
-                          margin=None)
-    slope = float(np.polyfit(np.log(dts),
-                             np.log(np.maximum(err, 1e-300)), 1)[0])
-    unsure = len(n_steps_list) < 3 or bool(np.any(err < 3.0 * se))
-    margin = None if unsure else min(slope - window[0], window[1] - slope)
-    return RateReport(lane, dts, err, se, ratios, slope=slope, margin=margin)
+    lane, lo, hi = (("deterministic", 1.7, 2.3) if spec.eta.is_zero
+                    else ("stochastic", 0.8, 1.3))
+    return _rate_test(
+        lane, np.array([spec.horizon / n for n in n_steps_list]),
+        per_path[:1] if spec.eta.is_zero else per_path,
+        lambda err: err[:-1] / np.maximum(err[1:], 1e-300),
+        lambda slope, _: min(slope - lo, hi - slope))
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +406,7 @@ class GrowthReport:
     m(t) <= exp(C t) m(0) at every knot, fitted at n and at 2n steps."""
 
     mean: np.ndarray      # m at the n + 1 knots
+    stderr: np.ndarray    # its standard error at each knot
     fit: float            # C at n steps
     fit_half: float       # C at 2n steps
     knot: int             # the knot that binds ``fit``
@@ -411,12 +432,13 @@ def growth_test(horizon: float, per_path: Sequence[tuple],
     """Fit the growth of the mean of ``per_path``, pairs of per-knot rows
     at n and 2n steps in seed order; its slack is ``rel_tol``
     max(|C_n|, |C_2n|, 0.05) - |C_n - C_2n|, stable when >= 0."""
-    means = [sum(row[i] for row in per_path) / len(per_path) for i in (0, 1)]
-    fits = [_fit_growth(horizon / (m.size - 1) * np.arange(m.size), m)
-            for m in means]
-    (c1, knot), (c2, _) = fits
+    (mean, se), (mean_half, _) = [
+        path_mean_stderr([row[i] for row in per_path]) for i in (0, 1)]
+    (c1, knot), (c2, _) = [
+        _fit_growth(horizon / (m.size - 1) * np.arange(m.size), m)
+        for m in (mean, mean_half)]
     return GrowthReport(
-        mean=means[0], fit=c1, fit_half=c2, knot=knot,
+        mean=mean, stderr=se, fit=c1, fit_half=c2, knot=knot,
         slack=rel_tol * max(abs(c1), abs(c2), 0.05) - abs(c1 - c2))
 
 
@@ -465,18 +487,16 @@ def moment_bound_test(spec: ProblemSpec, p: int, per_path: Sequence[tuple],
     ``per_path`` holds ``moment_path_rows`` of each path, in seed order.
     Fits the smallest K with E int |u_n|^p <= exp(K t) E int |u_0|^p, checks
     stability of K within 25 percent under dt halving, and optionally
-    compares against a closed-form rate with a 3-sigma band propagated from
-    the sample variance at the binding knot, when that knot is past t = 0.
+    compares against a closed-form rate with a ``BAND_SIGMAS`` band
+    propagated from the standard error at the binding knot, when that knot
+    is past t = 0.
     """
     rep = growth_test(spec.horizon, per_path, 0.25)
-    if oracle_rate is not None and rep.knot > 0:
-        rows = np.array([r for r, _ in per_path])
-        n_paths, n_steps = rows.shape[0], rows.shape[1] - 1
-        j = rep.knot
-        se = rows.std(axis=0, ddof=1)[j] / math.sqrt(n_paths) \
-            if n_paths > 1 else 0.0
-        t_j = (spec.horizon / n_steps * np.arange(n_steps + 1))[j]
-        rep.oracle_band = 3.0 * float(se) / max(rep.mean[j], 1e-300) / t_j
+    j = rep.knot
+    if oracle_rate is not None and j > 0:
+        t_j = spec.horizon / (rep.mean.size - 1) * j
+        rep.oracle_band = BAND_SIGMAS * float(rep.stderr[j]) / max(
+            rep.mean[j], 1e-300) / t_j
         rep.oracle_slack = (rep.oracle_band + 1e-12
                             - abs(rep.fit - oracle_rate))
     return rep
@@ -570,20 +590,9 @@ def viscosity_convergence_test(eps_list: Sequence[float],
                                ) -> RateReport:
     """Successive-halving differences E||u_eps - u_{eps/2}|| along shared
     jump paths, from ``viscosity_path_errors`` of each path in seed order;
-    passes when decreasing with successive ratios <= 0.9: the margin is
-    0.9 - max(ratios). Fewer than three eps values (two still give a slope)
-    or noise-dominated differences are inconclusive."""
-    per_path = np.asarray(per_path, dtype=float)
-    diffs = per_path.mean(axis=0)
-    se = per_path.std(axis=0, ddof=1) / math.sqrt(len(per_path)) \
-        if len(per_path) > 1 else np.zeros(len(eps_list))
-    ratios = diffs[1:] / np.maximum(diffs[:-1], 1e-300)
-    eps_arr = np.asarray(eps_list, dtype=float)
-    if len(eps_list) < 2:
-        return RateReport("viscosity", eps_arr, diffs, se, ratios,
-                          slope=float("nan"), margin=None)
-    unsure = len(eps_list) < 3 or bool(np.any(diffs < 3.0 * se))
-    slope, _ = np.polyfit(np.log(eps_arr), np.log(np.maximum(diffs, 1e-300)), 1)
-    margin = None if unsure else 0.9 - float(np.max(ratios))
-    return RateReport("viscosity", eps_arr, diffs, se, ratios,
-                      slope=float(slope), margin=margin)
+    the ratios are fine over coarse. Passes when decreasing with successive
+    ratios <= 0.9: the margin is 0.9 - max(ratios)."""
+    return _rate_test(
+        "viscosity", np.asarray(eps_list, dtype=float), per_path,
+        lambda diffs: diffs[1:] / np.maximum(diffs[:-1], 1e-300),
+        lambda _, ratios: 0.9 - float(np.max(ratios)))

@@ -20,13 +20,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .diagnostics import (STATUS_TEXT, THETA_VALUES,
+from .diagnostics import (BAND_SIGMAS, STATUS_TEXT, THETA_VALUES,
                           CheckResult, DiagnosticsReport, cauchy_path_errors,
                           cauchy_rate_test, contraction_path_distances,
                           contraction_test, entropy_residual,
                           entropy_tolerance, linear_moment_rate,
                           max_principle_test, moment_bound_test,
-                          moment_path_rows, test_function_catalog,
+                          moment_path_rows, path_mean_stderr,
+                          test_function_catalog,
                           viscosity_convergence_test, viscosity_path_errors)
 from .entropy import (BETA_M1, BETA_M2, identity_check_batch, kirchhoff,
                       make_beta_theta)
@@ -79,7 +80,7 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
     if "snapshot" in selected:
         traj = solve_path(spec, grid, n_steps, path)
         out["snapshot"] = (traj.fields[[0, n_steps // 2, n_steps]],
-                           traj.stats, lemma_ratios(traj, path))
+                           traj.stats, lemma_ratios(traj))
 
     if "moments" in selected:
         out["moments"] = [moment_path_rows(spec, grid, path, p, n_steps)
@@ -298,20 +299,17 @@ def _check_isometry(cfg, spec, grid, report):
         return
     n_paths = cfg.get("diagnostics", "isometry_paths")
     base = path_seed(cfg.get("run", "seed"), 40739)
-    h = spec.eta.h
-    total = np.zeros(n_paths)
-    for k in range(n_paths):
-        path = sample_jump_path(spec.levy, spec.horizon, path_seed(base, k))
-        total[k] = float(np.sum(h(path.sizes))) if path.count else 0.0
+    total = np.array([np.sum(spec.eta.h(sample_jump_path(
+        spec.levy, spec.horizon, path_seed(base, k)).sizes))
+        for k in range(n_paths)])
     w = total - spec.horizon * spec.levy.h_moment(spec.eta.h_power)
     var_emp = float(np.var(w, ddof=1))
     var_pred = spec.horizon * spec.levy.h_moment(spec.eta.h_power, 2)
-    centered_sq = (w - np.mean(w)) ** 2
-    se = float(np.std(centered_sq, ddof=1) / math.sqrt(n_paths))
+    band = BAND_SIGMAS * float(path_mean_stderr((w - np.mean(w)) ** 2)[1])
     dev = abs(var_emp - var_pred)
     report.add(CheckResult(
-        name="isometry", value=dev * sig ** 2, bound=3.0 * se * sig ** 2,
-        margin=(3.0 * se - dev) * sig ** 2,
+        name="isometry", value=dev * sig ** 2, bound=band * sig ** 2,
+        margin=(band - dev) * sig ** 2,
         statement="per-cell variance of the compensated sum matches "
                   "T g(x)^2 int h^2 dm within 3 sigma"))
 

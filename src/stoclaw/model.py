@@ -399,12 +399,11 @@ class ProblemSpec:
         """sup |h(v)| over the truncated mark support."""
         if self.eta.is_zero or self.levy is None:
             return 0.0
-        return self.levy.size.sup_abs(self.eta.h)
+        return self.levy.size.sup_abs(self.eta.h_power)
 
     @property
     def lambda_star(self) -> float:
-        lam = self.eta.g_inf * self.eta.sigma_lip * self.h_max()
-        return lam
+        return self.eta.g_inf * self.eta.sigma_lip * self.h_max()
 
     @property
     def k_x(self) -> float:
@@ -549,7 +548,7 @@ def validate_assumptions(spec: ProblemSpec, samples: int, seed: int,
         entries += [CheckEntry(name, 0.0, 1.0 + TOL_VALIDATE)
                     for name in ("A3", "A5")]
     else:
-        marks = spec.levy.sample_sizes(rng, samples)
+        marks = spec.levy.size.sample(rng, samples)
         h_vals = _require_finite("eta h", spec.eta.h(marks), marks)
         h_sup = spec.h_max()
         h1 = np.abs(h_vals) / h_sup if h_sup > 0 else np.zeros_like(h_vals)

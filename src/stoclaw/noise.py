@@ -10,7 +10,7 @@ coupled studies rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -114,17 +114,13 @@ class SizeMeasure:
         p = j - self.alpha  # never 0: alpha lies in (0, 2)
         return 2.0 * self.strength * (self.v_max ** p - self.z_min ** p) / p
 
-    def sup_abs(self, fn: Callable) -> float:
-        """sup |fn| over the support (dense probe for continuous kinds)."""
-        if self.kind == "atoms":
-            return float(max(abs(float(np.asarray(fn(np.asarray([v])))[0]))
-                             for v, _ in self.atoms))
-        if self.kind == "uniform":
-            probe = np.linspace(self.lo, self.hi, 4097)
-        else:
-            half = np.linspace(self.z_min, self.v_max, 4097)
-            probe = np.concatenate([-half, half])
-        return float(np.max(np.abs(fn(probe))))
+    def sup_abs(self, p: int) -> float:
+        """sup |v|^p over the truncated support, in closed form: at its
+        largest |v|, an atom, an end of the interval, or v_max."""
+        ends = ([v for v, _ in self.atoms] if self.kind == "atoms"
+                else (self.lo, self.hi) if self.kind == "uniform"
+                else (self.v_max,))
+        return float(max(abs(v) ** p for v in ends))
 
 
 @dataclass(frozen=True)
@@ -145,9 +141,6 @@ class LevyIntensity:
     @property
     def total_mass(self) -> float:
         return self.position_mass * self.size.total_mass
-
-    def sample_sizes(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.size.sample(rng, n)
 
     def h_moment(self, h_power: int, j: int = 1) -> float:
         """lambda(O) int h(v)^j mu(dv) for the catalog h(v) = v^h_power.
@@ -214,8 +207,7 @@ def compensated_increment(path: JumpPath, spec, grid, u_n: np.ndarray,
     if gx is None:
         gx = spec.eta.g(grid.coords())
     sig = spec.eta.sigma(u_n)
-    sl = path.window(t0, t1)
-    jump_factor = float(np.sum(spec.eta.h(path.sizes[sl]))) if sl.stop > sl.start else 0.0
+    jump_factor = float(np.sum(spec.eta.h(path.sizes[path.window(t0, t1)])))
     rate = path.intensity.h_moment(spec.eta.h_power)
     return gx * sig * (jump_factor - (t1 - t0) * rate)
 

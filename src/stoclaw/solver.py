@@ -324,12 +324,14 @@ def implicit_step(spec: ProblemSpec, grid: Grid, u_n: np.ndarray,
 
 @dataclass
 class Trajectory:
-    """States u_0..u_N with the per-step solver stats.
+    """States u_0..u_N, the compensated increments (step n solved against
+    ``fields[n] + increments[n]``) and the per-step solver stats.
 
     Arrays are owned by the trajectory and must not be mutated.
     """
 
     fields: np.ndarray        # (N+1, *shape)
+    increments: np.ndarray    # (N, *shape)
     dt: float
     grid: Grid
     spec: ProblemSpec
@@ -363,6 +365,7 @@ def solve_path(spec: ProblemSpec, grid: Grid, n_steps: int, path: JumpPath,
     gx = None if spec.eta.is_zero else spec.eta.g(grid.coords())
     fields = np.empty((n_steps + 1,) + grid.shape)
     fields[0] = u
+    increments = np.empty((n_steps,) + grid.shape)
     stats = []
     solve = None
     for n in range(n_steps):
@@ -375,19 +378,17 @@ def solve_path(spec: ProblemSpec, grid: Grid, n_steps: int, path: JumpPath,
                 "step %d of %d failed: %s" % (n + 1, n_steps, err),
                 err.history) from err
         fields[n + 1] = u
+        increments[n] = inc
         stats.append(st)
-    return Trajectory(fields=fields, dt=dt, grid=grid, spec=spec,
-                      stats=stats)
+    return Trajectory(fields=fields, increments=increments, dt=dt, grid=grid,
+                      spec=spec, stats=stats)
 
 
-def lemma_ratios(traj: Trajectory, path: JumpPath) -> list:
-    """:func:`_lemma_check` of every step of ``traj``, solved along ``path``,
-    each right-hand side rebuilt from the increment :func:`solve_path` drew."""
-    spec, grid, dt, u = traj.spec, traj.grid, traj.dt, traj.fields
-    gx = None if spec.eta.is_zero else spec.eta.g(grid.coords())
-    return [_lemma_check(u[n + 1], u[n] + compensated_increment(
-        path, spec, grid, u[n], n * dt, (n + 1) * dt, gx=gx), spec, grid)
-        for n in range(traj.n_steps)]
+def lemma_ratios(traj: Trajectory) -> list:
+    """:func:`_lemma_check` of every step of ``traj``, each against the
+    right-hand side u_n plus the increment the step drew."""
+    return [_lemma_check(u, x_rhs, traj.spec, traj.grid) for u, x_rhs in
+            zip(traj.fields[1:], traj.fields[:-1] + traj.increments)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import csv
+import importlib
 import importlib.util
 import math
 import os
+import pkgutil
 import sys
 
 import pytest
@@ -20,6 +22,18 @@ from stoclaw.solver import StepFailureError, solve_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(ROOT, "configs")
+
+
+def test_every_exported_name_resolves():
+    # a deletion that leaves a stale name in some module's __all__ fails here
+    import stoclaw
+    modules = [importlib.import_module("stoclaw." + info.name)
+               for info in pkgutil.iter_modules(stoclaw.__path__)]
+    exported = [(mod, name) for mod in modules
+                for name in getattr(mod, "__all__", ())]
+    assert len(exported) > 50
+    assert [(mod.__name__, name) for mod, name in exported
+            if not hasattr(mod, name)] == []
 
 
 def small_config(**overrides):

@@ -347,7 +347,22 @@ def test_residual_matches_oracle_with_events_on_knots():
 
 
 # ---------------------------------------------------------------------------
-# Rate tests
+# Monte-Carlo means and rate tests
+
+def test_path_mean_stderr_is_zero_at_one_path():
+    mean, se = dg.path_mean_stderr([[0.5, 2.0, 3.0]])
+    np.testing.assert_array_equal(mean, [0.5, 2.0, 3.0])
+    np.testing.assert_array_equal(se, 0.0)
+
+
+@pytest.mark.parametrize("n_paths", [2, 7, 8, 200])
+def test_path_mean_stderr_matches_axis0_moments(n_paths):
+    rows = np.random.default_rng(n_paths).lognormal(size=(n_paths, 5))
+    mean, se = dg.path_mean_stderr(list(rows))
+    np.testing.assert_array_equal(mean, np.mean(rows, axis=0))
+    np.testing.assert_array_equal(
+        se, np.std(rows, axis=0, ddof=1) / math.sqrt(n_paths))
+
 
 def test_cauchy_deterministic_lane_second_order():
     spec = make_spec(phi="linear", phi_scale=0.3, eps=0.1)

@@ -23,16 +23,6 @@ def separable_spec(sigma_kind="const", sigma_scale=1.0, g_kind="bump",
         epsilon=0.1, horizon=1.0, dim=1)
 
 
-def solver_increments(path, spec, grid, traj):
-    """The compensated increment of every step, as the solver drew it from
-    the state at the left knot."""
-    dt = traj.dt
-    return np.array([sc.compensated_increment(path, spec, grid,
-                                              traj.fields[n], n * dt,
-                                              (n + 1) * dt)
-                     for n in range(traj.n_steps)])
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -121,6 +111,31 @@ def test_size_measure_moments_match_quadrature():
                                    rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(stable.moment(0), stable.total_mass,
                                rtol=1e-14)
+
+
+def test_size_measure_sup_matches_dense_probe():
+    # the closed-form sup |h| over the support against a dense probe of
+    # each support, for h = v (power 1) and h = 1 (power 0)
+    measures = [
+        SizeMeasure("atoms", atoms=((1.0, 3.0),)),
+        SizeMeasure("atoms", atoms=((1.0, 3.0), (-2.5, 1.5), (0.25, 0.0))),
+        SizeMeasure("uniform", lo=0.5, hi=1.5, mass=2.0),
+        SizeMeasure("uniform", lo=-3.0, hi=-0.5, mass=1.0),
+        SizeMeasure("uniform", lo=0.0, hi=0.75, mass=1.0),
+        SizeMeasure("alpha_stable", alpha=0.8, z_min=0.05, v_max=2.0,
+                    strength=0.3),
+        SizeMeasure("alpha_stable", alpha=1.5, z_min=0.1, v_max=0.6),
+    ]
+    for size in measures:
+        if size.kind == "atoms":
+            probe = np.array([v for v, _ in size.atoms])
+        elif size.kind == "uniform":
+            probe = np.linspace(size.lo, size.hi, 4097)
+        else:
+            half = np.linspace(size.z_min, size.v_max, 4097)
+            probe = np.concatenate([-half, half])
+        for p, h in ((1, lambda v: v), (0, np.ones_like)):
+            assert size.sup_abs(p) == float(np.max(np.abs(h(probe))))
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +311,10 @@ def test_event_on_knot_lands_in_one_step():
     empty = JumpPath(np.empty(0), np.empty(0), 1.0, levy)
     traj = sc.solve_path(spec, grid, n_steps, path)
     gx = spec.eta.g(grid.coords())
-    increments = solver_increments(path, spec, grid, traj)
     for n in (k - 1, k):
         compensator = sc.compensated_increment(
             empty, spec, grid, traj.fields[n], n * dt, (n + 1) * dt)
-        jump = increments[n] - compensator
+        jump = traj.increments[n] - compensator
         np.testing.assert_allclose(jump, gx * 0.7 if n == k else 0.0,
                                    atol=1e-14)
 
@@ -394,8 +408,8 @@ def test_coupling_contract_same_events_across_dt():
     t1 = sc.solve_path(spec, grid, 4, path)
     t2 = sc.solve_path(spec, grid, 8, path)
     # both solves consumed the identical event set
-    total1 = np.sum(solver_increments(path, spec, grid, t1), axis=0)
-    total2 = np.sum(solver_increments(path, spec, grid, t2), axis=0)
+    total1 = np.sum(t1.increments, axis=0)
+    total2 = np.sum(t2.increments, axis=0)
     # jump parts agree up to the state-dependence of sigma (const here)
     np.testing.assert_allclose(total1, total2, atol=1e-12)
 

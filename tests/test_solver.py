@@ -98,7 +98,7 @@ def test_lemma_estimate_checked_when_applicable():
     traj = sc.solve_path(spec, grid, 10, path)
     assert spec.c_f == 0.0
     bound = 2.0 * (3.0 + 2.0 * spec.c_phi ** 2 + spec.c_phi / traj.dt)
-    ratios = lemma_ratios(traj, path)
+    ratios = lemma_ratios(traj)
     assert len(ratios) == 10
     assert all(0.0 < r <= bound for r in ratios)
 
@@ -267,6 +267,30 @@ def test_accepted_steps_meet_the_residual_tolerance(case, refresh):
     assert traj.stats[0].jacobians >= 1
     assert not refresh or max(st.jacobians for st in traj.stats) > 1
     assert refresh or sum(st.jacobians for st in traj.stats) < n_steps
+
+
+@pytest.mark.parametrize("name,dim,cells", [
+    ("linear-smoke", 1, 192), ("maxprinciple", 1, 96),
+    ("moments-linear", 1, 32), ("contraction", 1, 96),
+    ("stochastic-default", 1, 96), ("contraction", 2, 32),
+], ids=["linear-smoke", "maxprinciple", "moments-linear", "contraction",
+        "stochastic-default", "checks-2d"])
+def test_trajectory_keeps_the_increments_it_drew(name, dim, cells):
+    # increments[n] is bitwise the compensated increment at u_n, and
+    # u_{n+1} solves the step against u_n + increments[n]
+    spec, grid, n_steps, path = bundled_case(name, dim, cells, 4)
+    assert path.count > 0
+    traj = sc.solve_path(spec, grid, n_steps, path)
+    u, dt = traj.fields, traj.dt
+    assert traj.increments.shape == (n_steps,) + grid.shape
+    for n in range(n_steps):
+        inc = sc.compensated_increment(path, spec, grid, u[n], n * dt,
+                                       (n + 1) * dt)
+        assert np.array_equal(traj.increments[n], inc)
+        res = (u[n + 1] - dt * solver_mod._step_operator(u[n + 1], spec, grid)
+               - (u[n] + traj.increments[n]))
+        assert norm_l2(res, grid) <= 1e-10 * (1.0 + norm_l2(u[n], grid))
+    assert np.any(traj.increments != 0.0)
 
 
 def test_2d_path_reuses_factors_across_steps():
