@@ -8,9 +8,7 @@ The base profile is a fixed polynomial spline ``B`` with B'' supported on
 
 Every integral the checks and residuals use (``kirchhoff``, ``zeta``, ``nu``
 and ``identity_check_batch``) is a piecewise polynomial over the coefficient
-catalog and is computed exactly by one fixed Gauss rule on each piece. The
-scalar kit (``I_beta``, ``phi_beta``, ``F_beta``, ``ibeta_identities``) keeps
-adaptive Simpson: it is the independent reference the tests compare against.
+catalog and is computed exactly by one fixed Gauss rule on each piece.
 """
 
 from __future__ import annotations
@@ -20,14 +18,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import adaptive_simpson, batch_simpson
+# not called here; perfbench/tracing.py wraps entropy.batch_simpson
+from .quadrature import batch_simpson
 
 __all__ = [
     "EntropyTriple", "BETA_M1", "BETA_M2",
     "base_beta", "base_dbeta", "base_d2beta",
     "make_beta_theta", "make_quadratic",
     "kirchhoff",
-    "phi_beta", "F_beta", "kruzkov_F", "I_beta", "ibeta_identities",
 ]
 
 # Base profile: B''(r) = (15/8)(1 - r^2)^2 on |r| <= 1, so that B' runs from
@@ -175,141 +173,8 @@ def kirchhoff(phi):
 
 
 # ---------------------------------------------------------------------------
-# Entropy flux differences and the interaction form
-
-def _window_breaks(b, support):
-    return () if support is None else (b - support, b + support)
-
-
-def phi_beta(a: float, b: float, triple: EntropyTriple, phi,
-             tol: float = 1e-10) -> float:
-    """int_b^a beta'(s - b) phi'(s) ds."""
-    w = triple.d2_support
-    bps = tuple(phi.kinks) + _window_breaks(b, w)
-    return adaptive_simpson(
-        lambda s: triple.dbeta(s - b) * phi.dphi(s), b, a,
-        tol=tol, breakpoints=bps)
-
-
-def F_beta(a: float, b: float, triple: EntropyTriple, flux,
-           tol: float = 1e-10) -> np.ndarray:
-    """Componentwise int_b^a beta'(s - b) f_k'(s) ds."""
-    w = triple.d2_support
-    bps = tuple(flux.kinks) + _window_breaks(b, w)
-    out = [adaptive_simpson(
-        lambda s, d=c.df: triple.dbeta(s - b) * d(s), b, a,
-        tol=tol, breakpoints=bps) for c in flux.components]
-    return np.asarray(out)
-
-
-def kruzkov_F(a, b, flux) -> np.ndarray:
-    """sign(a - b) (f(a) - f(b)), componentwise."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    s = np.sign(a - b)
-    return np.stack([s * (c.f(a) - c.f(b)) for c in flux.components], axis=-1)
-
-
-def I_beta(a: float, b: float, triple: EntropyTriple, phi,
-           tol: float = 1e-8) -> float:
-    """int_a^b [ int_mu^a beta''(mu - s) sqrt(phi'(s)) ds ] sqrt(phi'(mu)) dmu."""
-    if a == b:
-        return 0.0
-    root = _sqrt_dphi(phi)
-    w = triple.d2_support
-    kinks = tuple(phi.kinks)
-
-    def inner(mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        hi = np.full_like(mu, float(a))
-        if w is not None:
-            hi = np.clip(hi, mu - w, mu + w)
-        col = mu[:, None, None]  # nodes arrive as (rows, segments, points)
-        return batch_simpson(
-            lambda s: triple.d2beta(col - s) * root(s),
-            mu, hi, tol=tol, breakpoints=kinks)
-
-    outer_bps = list(kinks)
-    if w is not None:
-        outer_bps += [a - w, a + w]
-        outer_bps += [k - w for k in kinks] + [k + w for k in kinks]
-    return adaptive_simpson(
-        lambda mu: inner(mu) * root(mu), a, b, tol=tol,
-        breakpoints=outer_bps)
-
-
-def _square_integral(a, b, triple, phi, mode, tol=1e-8):
-    """ii_{[a,b]^2} beta''(s - mu) W(mu, s) dmu ds via the diagonal shift.
-
-    ``mode`` selects W: "product" for sqrt(phi'(mu)) sqrt(phi'(s)) and
-    "sqdiff" for (sqrt(phi'(mu)) - sqrt(phi'(s)))^2. Evaluated as an integral
-    over the shift w = s - mu, which is an independent decomposition from the
-    nested form used by :func:`I_beta`.
-    """
-    lo, hi = (a, b) if a <= b else (b, a)
-    if lo == hi:
-        return 0.0
-    width = hi - lo
-    w_sup = triple.d2_support
-    wmax = width if w_sup is None else min(width, w_sup)
-    if wmax <= 0.0:
-        return 0.0
-    root = _sqrt_dphi(phi)
-    kinks = tuple(phi.kinks)
-
-    def strip(wv):
-        wv = np.atleast_1d(np.asarray(wv, dtype=float))
-        m_lo = np.maximum(lo, lo - wv)
-        m_hi = np.minimum(hi, hi - wv)
-        m_hi = np.maximum(m_hi, m_lo)  # empty strip -> zero-length interval
-        col = wv[:, None, None]
-        if mode == "product":
-            fn = lambda x: root(x) * root(x + col)
-        else:
-            fn = lambda x: (root(x) - root(x + col)) ** 2
-        row_bps = None
-        if kinks:
-            shifted = np.stack([np.full_like(wv, k) - wv for k in kinks], axis=1)
-            row_bps = shifted
-        return batch_simpson(fn, m_lo, m_hi, tol=tol,
-                             breakpoints=kinks, row_breakpoints=row_bps)
-
-    bps = {0.0}
-    for k in kinks:
-        bps.add(lo - k)
-        bps.add(hi - k)
-        for k2 in kinks:
-            bps.add(k - k2)
-    return adaptive_simpson(
-        lambda wv: triple.d2beta(wv) * strip(wv), -wmax, wmax,
-        tol=tol, breakpoints=sorted(bps))
-
-
-def ibeta_identities(a: float, b: float, triple: EntropyTriple, phi,
-                     tol: float = 1e-8) -> dict:
-    """Evaluate both exchange identities with independently computed sides.
-
-    Returns the nested-form value, its argument-swapped value, the shifted
-    double-integral references, and the combination
-    2 I + phi_beta(a,b) + phi_beta(b,a) against its nonnegative reference.
-    """
-    i_ab = I_beta(a, b, triple, phi, tol=tol)
-    i_ba = I_beta(b, a, triple, phi, tol=tol)
-    ref1 = -0.5 * _square_integral(a, b, triple, phi, "product", tol=tol)
-    p_ab = phi_beta(a, b, triple, phi)
-    p_ba = phi_beta(b, a, triple, phi)
-    lhs2 = 2.0 * i_ab + p_ab + p_ba
-    ref2 = 0.5 * _square_integral(a, b, triple, phi, "sqdiff", tol=tol)
-    return {
-        "i_ab": i_ab, "i_ba": i_ba, "identity1_ref": ref1,
-        "phi_beta_ab": p_ab, "phi_beta_ba": p_ba,
-        "identity2_lhs": lhs2, "identity2_ref": ref2,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Pair-batched evaluation: the same integrals by the exact rule, vectorized
-# across many (a, b) pairs.
+# The interaction form and its exchange identities by the exact rule,
+# vectorized across many (a, b) pairs.
 
 def _segmented(f, lo, hi, candidates):
     """Signed exact-rule integrals over per-element intervals [lo, hi],

@@ -172,6 +172,12 @@ def assumption_rows(cfg, spec, grid) -> List[CheckResult]:
                   "trends to 0 (finite-sample trend, never a certification)")]
 
 
+def _at_most(name, value, bound, statement):
+    """The row of an upper-bound condition value <= bound."""
+    return CheckResult(name=name, value=value, bound=bound,
+                       margin=bound - value, statement=statement)
+
+
 def _check_sandwich(report):
     mesh = np.linspace(-3.0, 3.0, 10001)
     worst_low = worst_high = worst_d2 = 0.0
@@ -192,8 +198,7 @@ def _check_sandwich(report):
              "beta_theta(r) <= |r| on a 10^4-point mesh"),
             ("sandwich_curvature", worst_d2,
              "|beta_theta''| <= (M2/theta) 1_{|r| <= theta}")):
-        report.add(CheckResult(name=name, value=worst, bound=bound,
-                               margin=bound - worst, statement=statement))
+        report.add(_at_most(name, worst, bound, statement))
 
 
 def _check_identities(cfg, spec, report):
@@ -221,8 +226,7 @@ def _check_identities(cfg, spec, report):
             ("ibeta_identity2", worst_id2,
              "2 I + both entropy-flux differences equal the nonnegative "
              "square-difference double integral")):
-        report.add(CheckResult(name=name, value=worst, bound=bound,
-                               margin=bound - worst, statement=statement))
+        report.add(_at_most(name, worst, bound, statement))
 
 
 def _check_energy(cfg, spec, grid, results, report):
@@ -318,10 +322,10 @@ def _check_boundary_mass(cfg, spec, grid, results, report):
     u0 = discretize_initial(spec, grid)
     budget = 1e-6 * max(norm_l1(u0, grid), 1e-300)
     worst = max(r["boundary_mass"] for r in results)
-    report.add(CheckResult(
-        name="boundary_mass", value=worst, bound=budget, margin=budget - worst,
-        statement="L1 mass inside the truncation margin stays below "
-                  "1e-6 ||u0||_1 (domain truncation is inert)"))
+    report.add(_at_most(
+        "boundary_mass", worst, budget,
+        "L1 mass inside the truncation margin stays below "
+        "1e-6 ||u0||_1 (domain truncation is inert)"))
 
 
 def _check_contraction(spec, grid, results, report):
@@ -330,11 +334,10 @@ def _check_contraction(spec, grid, results, report):
         worst = float(np.max(rep.mean))
         bound = 1e-8 * max(norm_l1(discretize_initial(spec, grid), grid),
                            1e-300)
-        report.add(CheckResult(
-            name="contraction_zero", value=worst, bound=bound,
-            margin=bound - worst,
-            statement="equal initial data under one noise stay identical "
-                      "in weighted L1"))
+        report.add(_at_most(
+            "contraction_zero", worst, bound,
+            "equal initial data under one noise stay identical "
+            "in weighted L1"))
     report.add(CheckResult(
         name="contraction_growth", value=rep.fit, bound=rep.fit_half,
         margin=rep.slack,
@@ -343,11 +346,10 @@ def _check_contraction(spec, grid, results, report):
 
 
 def _check_determinism(same, report):
-    value = 0.0 if same else 1.0
-    report.add(CheckResult(
-        name="determinism", value=value, bound=0.0, margin=0.0 - value,
-        statement="identical seeds reproduce bitwise-identical paths and "
-                  "trajectories"))
+    report.add(_at_most(
+        "determinism", 0.0 if same else 1.0, 0.0,
+        "identical seeds reproduce bitwise-identical paths and "
+        "trajectories"))
 
 
 # ---------------------------------------------------------------------------

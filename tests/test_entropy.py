@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 
 import numpy as np
@@ -20,6 +22,7 @@ ZERO_FLUX = sc.flux_family("zero", dim=1)
 PHI_NAMES = ("zero", "linear", "stefan", "porous")
 FLUX_NAMES = ("zero", "linear", "burgers")
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "stoclaw")
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +117,56 @@ def _closed_kirchhoff(name, s, u):
     return np.sqrt(s) * np.sign(u) * shape[name]
 
 
-def _quad_primitive(g, r, kinks):
-    # independent reference for int_0^r g, split at every kink inside
-    lo, hi = min(0.0, r), max(0.0, r)
-    pts = [k for k in kinks if lo < k < hi]
-    val = quad(g, lo, hi, points=pts or None, epsabs=1e-13, epsrel=1e-13,
+def _quad(g, lo, hi, points):
+    # independent reference for the signed int_lo^hi g: scipy's quad, split
+    # at every point inside
+    a, b = min(lo, hi), max(lo, hi)
+    pts = [p for p in points if a < p < b]
+    val = quad(g, a, b, points=pts or None, epsabs=1e-13, epsrel=1e-13,
                limit=200)[0]
-    return val if r >= 0.0 else -val
+    return val if hi >= lo else -val
+
+
+def _quad_identities(a, b, t, phi):
+    # every key of identity_check_batch for one pair, by nested quad with
+    # the kinks of phi' and the edges of the smoothing window as points
+    w = t.d2_support
+    kinks = tuple(phi.kinks)
+    edges = kinks + tuple(k + d for k in kinks for d in (-w, w))
+    root = lambda s: np.sqrt(max(float(phi.dphi(s)), 0.0))
+
+    def nested(a, b):
+        # int_a^b [int_mu^a beta''(mu - s) root(s) ds] root(mu) dmu
+        def outer(mu):
+            hi = min(max(a, mu - w), mu + w)
+            inner = _quad(lambda s: t.d2beta(mu - s) * root(s), mu, hi, kinks)
+            return inner * root(mu)
+        return _quad(outer, a, b, edges + (a - w, a + w))
+
+    def flux_difference(a, b):
+        # int_b^a beta'(s - b) phi'(s) ds
+        return _quad(lambda s: t.dbeta(s - b) * phi.dphi(s), b, a,
+                     kinks + (b - w, b + w))
+
+    def square(weight):
+        # the double integral of beta''(s - mu) weight(mu, s) over [a, b]^2,
+        # twice its half s > mu (both weights are symmetric, beta'' is even)
+        lo, hi = min(a, b), max(a, b)
+
+        def outer(mu):
+            return _quad(lambda s: t.d2beta(s - mu) * weight(mu, s),
+                         mu, min(hi, mu + w), kinks)
+        return 2.0 * _quad(outer, lo, hi, edges + (hi - w,))
+
+    i_ab, i_ba = nested(a, b), nested(b, a)
+    p_ab, p_ba = flux_difference(a, b), flux_difference(b, a)
+    return {
+        "i_ab": i_ab, "i_ba": i_ba,
+        "identity1_ref": -0.5 * square(lambda m, s: root(m) * root(s)),
+        "phi_beta_ab": p_ab, "phi_beta_ba": p_ba,
+        "identity2_lhs": 2.0 * i_ab + p_ab + p_ba,
+        "identity2_ref": 0.5 * square(lambda m, s: (root(m) - root(s)) ** 2),
+    }
 
 
 def _sample_points(theta, *kinks):
@@ -151,102 +197,61 @@ def test_flux_primitives_exact_on_catalog(phi_name, flux_name):
         if phi_name in ("zero", "linear"):
             nu_ref = phi.dphi(0.0) * t.beta(r)
         else:
-            nu_ref = [_quad_primitive(lambda s: t.dbeta(s) * phi.dphi(s), x,
-                                      phi.kinks + (-theta, theta)) for x in r]
+            nu_ref = [_quad(lambda s: t.dbeta(s) * phi.dphi(s), 0.0, x,
+                            phi.kinks + (-theta, theta)) for x in r]
         if flux_name in ("zero", "linear"):
             zeta_ref = df(0.0) * t.beta(r)
         else:
-            zeta_ref = [_quad_primitive(lambda s: t.dbeta(s) * df(s), x,
-                                        flux.kinks + (-theta, theta))
-                        for x in r]
+            zeta_ref = [_quad(lambda s: t.dbeta(s) * df(s), 0.0, x,
+                              flux.kinks + (-theta, theta)) for x in r]
         np.testing.assert_allclose(t.nu(r), nu_ref, rtol=0, atol=1e-13)
         np.testing.assert_allclose(t.zeta(r)[:, 0], zeta_ref, rtol=0,
                                    atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
-# Entropy flux differences
+# The batched identity checker
 
 def test_phi_beta_reduces_to_beta_for_linear_phi():
     t = sc.make_beta_theta(0.3)
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a, b = rng.uniform(-4, 4, 2)
-        np.testing.assert_allclose(sc.phi_beta(a, b, t, LIN),
-                                   t.beta(a - b), atol=1e-9)
+    a, b = np.random.default_rng(1).uniform(-4, 4, (20, 2)).T
+    res = identity_check_batch(a, b, t, LIN)
+    np.testing.assert_allclose(res["phi_beta_ab"], t.beta(a - b), atol=1e-12)
 
 
 def test_phi_beta_diagonal_vanishes():
     t = sc.make_beta_theta(0.2)
-    rng = np.random.default_rng(2)
-    for a in rng.uniform(-5, 5, 10):
-        assert sc.phi_beta(a, a, t, POROUS) == 0.0
+    a = np.random.default_rng(2).uniform(-5, 5, 10)
+    res = identity_check_batch(a, a, t, POROUS)
+    assert np.all(res["phi_beta_ab"] == 0.0)
+    assert np.all(res["phi_beta_ba"] == 0.0)
 
-
-def test_kruzkov_flux_values_and_symmetry():
-    val = sc.kruzkov_F(2.0, 0.0, BURGERS)
-    np.testing.assert_allclose(val, [2.0], atol=1e-14)
-    rng = np.random.default_rng(3)
-    a = rng.uniform(-4, 4, 32)
-    b = rng.uniform(-4, 4, 32)
-    np.testing.assert_allclose(sc.kruzkov_F(a, b, BURGERS),
-                               sc.kruzkov_F(b, a, BURGERS), atol=0)
-    # componentwise Lipschitz bound on the sampled box
-    bound = BURGERS.c_f * np.abs(a - b)
-    assert np.all(np.abs(sc.kruzkov_F(a, b, BURGERS)[..., 0]) <= bound + 1e-12)
-
-
-def test_f_beta_matches_phi_beta_machinery():
-    t = sc.make_beta_theta(0.3)
-    lin_flux = sc.flux_family("linear", dim=1, scale=0.5)
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        a, b = rng.uniform(-3, 3, 2)
-        got = sc.F_beta(a, b, t, lin_flux)
-        np.testing.assert_allclose(got, [0.5 * t.beta(a - b)], atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Interaction form identities
 
 def test_ibeta_diagonal_zero():
     t = sc.make_beta_theta(0.1)
-    assert sc.I_beta(0.7, 0.7, t, POROUS) == 0.0
+    res = identity_check_batch([0.7], [0.7], t, POROUS)
+    assert all(np.all(v == 0.0) for v in res.values())
 
 
 @pytest.mark.parametrize("phi", [STEFAN, POROUS, LIN])
 def test_ibeta_symmetry_random_pairs(phi):
     t = sc.make_beta_theta(0.2)
-    rng = np.random.default_rng(6)
-    for _ in range(6):
-        a, b = rng.uniform(-5, 5, 2)
-        np.testing.assert_allclose(sc.I_beta(a, b, t, phi),
-                                   sc.I_beta(b, a, t, phi), atol=1e-7)
+    a, b = np.random.default_rng(6).uniform(-5, 5, (6, 2)).T
+    res = identity_check_batch(a, b, t, phi)
+    np.testing.assert_allclose(res["i_ab"], res["i_ba"], rtol=0, atol=1e-12)
 
 
 def test_identity2_vanishes_for_constant_dphi():
     t = sc.make_beta_theta(0.15)
-    rng = np.random.default_rng(7)
-    for _ in range(6):
-        a, b = rng.uniform(-4, 4, 2)
-        res = sc.ibeta_identities(a, b, t, LIN)
-        np.testing.assert_allclose(res["identity2_lhs"], 0.0, atol=1e-7)
-        np.testing.assert_allclose(res["identity2_ref"], 0.0, atol=1e-7)
+    a, b = np.random.default_rng(7).uniform(-4, 4, (6, 2)).T
+    res = identity_check_batch(a, b, t, LIN)
+    np.testing.assert_allclose(res["identity2_lhs"], 0.0, atol=1e-12)
+    np.testing.assert_allclose(res["identity2_ref"], 0.0, atol=1e-12)
 
 
-def test_identities_scalar_path():
-    t = sc.make_beta_theta(0.1)
-    rng = np.random.default_rng(8)
-    for phi in (STEFAN, POROUS):
-        a, b = rng.uniform(-5, 5, 2)
-        res = sc.ibeta_identities(a, b, t, phi)
-        assert abs(res["i_ab"] - res["i_ba"]) < 1e-7
-        assert abs(res["i_ab"] - res["identity1_ref"]) < 1e-7
-        assert abs(res["identity2_lhs"] - res["identity2_ref"]) < 1e-7
-        assert res["identity2_ref"] >= -1e-10
-
-
-def test_batch_checker_agrees_with_scalar():
+def test_batch_checker_agrees_with_quad():
+    # every key against the nested-quad reference, on both sides of both
+    # identities
     rng = np.random.default_rng(9)
     a = rng.uniform(-5, 5, 10)
     b = rng.uniform(-5, 5, 10)
@@ -254,11 +259,10 @@ def test_batch_checker_agrees_with_scalar():
     for phi in (STEFAN, POROUS, LIN):
         batch = identity_check_batch(a, b, t, phi)
         for i in range(a.size):
-            scalar = sc.ibeta_identities(a[i], b[i], t, phi)
-            for key in ("i_ab", "i_ba", "identity1_ref", "phi_beta_ab",
-                        "phi_beta_ba", "identity2_ref"):
-                np.testing.assert_allclose(batch[key][i], scalar[key],
-                                           atol=5e-8)
+            ref = _quad_identities(a[i], b[i], t, phi)
+            for key in ref:
+                np.testing.assert_allclose(batch[key][i], ref[key], rtol=0,
+                                           atol=1e-12)
 
 
 def test_identity2_modulus_bound_stable_under_refinement():
@@ -283,16 +287,11 @@ def test_identity2_modulus_bound_stable_under_refinement():
 
 def test_phi_beta_close_to_kruzkov_difference():
     # |phi_beta(a, b) - |phi(a) - phi(b)|| <= C theta on random pairs
-    rng = np.random.default_rng(11)
-    pairs = rng.uniform(-4, 4, (40, 2))
+    a, b = np.random.default_rng(11).uniform(-4, 4, (40, 2)).T
     for theta in (0.2, 0.05):
-        t = sc.make_beta_theta(theta)
-        worst = 0.0
-        for a, b in pairs:
-            diff = abs(sc.phi_beta(a, b, t, STEFAN)
-                       - abs(STEFAN.phi(a) - STEFAN.phi(b)))
-            worst = max(worst, diff)
-        assert worst <= 2.5 * theta
+        res = identity_check_batch(a, b, sc.make_beta_theta(theta), STEFAN)
+        diff = res["phi_beta_ab"] - np.abs(STEFAN.phi(a) - STEFAN.phi(b))
+        assert np.max(np.abs(diff)) <= 2.5 * theta
 
 
 def test_quadratic_triple():
@@ -328,16 +327,16 @@ def test_batch_identities_exact_on_porous():
         assert np.max(np.abs(res["i_ab"] - res["identity1_ref"])) <= 1e-12
         assert np.max(np.abs(res["identity2_lhs"]
                              - res["identity2_ref"])) <= 1e-12
+        assert np.min(res["identity2_ref"]) >= 0.0
 
 
 def test_hot_paths_use_no_adaptive_quadrature(monkeypatch):
     # per-path reductions and the identity check run on the exact rule only;
-    # the adaptive routines are the scalar reference kit's
+    # batch_simpson stays in the package solely as perfbench's binding
     def forbidden(*args, **kwargs):
-        raise AssertionError("adaptive quadrature called from a hot path")
+        raise AssertionError("batch_simpson called from a hot path")
 
     monkeypatch.setattr(entropy, "batch_simpson", forbidden)
-    monkeypatch.setattr(entropy, "adaptive_simpson", forbidden)
     cfg = ExperimentConfig.from_file(
         os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
     cfg.set("grid", "cells", 32)
@@ -350,3 +349,27 @@ def test_hot_paths_use_no_adaptive_quadrature(monkeypatch):
     res = identity_check_batch(rng.uniform(-5, 5, 20), rng.uniform(-5, 5, 20),
                                sc.make_beta_theta(0.1), POROUS)
     assert all(np.all(np.isfinite(v)) for v in res.values())
+    # no module defines or imports an adaptive routine, and quadrature is
+    # imported by entropy alone, for batch_simpson alone
+    defined, quadrature_imports = {}, []
+    for path in sorted(glob.glob(os.path.join(SRC_DIR, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(module, set()).add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names]
+                source = getattr(node, "module", None) or ""
+                for name in names:
+                    dotted = "%s.%s" % (source, name)
+                    assert "adaptive" not in name, (module, dotted)
+                    assert "scipy.integrate" not in dotted, (module, dotted)
+                if source.endswith("quadrature"):
+                    quadrature_imports.append((module, names))
+    assert not any("adaptive" in name for names in defined.values()
+                   for name in names)
+    assert defined["quadrature"] == {"inward_offset", "_composite_simpson",
+                                     "batch_simpson"}
+    assert quadrature_imports == [("entropy", ["batch_simpson"])]

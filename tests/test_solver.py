@@ -241,8 +241,8 @@ def porous_case(dim, cells):
 
 
 @pytest.mark.parametrize("case,refresh", [
-    (lambda: bundled_case("stochastic-default", 1, 96, 3), False),
-    (lambda: bundled_case("contraction", 2, 32, 3), False),
+    (lambda: bundled_case("stochastic-default", 1, 96, 4), False),
+    (lambda: bundled_case("contraction", 2, 32, 4), False),
     (lambda: porous_case(1, 96), True),
     (lambda: porous_case(2, 32), True),
 ], ids=["stochastic-default-1d", "contraction-2d", "porous-refresh-1d",
@@ -251,8 +251,9 @@ def test_accepted_steps_meet_the_residual_tolerance(case, refresh):
     # F(u) recomputed from the step operator and the rebuilt right-hand
     # side: every step the chord iteration accepts is within
     # 1e-10 (1 + ||u_n||), on factors carried from the previous step,
-    # fresh or refreshed
+    # fresh or refreshed, across the jumps of the bundled paths
     spec, grid, n_steps, path = case()
+    assert refresh or path.count > 0
     traj = sc.solve_path(spec, grid, n_steps, path)
     dt, u = traj.dt, traj.fields
     gx = None if spec.eta.is_zero else spec.eta.g(grid.coords())
