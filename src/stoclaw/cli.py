@@ -15,8 +15,8 @@ import sys
 from .config import ConfigError, ExperimentConfig
 from .diagnostics import STATUS_TEXT
 from .harness import (assumption_rows, convergence_study, replay,
-                      run_experiment)
-from .model import InvalidSpecError, discretize_initial
+                      resolve_problem, run_experiment)
+from .model import InvalidSpecError
 from .solver import StepFailureError
 
 EXIT_PASS = 0
@@ -50,12 +50,7 @@ def _config(args) -> ExperimentConfig:
 
 def _cmd_validate(args) -> int:
     cfg = _config(args)
-    spec = cfg.build_spec()
-    grid = cfg.build_grid()
-    # the initial data must fit inside the truncation margin
-    discretize_initial(spec, grid)
-    if cfg.get("diagnostics", "v0"):
-        discretize_initial(spec.with_u0(cfg.build_v0()), grid)
+    spec, grid = resolve_problem(cfg)
     return _print_report(assumption_rows(cfg, spec, grid))
 
 

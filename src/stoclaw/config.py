@@ -271,19 +271,18 @@ class ExperimentConfig:
     def build_spec(self) -> ProblemSpec:
         m = self.values["model"]
         n = self.values["noise"]
-        dim = m["dim"]
         phi = phi_family(m["phi"], m["phi_scale"])
-        flux = flux_family(m["flux"], dim, m["flux_scale"])
+        flux = flux_family(m["flux"], m["flux_scale"])
         eta = eta_family(
             n["eta"], g_kind=n["g"], g_height=n["g_height"],
             g_center=n["g_center"], g_width=n["g_width"],
             sigma_kind=n["sigma"], sigma_scale=n["sigma_scale"],
-            sigma_cap=n["sigma_cap"], h_kind=n["h"], dim=dim)
+            sigma_cap=n["sigma_cap"], h_kind=n["h"])
         u0 = init_family(m["u0"], height=m["u0_height"],
-                         center=m["u0_center"], width=m["u0_width"], dim=dim)
+                         center=m["u0_center"], width=m["u0_width"])
         return ProblemSpec(
             phi=phi, flux=flux, eta=eta, u0=u0, levy=self.build_intensity(),
-            epsilon=m["epsilon"], horizon=m["horizon"], dim=dim)
+            epsilon=m["epsilon"], horizon=m["horizon"])
 
     def build_v0(self):
         name = self.get("diagnostics", "v0")
@@ -291,4 +290,4 @@ class ExperimentConfig:
             return None
         d = self.values["diagnostics"]
         return init_family(name, height=d["v0_height"], center=d["v0_center"],
-                           width=d["v0_width"], dim=self.get("model", "dim"))
+                           width=d["v0_width"])

@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .entropy import EntropyTriple, kirchhoff
+from .entropy import EntropyTriple, kirchhoff, make_beta_theta
 from .model import Grid, ProblemSpec, discretize_initial
 from .noise import JumpPath, martingale_term, sample_jump_path
 from .solver import Trajectory, cell_integral, l2_sq, solve_path
@@ -38,9 +38,9 @@ from .solver import Trajectory, cell_integral, l2_sq, solve_path
 __all__ = [
     "TestFunction", "bump_test_function", "uniform_test_function",
     "test_function_catalog", "WeightPhiN", "Verdict", "CheckResult",
-    "DiagnosticsReport", "entropy_residual", "entropy_tolerance",
-    "calibrate_entropy_tolerance", "ENTROPY_TOL_COEFF", "THETA_VALUES",
-    "BAND_SIGMAS", "path_mean_stderr",
+    "DiagnosticsReport", "STATUS_TEXT", "entropy_residual",
+    "entropy_tolerance", "calibrate_entropy_tolerance", "ENTROPY_TOL_COEFF",
+    "THETA_VALUES", "BAND_SIGMAS", "path_mean_stderr",
     "cauchy_path_errors", "cauchy_rate_test", "RateReport", "GrowthReport",
     "growth_test", "contraction_path_distances", "contraction_test",
     "moment_path_rows", "moment_bound_test", "linear_moment_rate",
@@ -95,8 +95,9 @@ def _time_cutoff(t_cut: float):
 
 def bump_test_function(center, width: float, t_cut: float,
                        name: str = "bump") -> TestFunction:
-    """Cubic-power bump in space ((1 - r^2/w^2)_+)^3, quadratic decay in time."""
-    c = np.atleast_1d(np.asarray(center, dtype=float))
+    """Cubic-power bump in space ((1 - r^2/w^2)_+)^3, quadratic decay in
+    time; a scalar ``center`` stands for (center, ..., center)."""
+    c = np.asarray(center, dtype=float)
     a, da = _time_cutoff(t_cut)
 
     def profile(coords):
@@ -132,9 +133,10 @@ def uniform_test_function(t_cut: float, name: str = "uniform") -> TestFunction:
         lap_b=lambda x: np.zeros(x.shape[:-1]))
 
 
-def test_function_catalog(half_width: float, horizon: float,
-                          dim: int = 1) -> List[TestFunction]:
-    """Five bump test functions spanning centers, widths, and time cutoffs."""
+def test_function_catalog(half_width: float,
+                          horizon: float) -> List[TestFunction]:
+    """Five bump test functions spanning centers, widths, and time cutoffs,
+    in any dimension."""
     L, T = half_width, horizon
     layout = [
         (0.0, 0.50 * L, 0.90 * T),
@@ -143,7 +145,7 @@ def test_function_catalog(half_width: float, horizon: float,
         (0.0, 0.70 * L, 0.95 * T),
         (0.10 * L, 0.30 * L, 0.70 * T),
     ]
-    return [bump_test_function(np.full(dim, c), w, tc, name="psi%d" % (i + 1))
+    return [bump_test_function(c, w, tc, name="psi%d" % (i + 1))
             for i, (c, w, tc) in enumerate(layout)]
 
 
@@ -282,8 +284,9 @@ def entropy_residual(traj: Trajectory, path: JumpPath, triple: EntropyTriple,
     if triple.nu is not None:
         t_lap = w_a @ cell_integral(triple.nu(u) * psi.lap_b(coords), grid)
     if triple.zeta is not None:
-        t_flux = -(w_a @ cell_integral(
-            np.sum(triple.zeta(u) * psi.grad_b(coords), axis=-1), grid))
+        # the entropy flux is zeta(u) on every axis
+        t_flux = -(w_a @ cell_integral(np.sum(
+            triple.zeta(u)[..., None] * psi.grad_b(coords), axis=-1), grid))
 
     # one G call per field: perfbench pins 496P kirchhoff evals until D1
     g_u = np.stack([kirchhoff_fn(v) for v in u])
@@ -303,24 +306,22 @@ def entropy_residual(traj: Trajectory, path: JumpPath, triple: EntropyTriple,
 def calibrate_entropy_tolerance(samples: Sequence[tuple]) -> float:
     """Fit the residual allowance coefficient on linear noiseless runs.
 
-    ``samples`` are (spec, grid, n_steps) triples for the linear family; the
-    coefficient is the worst observed -residual / (eps + h + dt) over
+    ``samples`` are (spec, grid, n_steps) triples for the linear family,
+    each with silent noise (``ProblemSpec.silent``; a ValueError otherwise);
+    the coefficient is the worst observed -residual / (eps + h + dt) over
     ``THETA_VALUES``, inflated by a safety factor of 3, with a floor keeping
     the tolerance meaningful when the residuals are all nonnegative.
     """
-    from .entropy import make_beta_theta
-
     worst = 0.0
     for spec, grid, n_steps in samples:
-        path = sample_jump_path(spec.levy, spec.horizon, seed=0) \
-            if spec.levy is not None \
-            else JumpPath(np.empty(0), np.empty(0), spec.horizon)
+        if not spec.silent:
+            raise ValueError("calibration runs need silent noise")
+        path = sample_jump_path(spec.levy, spec.horizon, seed=0)
         traj = solve_path(spec, grid, n_steps, path)
         G = kirchhoff(spec.phi)
         for th in THETA_VALUES:
             triple = make_beta_theta(th, phi=spec.phi, flux=spec.flux)
-            for psi in test_function_catalog(grid.half_width, spec.horizon,
-                                             grid.dim):
+            for psi in test_function_catalog(grid.half_width, spec.horizon):
                 r = entropy_residual(traj, path, triple, psi, kirchhoff_fn=G)
                 scale = spec.epsilon + grid.h + traj.dt
                 worst = max(worst, -r / scale)
@@ -384,15 +385,15 @@ def cauchy_rate_test(spec: ProblemSpec, n_steps_list: Sequence[int],
     ``per_path`` holds ``cauchy_path_errors`` of each path, in seed order;
     the ratios are coarse over fine. The margin is the slope's distance
     inside its window: the stochastic lane passes on slope inside
-    (0.8, 1.3). Silent noise gives every path the same errors: the
-    deterministic lane reads the first path (slope ~ 2 for the squared
-    error) and is judged against (1.7, 2.3).
+    (0.8, 1.3). Silent noise (``ProblemSpec.silent``) gives every path the
+    same errors: the deterministic lane reads the first path (slope ~ 2 for
+    the squared error) and is judged against (1.7, 2.3).
     """
-    lane, lo, hi = (("deterministic", 1.7, 2.3) if spec.eta.is_zero
+    lane, lo, hi = (("deterministic", 1.7, 2.3) if spec.silent
                     else ("stochastic", 0.8, 1.3))
     return _rate_test(
         lane, np.array([spec.horizon / n for n in n_steps_list]),
-        per_path[:1] if spec.eta.is_zero else per_path,
+        per_path[:1] if spec.silent else per_path,
         lambda err: err[:-1] / np.maximum(err[1:], 1e-300),
         lambda slope, _: min(slope - lo, hi - slope))
 
@@ -510,13 +511,13 @@ def linear_moment_rate(spec: ProblemSpec, p: int, dt: float) -> float:
     one window; the rate is log E (1 + a Y)^p / dt from the compound-Poisson
     cumulants.
     """
-    if spec.eta.params.get("sigma") != "linear":
+    if spec.eta.sigma_kind != "linear":
         raise ValueError("closed-form rate needs the linear sigma family")
     if spec.eta.g_lip != 0.0:
         raise ValueError("closed-form rate needs spatially constant g")
     if spec.u0.support_radius is not None:
         raise ValueError("closed-form rate needs spatially constant u0")
-    a = spec.eta.params["sigma_scale"] * spec.eta.g_inf
+    a = spec.eta.sigma_scale * spec.eta.g_inf
     r = {j: spec.levy.h_moment(spec.eta.h_power, j) for j in (1, 2, 3, 4)}
     k2 = dt * r[2]
     if p == 2:
@@ -557,7 +558,7 @@ def max_principle_test(spec: ProblemSpec,
     m1 = spec.m1
     if m1 is None:
         raise ValueError("max principle test needs bounded noise amplitude")
-    m_cap = 0.0 if spec.eta.is_zero else spec.eta.sigma_cap
+    m_cap = 0.0 if spec.silent else spec.eta.sigma_cap
     bound = max(m_cap + m1, spec.u0.linf)
     tol = 1e-6 * bound
     worst = float(np.max(np.asarray(per_path_max, dtype=float)))

@@ -25,7 +25,7 @@ __all__ = [
     "EntropyTriple", "BETA_M1", "BETA_M2",
     "base_beta", "base_dbeta", "base_d2beta",
     "make_beta_theta", "make_quadratic",
-    "kirchhoff",
+    "kirchhoff", "identity_check_batch",
 ]
 
 # Base profile: B''(r) = (15/8)(1 - r^2)^2 on |r| <= 1, so that B' runs from
@@ -60,7 +60,8 @@ class EntropyTriple:
 
     ``zeta`` and ``nu`` are the primitives of beta'(r) f'(r) and
     beta'(r) phi'(r) anchored at 0; they are present only when the triple was
-    assembled against concrete coefficients.
+    assembled against concrete coefficients. ``zeta`` is scalar, like f: the
+    entropy flux is zeta(r) on every axis.
     """
 
     beta: Callable
@@ -77,7 +78,7 @@ class EntropyTriple:
 # 4-point Gauss-Legendre is exact for polynomials of degree <= 7. On
 # [-theta, theta] beta_theta' has degree 5 and beta_theta'' degree 4 (outside:
 # +-1 and 0; the quadratic entropy's are r and 1); between their kinks the
-# catalog's phi', sqrt(phi') and f_k' have degree <= 2. So every integrand
+# catalog's phi', sqrt(phi') and f' have degree <= 2. So every integrand
 # below, nested ones included, has degree <= 7 on each piece between the
 # breakpoints passed with it. The nodes lie strictly inside each piece, so
 # jumps of phi' on piece edges are never sampled.
@@ -118,10 +119,8 @@ def _attach_fluxes(dbeta, dbeta_kinks, phi, flux):
         nu = _primitive(lambda s: dbeta(s) * phi.dphi(s),
                         tuple(phi.kinks) + tuple(dbeta_kinks))
     if flux is not None:
-        kinks = tuple(flux.kinks) + tuple(dbeta_kinks)
-        prims = [_primitive(lambda s, df=c.df: dbeta(s) * df(s), kinks)
-                 for c in flux.components]
-        zeta = lambda r: np.stack([p(r) for p in prims], axis=-1)
+        zeta = _primitive(lambda s: dbeta(s) * flux.df(s),
+                          tuple(flux.kinks) + tuple(dbeta_kinks))
     return zeta, nu
 
 

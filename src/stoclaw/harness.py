@@ -37,7 +37,7 @@ from .solver import (discrete_energy_report, lemma_ratios, mass_outside,
                      norm_l1, solve_path)
 
 __all__ = ["run_experiment", "convergence_study", "replay", "path_seed",
-           "assumption_rows"]
+           "assumption_rows", "resolve_problem"]
 
 
 # Half-width of the box the exchange-identity pairs are drawn from.
@@ -106,7 +106,7 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
     if need_energy:
         out["energy"] = discrete_energy_report(traj, G)
     if need_residual:
-        psis = test_function_catalog(grid.half_width, spec.horizon, grid.dim)
+        psis = test_function_catalog(grid.half_width, spec.horizon)
         worst = math.inf
         for th in THETA_VALUES:
             triple = make_beta_theta(th, phi=spec.phi, flux=spec.flux)
@@ -154,8 +154,8 @@ def _merge_by_seed(jobs: Sequence[tuple], results: List[dict]) -> List[dict]:
 def assumption_rows(cfg, spec, grid) -> List[CheckResult]:
     """The ``assumption_*`` rows, which ``run`` reports and ``validate``
     prints: A1-A5 and the modulus trend of sqrt(phi')."""
-    rep = validate_assumptions(spec, VALIDATION_SAMPLES,
-                               cfg.get("run", "seed"), grid=grid)
+    rep = validate_assumptions(spec, grid, VALIDATION_SAMPLES,
+                               cfg.get("run", "seed"))
     rows = [CheckResult(
         name="assumption_%s" % e.name.lower(),
         value=e.worst_ratio, bound=1.0 + 1e-8, margin=e.margin,
@@ -288,19 +288,18 @@ def _check_moments(cfg, spec, results, report):
 
 
 def _check_isometry(cfg, spec, grid, report):
-    # eta vanishes identically when sigma_scale g_inf = 0, as for silent noise
-    sig = spec.eta.params.get("sigma_scale", 0.0) * spec.eta.g_inf
-    if sig == 0.0:
+    if spec.silent:
         report.add(CheckResult(
             name="isometry", value=0.0, bound=0.0, margin=0.0,
             statement="silent noise: compensated sums vanish identically"))
         return
-    if spec.eta.params.get("sigma") != "const":
+    if spec.eta.sigma_kind != "const":
         report.add(CheckResult(
             name="isometry", value=math.nan, bound=math.nan, margin=None,
             statement="isometry check applies to state-independent noise "
                       "amplitudes (constant sigma)"))
         return
+    sig = spec.eta.sigma_scale * spec.eta.g_inf
     n_paths = cfg.get("diagnostics", "isometry_paths")
     base = path_seed(cfg.get("run", "seed"), 40739)
     total = np.array([np.sum(spec.eta.h(sample_jump_path(
@@ -401,6 +400,18 @@ def _write_snapshots(out_dir, cfg, spec, snapshot):
 # ---------------------------------------------------------------------------
 # Entry points
 
+def resolve_problem(cfg: ExperimentConfig):
+    """The config's ``(spec, grid)``, once its initial data, and v0 when
+    set, are found to fit inside the truncation margin: the input checks
+    each verb makes before it writes anything."""
+    spec = cfg.build_spec()
+    grid = cfg.build_grid()
+    discretize_initial(spec, grid)
+    if cfg.get("diagnostics", "v0"):
+        discretize_initial(spec.with_u0(cfg.build_v0()), grid)
+    return spec, grid
+
+
 def _open_out_dir(cfg: ExperimentConfig, out_dir: Optional[str]) -> str:
     """Create the output directory, ``output.directory`` unless given, and
     write the manifest there; a ConfigError if it cannot be a directory."""
@@ -422,10 +433,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     Deterministic given the resolved config: the manifest written next to
     the report is sufficient to reproduce every output byte for byte.
     """
+    spec, grid = resolve_problem(cfg)
     out_dir = _open_out_dir(cfg, out_dir)
-
-    spec = cfg.build_spec()
-    grid = cfg.build_grid()
     selected = list(cfg.get("diagnostics", "checks"))
     report = DiagnosticsReport()
 
@@ -473,7 +482,7 @@ def convergence_study(cfg: ExperimentConfig, out_dir: Optional[str] = None,
                       workers: int = 1) -> List:
     """Rate studies driven by steps_list (coupled dt refinement) and
     eps_list (vanishing viscosity); emits rates.csv."""
-    spec = cfg.build_spec()
+    spec, _ = resolve_problem(cfg)
     steps_list = cfg.get("run", "steps_list")
     eps_list = cfg.get("run", "eps_list")
     if not (steps_list or eps_list):
@@ -484,7 +493,7 @@ def convergence_study(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     # silent noise gives every path the same Cauchy ladder: solve one
     jobs = [(path_seed(cfg.get("run", "seed"), k), lane)
             for k in range(cfg.get("run", "paths")) for lane in lanes
-            if not (lane == ("cauchy",) and spec.eta.is_zero and k > 0)]
+            if not (lane == ("cauchy",) and spec.silent and k > 0)]
     results = _merge_by_seed(jobs, _run_paths(cfg, jobs, workers))
     reports = []
     if steps_list:

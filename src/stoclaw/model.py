@@ -8,17 +8,20 @@ name, never from user code, so every run is reproducible from its config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
+from .noise import LevyIntensity
+
 __all__ = [
     "InvalidSpecError", "DomainTooSmallError",
-    "PhiFamily", "FluxComponent", "FluxFamily", "EtaFamily", "InitFamily",
+    "PhiFamily", "FluxFamily", "EtaFamily", "InitFamily",
     "Grid", "ProblemSpec",
     "phi_family", "flux_family", "eta_family", "init_family",
     "validate_assumptions", "discretize_initial", "ValidationReport",
+    "VALIDATION_SAMPLES",
 ]
 
 # Sampling box for the coefficient validators; Lipschitz constants of the
@@ -47,20 +50,17 @@ class PhiFamily:
 
 
 @dataclass(frozen=True)
-class FluxComponent:
+class FluxFamily:
+    """Convective flux: one scalar law f applied on every axis, so the flux
+    vector of the problem is (f(u), ..., f(u)) in any dimension."""
+
+    name: str
     f: Callable
     df: Callable
     fplus: Callable   # primitive of max(f', 0), anchored at 0
     fminus: Callable  # primitive of min(f', 0), anchored at 0
     dfplus: Callable
     dfminus: Callable
-
-
-@dataclass(frozen=True)
-class FluxFamily:
-    name: str
-    dim: int
-    components: tuple
     c_f: float
     kinks: tuple = ()
 
@@ -69,10 +69,11 @@ class FluxFamily:
 class EtaFamily:
     """Noise amplitude eta(x, u; z) = g(x) * sigma(u) * h(v).
 
-    The structural constants are declared for the validator: ``lambda_star``
-    and ``k_x`` bound the u- and x-increments against h1, ``h2_scale`` turns
-    |h| into the growth envelope, and ``m1`` is sup |eta| (None when the
-    u-support of sigma is unbounded).
+    The structural constants are declared for the validator: sup |g| and
+    the Lipschitz constants of g and sigma, and sup |sigma| over the
+    sampling box, from which ``ProblemSpec`` derives ``lambda_star``,
+    ``k_x`` and ``m1``. ``sigma_kind`` and ``sigma_scale`` name the sigma
+    law, for the checks with a closed form in it.
     """
 
     name: str
@@ -80,13 +81,13 @@ class EtaFamily:
     g_inf: float
     g_lip: float
     sigma: Callable
+    sigma_kind: str
+    sigma_scale: float
     sigma_lip: float
     sigma_sup_box: float
     sigma_cap: Optional[float]  # sigma vanishes for |u| > cap, if not None
     h: Callable
-    h_power: Optional[int]  # h(v) = v^h_power; None for the silent family
-    is_zero: bool = False
-    params: dict = field(default_factory=dict)
+    h_power: Optional[int]  # h(v) = v^h_power; None for the zero family
 
     def depends_on_x(self) -> bool:
         return self.g_lip > 0.0
@@ -95,7 +96,7 @@ class EtaFamily:
 @dataclass(frozen=True)
 class InitFamily:
     name: str
-    u0: Callable  # coords (..., d) -> values (...)
+    u0: Callable  # coords (..., d) -> values (...), in any dimension d
     support_radius: Optional[float]  # None = covers the whole domain
     linf: float
 
@@ -194,43 +195,41 @@ def phi_family(name: str, scale: float = 1.0) -> PhiFamily:
     raise InvalidSpecError("unknown phi family %r" % (name,))
 
 
-def _linear_component(a: float) -> FluxComponent:
+def _linear_flux(name: str, a: float) -> FluxFamily:
     ap, am = max(a, 0.0), min(a, 0.0)
-    return FluxComponent(
+    return FluxFamily(
+        name,
         f=lambda u: a * np.asarray(u, dtype=float),
         df=lambda u: np.full_like(np.asarray(u, dtype=float), a),
         fplus=lambda u: ap * np.asarray(u, dtype=float),
         fminus=lambda u: am * np.asarray(u, dtype=float),
         dfplus=lambda u: np.full_like(np.asarray(u, dtype=float), ap),
-        dfminus=lambda u: np.full_like(np.asarray(u, dtype=float), am))
+        dfminus=lambda u: np.full_like(np.asarray(u, dtype=float), am),
+        c_f=abs(a))
 
 
-def _burgers_component(s: float) -> FluxComponent:
-    # f- is the primitive of min(f', 0): positive for u < 0, decreasing
-    return FluxComponent(
-        f=lambda u: 0.5 * s * np.asarray(u, dtype=float) ** 2,
-        df=lambda u: s * np.asarray(u, dtype=float),
-        fplus=lambda u: 0.5 * s * np.maximum(np.asarray(u, dtype=float), 0.0) ** 2,
-        fminus=lambda u: 0.5 * s * np.minimum(np.asarray(u, dtype=float), 0.0) ** 2,
-        dfplus=lambda u: s * np.maximum(np.asarray(u, dtype=float), 0.0),
-        dfminus=lambda u: s * np.minimum(np.asarray(u, dtype=float), 0.0))
-
-
-def flux_family(name: str, dim: int, scale: float = 1.0) -> FluxFamily:
-    """Convective fluxes: zero | linear | burgers (same law per component)."""
+def flux_family(name: str, scale: float = 1.0) -> FluxFamily:
+    """Convective fluxes: zero | linear | burgers, one law on every axis."""
     s = _as_float("flux scale", scale)
     if name == "zero":
-        comp = _linear_component(0.0)
-        return FluxFamily("zero", dim, (comp,) * dim, c_f=0.0)
+        return _linear_flux("zero", 0.0)
     if name == "linear":
-        comp = _linear_component(s)
-        return FluxFamily("linear", dim, (comp,) * dim, c_f=abs(s))
+        return _linear_flux("linear", s)
     if name == "burgers":
         if s <= 0.0:
             raise InvalidSpecError("burgers scale must be positive")
-        comp = _burgers_component(s)
-        return FluxFamily("burgers", dim, (comp,) * dim,
-                          c_f=s * VALIDATION_RANGE, kinks=(0.0,))
+        # f- is the primitive of min(f', 0): positive for u < 0, decreasing
+        return FluxFamily(
+            "burgers",
+            f=lambda u: 0.5 * s * np.asarray(u, dtype=float) ** 2,
+            df=lambda u: s * np.asarray(u, dtype=float),
+            fplus=lambda u: 0.5 * s * np.maximum(
+                np.asarray(u, dtype=float), 0.0) ** 2,
+            fminus=lambda u: 0.5 * s * np.minimum(
+                np.asarray(u, dtype=float), 0.0) ** 2,
+            dfplus=lambda u: s * np.maximum(np.asarray(u, dtype=float), 0.0),
+            dfminus=lambda u: s * np.minimum(np.asarray(u, dtype=float), 0.0),
+            c_f=s * VALIDATION_RANGE, kinks=(0.0,))
     raise InvalidSpecError("unknown flux family %r" % (name,))
 
 
@@ -238,11 +237,12 @@ _BUMP_DMAX = 8.0 / (3.0 * math.sqrt(3.0))  # max |d/ds (1-s^2)^2| on [-1,1]
 
 
 def _bump_profile(height, center, width):
-    c = np.asarray(center, dtype=float)
+    """height (1 - |x - c|^2 / width^2)_+^2 with c = (center, ..., center),
+    in the dimension of the coordinates it is given."""
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        r2 = np.sum((x - c) ** 2, axis=-1) / width ** 2
+        r2 = np.sum((x - center) ** 2, axis=-1) / width ** 2
         v = np.maximum(1.0 - r2, 0.0)
         return height * v * v
 
@@ -264,17 +264,17 @@ def _sigma_compact_profile(scale, cap):
 def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
                g_center: float = 0.0, g_width: float = 1.0,
                sigma_kind: str = "const", sigma_scale: float = 1.0,
-               sigma_cap: float = 1.0, h_kind: str = "identity",
-               dim: int = 1) -> EtaFamily:
-    """Separable noise amplitudes; ``zero`` gives the silent channel."""
+               sigma_cap: float = 1.0,
+               h_kind: str = "identity") -> EtaFamily:
+    """Separable noise amplitudes; ``zero`` is silent (g_inf = 0)."""
     if name == "zero":
         zf = lambda x: np.zeros(np.asarray(x, dtype=float).shape[:-1])
         zu = lambda u: np.zeros_like(np.asarray(u, dtype=float))
         return EtaFamily("zero", g=zf, g_inf=0.0, g_lip=0.0,
-                         sigma=zu, sigma_lip=0.0,
-                         sigma_sup_box=0.0, sigma_cap=None,
+                         sigma=zu, sigma_kind="zero", sigma_scale=0.0,
+                         sigma_lip=0.0, sigma_sup_box=0.0, sigma_cap=None,
                          h=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
-                         h_power=None, is_zero=True)
+                         h_power=None)
     if name != "separable":
         raise InvalidSpecError("unknown eta family %r" % (name,))
 
@@ -287,8 +287,7 @@ def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
         gw = _as_float("eta g width", g_width)
         if gw <= 0.0:
             raise InvalidSpecError("eta g width must be positive")
-        center = np.full(dim, _as_float("eta g center", g_center))
-        g = _bump_profile(gh, center, gw)
+        g = _bump_profile(gh, _as_float("eta g center", g_center), gw)
         g_inf, g_lip = abs(gh), abs(gh) * _BUMP_DMAX / gw
     else:
         raise InvalidSpecError("unknown eta g kind %r" % (g_kind,))
@@ -330,15 +329,12 @@ def eta_family(name: str, *, g_kind: str = "const", g_height: float = 1.0,
     return EtaFamily(
         "separable:%s*%s*%s" % (g_kind, sigma_kind, h_kind),
         g=g, g_inf=g_inf, g_lip=g_lip,
-        sigma=sigma, sigma_lip=lip,
-        sigma_sup_box=sup_box, sigma_cap=support, h=h, h_power=h_power,
-        params={"g": g_kind, "sigma": sigma_kind, "h": h_kind,
-                "sigma_scale": s, "sigma_cap": cap, "g_height": g_height,
-                "g_center": g_center, "g_width": g_width})
+        sigma=sigma, sigma_kind=sigma_kind, sigma_scale=s, sigma_lip=lip,
+        sigma_sup_box=sup_box, sigma_cap=support, h=h, h_power=h_power)
 
 
 def init_family(name: str, *, height: float = 1.0, center: float = 0.0,
-                width: float = 1.0, dim: int = 1) -> InitFamily:
+                width: float = 1.0) -> InitFamily:
     """Initial data: zero | bump | constant."""
     if name == "zero":
         return InitFamily(
@@ -353,10 +349,10 @@ def init_family(name: str, *, height: float = 1.0, center: float = 0.0,
     w = _as_float("u0 width", width)
     if w <= 0.0:
         raise InvalidSpecError("u0 width must be positive")
-    c = np.full(dim, _as_float("u0 center", center))
+    c = _as_float("u0 center", center)
     if name == "bump":
         u0 = _bump_profile(hgt, c, w)
-        radius = float(np.max(np.abs(c))) + w
+        radius = abs(c) + w
         return InitFamily("bump", u0, support_radius=radius, linf=abs(hgt))
     raise InvalidSpecError("unknown u0 family %r" % (name,))
 
@@ -366,16 +362,18 @@ def init_family(name: str, *, height: float = 1.0, center: float = 0.0,
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Complete continuous problem: coefficients, noise, viscosity, horizon."""
+    """Complete continuous problem: coefficients, noise, viscosity, horizon.
+
+    Every field holds in any dimension; the dimension is the grid's.
+    """
 
     phi: PhiFamily
     flux: FluxFamily
     eta: EtaFamily
     u0: InitFamily
-    levy: object  # noise.LevyIntensity
+    levy: LevyIntensity
     epsilon: float
     horizon: float
-    dim: int
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < math.inf:
@@ -384,20 +382,18 @@ class ProblemSpec:
         if not 0.0 < self.horizon < math.inf:
             raise InvalidSpecError(
                 "horizon must be finite and > 0, got %r" % (self.horizon,))
-        if self.flux.dim != self.dim:
-            raise InvalidSpecError("flux dimension does not match spec dim")
 
     @property
-    def c_phi(self) -> float:
-        return self.phi.c_phi
-
-    @property
-    def c_f(self) -> float:
-        return self.flux.c_f
+    def silent(self) -> bool:
+        """Whether the noise vanishes identically: no jump ever arrives, or
+        eta = g sigma h has a zero factor. The one rule by which every
+        solve and check treats the problem as deterministic."""
+        return (self.levy.total_mass == 0.0
+                or self.eta.g_inf * self.eta.sigma_sup_box == 0.0)
 
     def h_max(self) -> float:
-        """sup |h(v)| over the truncated mark support."""
-        if self.eta.is_zero or self.levy is None:
+        """sup |h(v)| over the truncated mark support, 0 for silent noise."""
+        if self.silent:
             return 0.0
         return self.levy.size.sup_abs(self.eta.h_power)
 
@@ -413,7 +409,7 @@ class ProblemSpec:
     def m1(self) -> Optional[float]:
         """sup |eta| for a sigma with compact u-support (0 for silent noise),
         None otherwise: sigma = const never vanishes in u, so no sup bound."""
-        if self.eta.is_zero:
+        if self.silent:
             return 0.0
         if self.eta.sigma_cap is None:
             return None
@@ -494,9 +490,10 @@ def _modulus_trend(phi: PhiFamily, r_mesh: np.ndarray) -> tuple:
     return omega, ratio, slack
 
 
-def validate_assumptions(spec: ProblemSpec, samples: int, seed: int,
-                         grid: Optional[Grid] = None) -> ValidationReport:
-    """Sample-based check of the structural assumptions on the coefficients.
+def validate_assumptions(spec: ProblemSpec, grid: Grid, samples: int,
+                         seed: int) -> ValidationReport:
+    """Sample-based check of the structural assumptions on the coefficients,
+    with x drawn from the box of ``grid``.
 
     Reports, per assumption, the worst sampled ratio against its declared
     constant and the smallest slack of its conditions (ratio <= 1 + 1e-8,
@@ -510,10 +507,9 @@ def validate_assumptions(spec: ProblemSpec, samples: int, seed: int,
     R = VALIDATION_RANGE
     u = rng.uniform(-R, R, samples)
     v = rng.uniform(-R, R, samples)
-    L = grid.half_width if grid is not None else 1.0
-    d = spec.dim
-    x = rng.uniform(-L, L, (samples, d))
-    y = rng.uniform(-L, L, (samples, d))
+    L = grid.half_width
+    x = rng.uniform(-L, L, (samples, grid.dim))
+    y = rng.uniform(-L, L, (samples, grid.dim))
 
     entries = []
 
@@ -525,26 +521,23 @@ def validate_assumptions(spec: ProblemSpec, samples: int, seed: int,
         entries.append(CheckEntry("A1", np.inf, -np.inf))
     else:
         mono = float(np.min((phi_u - phi_v) * (u - v)))
-        lip = _ratio(np.abs(phi_u - phi_v), spec.c_phi * np.abs(u - v))
+        lip = _ratio(np.abs(phi_u - phi_v), spec.phi.c_phi * np.abs(u - v))
         worst = float(np.max(lip))
         entries.append(CheckEntry("A1", worst, min(1.0 + TOL_VALIDATE - worst,
                                                    mono + TOL_VALIDATE)))
 
-    # A2: each flux component Lipschitz with f_k(0) = 0
-    worst_a2 = 0.0
-    for comp in spec.flux.components:
-        fk0 = float(np.asarray(comp.f(np.zeros(1)))[0])
-        if abs(fk0) > TOL_VALIDATE:
-            worst_a2 = np.inf
-            break
-        fu = _require_finite("flux", comp.f(u), u)
-        fv = _require_finite("flux", comp.f(v), v)
-        lip = _ratio(np.abs(fu - fv), spec.c_f * np.abs(u - v))
-        worst_a2 = max(worst_a2, float(np.max(lip)))
+    # A2: the flux law Lipschitz with f(0) = 0
+    if abs(float(np.asarray(spec.flux.f(np.zeros(1)))[0])) > TOL_VALIDATE:
+        worst_a2 = np.inf
+    else:
+        fu = _require_finite("flux", spec.flux.f(u), u)
+        fv = _require_finite("flux", spec.flux.f(v), v)
+        worst_a2 = float(np.max(
+            _ratio(np.abs(fu - fv), spec.flux.c_f * np.abs(u - v))))
     entries.append(CheckEntry("A2", worst_a2, 1.0 + TOL_VALIDATE - worst_a2))
 
     # A3 / A5 on sampled (x, u, z) tuples
-    if spec.eta.is_zero or spec.levy is None or spec.levy.total_mass == 0.0:
+    if spec.silent:
         entries += [CheckEntry(name, 0.0, 1.0 + TOL_VALIDATE)
                     for name in ("A3", "A5")]
     else:

@@ -161,7 +161,7 @@ class JumpPath:
     times: np.ndarray
     sizes: np.ndarray
     horizon: float
-    intensity: Optional[LevyIntensity] = field(default=None, compare=False)
+    intensity: LevyIntensity = field(compare=False)
 
     @property
     def count(self) -> int:
@@ -202,7 +202,7 @@ def compensated_increment(path: JumpPath, spec, grid, u_n: np.ndarray,
     """
     if not (0.0 <= t0 <= t1 <= path.horizon + 1e-12):
         raise ValueError("window [%g, %g) outside [0, %g]" % (t0, t1, path.horizon))
-    if spec.eta.is_zero:
+    if spec.silent:
         return np.zeros_like(u_n)
     if gx is None:
         gx = spec.eta.g(grid.coords())
@@ -225,7 +225,7 @@ def martingale_term(path: JumpPath, spec, grid, traj, triple, psi) -> float:
     lambda(O) int h dmu that ``compensated_increment`` subtracts. Both sums
     are one array expression each, over (events, cells) and (N, cells).
     """
-    if spec.eta.is_zero:
+    if spec.silent:
         return 0.0
     coords = grid.coords()
     vol = grid.cell_volume

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["QuadratureError", "inward_offset", "batch_simpson"]
+
 
 class QuadratureError(RuntimeError):
     """Raised when panel doubling hits its cap before the tolerance."""

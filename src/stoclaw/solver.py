@@ -4,12 +4,12 @@ jump increments, plus the discrete energy terms.
 
 The diffusion terms are second-order central differences on the cell
 centers of the periodic torus that truncates R^d; div f(u) is the
-Engquist-Osher flux splitting.  A residual evaluates phi and, per axis, the
-flux halves once per field.  A step LU-factors its Newton matrix with
-LAPACK ``dgbtrf`` on one folded band layout for every dimension, and
-reuses the factors while the residual keeps falling ``1 / CHORD_RATE``-fold
-per iteration; a slower chord step refreshes them.  A path carries the
-factors from each step to the next.
+Engquist-Osher flux splitting of the one flux law on every axis.  A
+residual evaluates phi and the flux halves once per field.  A step
+LU-factors its Newton matrix with LAPACK ``dgbtrf`` on one folded band
+layout for every dimension, and reuses the factors while the residual
+keeps falling ``1 / CHORD_RATE``-fold per iteration; a slower chord step
+refreshes them.  A path carries the factors from each step to the next.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu, spsolve  # for perfbench's tracer only
 
-from .model import Grid, ProblemSpec
+from .model import Grid, ProblemSpec, discretize_initial
 from .noise import JumpPath, compensated_increment
 
 __all__ = [
@@ -151,18 +151,18 @@ def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid):
     uf = u.ravel()
     dphi = np.asarray(spec.phi.dphi(uf), dtype=float)
     with_flux = spec.flux.c_f > 0.0
+    if with_flux:
+        dfp = np.asarray(spec.flux.dfplus(uf), dtype=float)
+        dfm = np.asarray(spec.flux.dfminus(uf), dtype=float)
 
     diag = np.zeros(uf.size)
     coefs = []
-    for ax, (cols_p, cols_m) in enumerate(axes):
+    for cols_p, cols_m in axes:
         plus = (dphi[cols_p] + eps) / h2
         minus = (dphi[cols_m] + eps) / h2
         diag += -2.0 * (dphi + eps) / h2
 
         if with_flux:
-            comp = spec.flux.components[ax]
-            dfp = np.asarray(comp.dfplus(uf), dtype=float)
-            dfm = np.asarray(comp.dfminus(uf), dtype=float)
             diag += (dfp - dfm) / h
             plus = plus + dfm[cols_p] / h
             minus = minus - dfp[cols_m] / h
@@ -190,20 +190,20 @@ def _factor_newton_matrix(diag, coefs, grid: Grid, dt: float) -> Callable:
 
 def _step_operator(u: np.ndarray, spec: ProblemSpec, grid: Grid) -> np.ndarray:
     """lap phi(u) + eps lap u + div f(u), div f in the Engquist-Osher form
-    ``(f+(u_i) + f-(u_{i+1}) - f+(u_{i-1}) - f-(u_i)) / h``, from one
-    evaluation of phi and, per axis, of f+ and f-. Every catalog phi and
-    flux is elementwise, so gathering the neighbours from those values is
-    bitwise the same as evaluating them on the neighbours of u."""
+    ``(f+(u_i) + f-(u_{i+1}) - f+(u_{i-1}) - f-(u_i)) / h`` on every axis,
+    from one evaluation of phi, f+ and f-. Every catalog phi and flux is
+    elementwise, so gathering the neighbours from those values is bitwise
+    the same as evaluating them on the neighbours of u."""
     axes, _ = _stencil(grid)
     h = grid.h
     h2 = h ** 2
     uf = u.ravel()
     pf = np.asarray(spec.phi.phi(uf), dtype=float)
+    fp, fm = spec.flux.fplus(uf), spec.flux.fminus(uf)
     lap_phi, lap_u, div = np.zeros((3, uf.size))
-    for (cols_p, cols_m), comp in zip(axes, spec.flux.components):
+    for cols_p, cols_m in axes:
         lap_phi += (pf[cols_p] + pf[cols_m] - 2.0 * pf) / h2
         lap_u += (uf[cols_p] + uf[cols_m] - 2.0 * uf) / h2
-        fp, fm = comp.fplus(uf), comp.fminus(uf)
         div += (fp + fm[cols_p] - fp[cols_m] - fm) / h
     return (lap_phi + spec.epsilon * lap_u + div).reshape(u.shape)
 
@@ -355,14 +355,12 @@ def solve_path(spec: ProblemSpec, grid: Grid, n_steps: int, path: JumpPath,
     step starts on the Newton factors the previous step ended with; they
     never leave this call.
     """
-    from .model import discretize_initial
-
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     dt = spec.horizon / n_steps
     u = discretize_initial(spec, grid) if u0_field is None else np.array(
         u0_field, dtype=float)
-    gx = None if spec.eta.is_zero else spec.eta.g(grid.coords())
+    gx = None if spec.silent else spec.eta.g(grid.coords())
     fields = np.empty((n_steps + 1,) + grid.shape)
     fields[0] = u
     increments = np.empty((n_steps,) + grid.shape)

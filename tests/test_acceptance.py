@@ -101,9 +101,9 @@ def test_criterion_03_banded_oracle():
     eps, dt, m = 1.0, 0.1, 128
     levy = load("linear-smoke").build_intensity()
     spec = sc.ProblemSpec(
-        phi=sc.phi_family("zero"), flux=sc.flux_family("zero", 1),
+        phi=sc.phi_family("zero"), flux=sc.flux_family("zero"),
         eta=sc.eta_family("zero"), u0=sc.init_family("bump"),
-        levy=levy, epsilon=eps, horizon=0.5, dim=1)
+        levy=levy, epsilon=eps, horizon=0.5)
     grid = sc.Grid(dim=1, half_width=2.0, cells=m)
     h2 = grid.h ** 2
     # first column of the circulant I - dt eps lap on the periodic grid
@@ -127,9 +127,9 @@ def test_criterion_03_banded_oracle_2d():
     eps, dt, m = 1.0, 0.1, 32
     levy = load("linear-smoke").build_intensity()
     spec = sc.ProblemSpec(
-        phi=sc.phi_family("zero"), flux=sc.flux_family("zero", 2),
-        eta=sc.eta_family("zero"), u0=sc.init_family("bump", dim=2),
-        levy=levy, epsilon=eps, horizon=0.5, dim=2)
+        phi=sc.phi_family("zero"), flux=sc.flux_family("zero"),
+        eta=sc.eta_family("zero"), u0=sc.init_family("bump"),
+        levy=levy, epsilon=eps, horizon=0.5)
     grid = sc.Grid(dim=2, half_width=2.0, cells=m)
     # eigenvalue of the 1D periodic second difference for each frequency
     lam = (2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(m)) - 2.0) / grid.h ** 2

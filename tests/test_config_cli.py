@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib
 import importlib.util
@@ -34,6 +35,23 @@ def test_every_exported_name_resolves():
     assert len(exported) > 50
     assert [(mod.__name__, name) for mod, name in exported
             if not hasattr(mod, name)] == []
+
+
+def test_every_name_imported_across_modules_is_exported():
+    # a public name one stoclaw module imports from another is in that
+    # module's __all__, so the package never leans on an unexported name
+    import stoclaw
+    missing = []
+    for info in pkgutil.iter_modules(stoclaw.__path__):
+        with open(os.path.join(stoclaw.__path__[0], info.name + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                source = importlib.import_module("stoclaw." + node.module)
+                missing += [(info.name, node.module, a.name)
+                            for a in node.names if not a.name.startswith("_")
+                            and a.name not in getattr(source, "__all__", ())]
+    assert missing == []
 
 
 def small_config(**overrides):
@@ -132,8 +150,13 @@ def test_bundled_configs_parse_and_build():
         grid = cfg.build_grid()
         assert spec.horizon > 0
         assert grid.cells >= 4
-        if spec.eta.is_zero is False and spec.levy.total_mass > 0:
+        if not spec.silent:
             assert spec.lambda_star < 1.0
+
+
+def eta_part(spec, i):
+    # a separable family is named "separable:<g>*<sigma>*<h>"
+    return spec.eta.name.split(":")[1].split("*")[i]
 
 
 # the schema keys that name a catalog family, and what each builds
@@ -142,9 +165,9 @@ FAMILY_KEYS = {
     ("model", "flux"): lambda spec, v0: spec.flux.name,
     ("model", "u0"): lambda spec, v0: spec.u0.name,
     ("noise", "eta"): lambda spec, v0: spec.eta.name.split(":")[0],
-    ("noise", "g"): lambda spec, v0: spec.eta.params["g"],
-    ("noise", "sigma"): lambda spec, v0: spec.eta.params["sigma"],
-    ("noise", "h"): lambda spec, v0: spec.eta.params["h"],
+    ("noise", "g"): lambda spec, v0: eta_part(spec, 0),
+    ("noise", "sigma"): lambda spec, v0: spec.eta.sigma_kind,
+    ("noise", "h"): lambda spec, v0: eta_part(spec, 2),
     ("diagnostics", "v0"): lambda spec, v0: v0.name if v0 else "",
 }
 
@@ -171,13 +194,12 @@ def test_schema_names_match_the_model_catalog(dim):
 
     builders = {
         ("model", "phi"): lambda n: phi_family(n),
-        ("model", "flux"): lambda n: flux_family(n, dim),
-        ("model", "u0"): lambda n: init_family(n, dim=dim),
-        ("noise", "eta"): lambda n: eta_family(n, dim=dim),
-        ("noise", "g"): lambda n: eta_family("separable", g_kind=n, dim=dim),
-        ("noise", "sigma"): lambda n: eta_family("separable", sigma_kind=n,
-                                                 dim=dim),
-        ("noise", "h"): lambda n: eta_family("separable", h_kind=n, dim=dim),
+        ("model", "flux"): lambda n: flux_family(n),
+        ("model", "u0"): lambda n: init_family(n),
+        ("noise", "eta"): lambda n: eta_family(n),
+        ("noise", "g"): lambda n: eta_family("separable", g_kind=n),
+        ("noise", "sigma"): lambda n: eta_family("separable", sigma_kind=n),
+        ("noise", "h"): lambda n: eta_family("separable", h_kind=n),
     }
     # v0 is built by init_family, like u0
     assert set(builders) | {("diagnostics", "v0")} == set(FAMILY_KEYS)
@@ -736,7 +758,7 @@ def test_cli_out_names_a_file_exit_2(tmp_path, capsys):
 def test_cli_initial_data_in_margin_exit_2(tmp_path, capsys):
     # initial data reaching the truncation margin are invalid input: every
     # verb exits 2 with one error line, at any worker count, and so does
-    # the replay of the manifest the failed run wrote
+    # the replay of a manifest of the same config
     cfg = ExperimentConfig.from_file(
         os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
     cfg.set("grid", "half_width", 1.0)
@@ -745,23 +767,42 @@ def test_cli_initial_data_in_margin_exit_2(tmp_path, capsys):
         os.path.join(CONFIG_DIR, "contraction.cfg"))
     contraction.set("run", "paths", 2)
     contraction.set("diagnostics", "v0_center", 2.5)  # u0 alone fits
-    # the study does not solve from v0
-    for name, c, verbs in (("default", cfg, ("run", "study")),
-                           ("v0", contraction, ("run",))):
+    for name, c in (("default", cfg), ("v0", contraction)):
         p = write_config(tmp_path, c)
+        manifest = tmp_path / (name + "_manifest.txt")
+        manifest.write_text(c.manifest_text())
         argvs = [["validate", "--config", p]]
         for workers in ("1", "2"):
             out = str(tmp_path / ("%s_%s" % (name, workers)))
             argvs += [[verb, "--config", p, "--workers", workers,
-                       "--out", out + verb] for verb in verbs]
-            argvs.append(["replay", "--manifest",
-                          os.path.join(out + "run", "manifest.txt"),
+                       "--out", out + verb] for verb in ("run", "study")]
+            argvs.append(["replay", "--manifest", str(manifest),
                           "--workers", workers, "--out", out + "replay"])
         for argv in argvs:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "reaches the margin" in err
             assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("flux_scale", -1.0, "burgers scale must be positive"),
+    ("u0_width", 2.9, "reaches the margin")], ids=["flux", "u0"])
+def test_cli_invalid_problem_exit_2_before_any_artifact(tmp_path, capsys,
+                                                        key, value, message):
+    # a coefficient the catalog refuses, or a u0 reaching the truncation
+    # margin of [-3, 3): every verb exits 2 with one error line before it
+    # writes a manifest or anything else
+    cfg = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
+    cfg.set("model", key, value)
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    for verb, flags in (("validate", []), ("run", ["--out", str(out)]),
+                        ("study", ["--out", str(out)])):
+        assert main([verb, "--config", p] + flags) == 2, verb
+        assert_one_error_line(capsys, message)
+        assert not out.exists(), verb
 
 
 def test_cli_validate_pass(tmp_path):
@@ -876,6 +917,53 @@ def test_study_lane_status_is_the_sign_of_its_margin(tmp_path, steps_list,
                               else rep.margin >= 0.0)
         assert STATUS_TEXT[rep.passed] == status
         assert {r["status"] for r in rows if r["lane"] == rep.lane} == {status}
+
+
+# noise that vanishes identically: by its amplitude, its jumps, or its
+# sigma, on the data of stochastic-default
+SILENT_NOISE = {"g_height": 0.0, "position_mass": 0.0, "sigma_scale": 0.0}
+
+
+def silent_default_config(key):
+    cfg = ExperimentConfig.from_file(
+        os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
+    cfg.set("grid", "cells", 48)
+    cfg.set("run", "paths", 3)
+    cfg.set("run", "steps", 8)
+    cfg.set("run", "steps_list", (8, 16, 32))
+    cfg.set("run", "eps_list", ())
+    if key == "eta":
+        cfg.set("noise", "eta", "zero")
+    else:
+        cfg.set("noise", key, SILENT_NOISE[key])
+    return cfg
+
+
+def test_silent_noise_studies_on_the_deterministic_lane(tmp_path, capsys):
+    # every silent config writes the rates of eta = zero, which the
+    # deterministic lane judges, and passes
+    rates = {}
+    for key in ["eta"] + sorted(SILENT_NOISE):
+        out = tmp_path / key
+        p = write_config(tmp_path, silent_default_config(key))
+        assert main(["study", "--config", p, "--out", str(out)]) == 0, key
+        assert capsys.readouterr().out.split()[:2] == ["PASS",
+                                                      "deterministic"]
+        rates[key] = (out / "rates.csv").read_bytes()
+    assert rates["eta"].splitlines()[1].startswith(b"deterministic,")
+    assert {rates[key] for key in SILENT_NOISE} == {rates["eta"]}
+
+
+@pytest.mark.parametrize("key", sorted(SILENT_NOISE))
+def test_silent_noise_max_principle_is_deterministic(tmp_path, key):
+    # M = M1 = 0 leaves the bound ||u0||_inf, judged, not inconclusive
+    cfg = silent_default_config(key)
+    cfg.set("diagnostics", "checks", ("max_principle",))
+    report = run_experiment(cfg, out_dir=str(tmp_path))
+    (row,) = report.checks
+    assert row.passed is True
+    assert row.bound == 0.5 * (1.0 + 1e-6)
+    assert row.value <= 0.5
 
 
 def test_cli_replay_verb(tmp_path):

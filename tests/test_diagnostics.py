@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 
@@ -27,12 +26,12 @@ def atom_levy(mass=2.0, v=1.0):
 def make_spec(phi="linear", flux="zero", eps=0.1, eta=None, levy=None,
               u0=None, horizon=0.5, phi_scale=1.0):
     return sc.ProblemSpec(
-        phi=sc.phi_family(phi, phi_scale), flux=sc.flux_family(flux, 1),
+        phi=sc.phi_family(phi, phi_scale), flux=sc.flux_family(flux),
         eta=eta if eta is not None else sc.eta_family("zero"),
         u0=u0 if u0 is not None else sc.init_family("bump", height=0.5,
                                                     width=1.0),
         levy=levy if levy is not None else silent_levy(),
-        epsilon=eps, horizon=horizon, dim=1)
+        epsilon=eps, horizon=horizon)
 
 
 def empty_path(levy, horizon=0.5):
@@ -213,12 +212,16 @@ def test_tolerance_formula():
 
 
 def test_calibration_runs_without_noise_intensity():
-    # a noiseless spec may carry no intensity at all; an empty path stands
-    # for the silent noise
-    spec = dataclasses.replace(make_spec(), levy=None)
+    # a zero-mass intensity is silent noise, and so is a zero amplitude
+    # under jumps that do arrive; calibration refuses any other noise
     grid = sc.Grid(dim=1, half_width=2.0, cells=16)
-    coeff = dg.calibrate_entropy_tolerance([(spec, grid, 4)])
-    assert np.isfinite(coeff) and coeff >= 0.05
+    quiet = sc.eta_family("separable", g_height=0.0)
+    for spec in (make_spec(), make_spec(eta=quiet, levy=atom_levy())):
+        coeff = dg.calibrate_entropy_tolerance([(spec, grid, 4)])
+        assert np.isfinite(coeff) and coeff >= 0.05
+    noisy = make_spec(eta=sc.eta_family("separable"), levy=atom_levy())
+    with pytest.raises(ValueError, match="silent"):
+        dg.calibrate_entropy_tolerance([(noisy, grid, 4)])
 
 
 # The per-knot residual the stack contractions replaced, kept as the
@@ -226,7 +229,7 @@ def test_calibration_runs_without_noise_intensity():
 # and one window per step for the noise term's events.
 
 def _oracle_martingale_term(path, spec, grid, traj, triple, psi):
-    if spec.eta.is_zero:
+    if spec.silent:
         return 0.0
     coords = grid.coords()
     gx = spec.eta.g(coords)
@@ -282,7 +285,8 @@ def _oracle_entropy_residual(traj, path, triple, psi, kirchhoff_fn):
                                            * psi.lap(tk, coords))) * vol
         if triple.zeta is not None:
             t_flux -= w_t[k] * float(np.sum(np.sum(
-                triple.zeta(u) * psi.grad(tk, coords), axis=-1))) * vol
+                triple.zeta(u)[..., None] * psi.grad(tk, coords),
+                axis=-1))) * vol
         g_u = np.asarray(kirchhoff_fn(u), dtype=float)
         t_diss += w_t[k] * _oracle_face_dissipation(g_u, u, triple, psi, tk,
                                                     grid)
@@ -294,7 +298,7 @@ def _oracle_entropy_residual(traj, path, triple, psi, kirchhoff_fn):
 
 def _assert_residuals_match_oracle(spec, grid, traj, path):
     G = sc.kirchhoff(spec.phi)
-    psis = dg.test_function_catalog(grid.half_width, spec.horizon, grid.dim)
+    psis = dg.test_function_catalog(grid.half_width, spec.horizon)
     for theta in dg.THETA_VALUES:
         triple = sc.make_beta_theta(theta, phi=spec.phi, flux=spec.flux)
         for psi in psis:

@@ -17,8 +17,8 @@ LIN = sc.phi_family("linear")
 LIN_HALF = sc.phi_family("linear", 0.5)
 STEFAN = sc.phi_family("stefan")
 POROUS = sc.phi_family("porous")
-BURGERS = sc.flux_family("burgers", dim=1)
-ZERO_FLUX = sc.flux_family("zero", dim=1)
+BURGERS = sc.flux_family("burgers")
+ZERO_FLUX = sc.flux_family("zero")
 PHI_NAMES = ("zero", "linear", "stefan", "porous")
 FLUX_NAMES = ("zero", "linear", "burgers")
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -189,8 +189,8 @@ def test_flux_primitives_exact_on_catalog(phi_name, flux_name):
     # nu and zeta against closed forms for linear (and zero) coefficients,
     # elsewhere against scipy's quad split at every kink
     phi = sc.phi_family(phi_name, 0.7)
-    flux = sc.flux_family(flux_name, dim=1, scale=1.3)
-    df = flux.components[0].df
+    flux = sc.flux_family(flux_name, scale=1.3)
+    df = flux.df
     for theta in (1.0, 0.1, 0.01):
         t = sc.make_beta_theta(theta, phi=phi, flux=flux)
         r = _sample_points(theta, *phi.kinks, *flux.kinks)
@@ -205,7 +205,7 @@ def test_flux_primitives_exact_on_catalog(phi_name, flux_name):
             zeta_ref = [_quad(lambda s: t.dbeta(s) * df(s), 0.0, x,
                               flux.kinks + (-theta, theta)) for x in r]
         np.testing.assert_allclose(t.nu(r), nu_ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(t.zeta(r)[:, 0], zeta_ref, rtol=0,
+        np.testing.assert_allclose(t.zeta(r), zeta_ref, rtol=0,
                                    atol=1e-13)
 
 
@@ -306,13 +306,13 @@ def test_quadratic_triple():
 def test_zeta_nu_primitive_anchoring():
     t = sc.make_beta_theta(0.1, phi=POROUS, flux=BURGERS)
     assert abs(t.nu(0.0)) < 1e-12
-    np.testing.assert_allclose(t.zeta(0.0), [0.0], atol=1e-12)
+    np.testing.assert_allclose(t.zeta(0.0), 0.0, atol=1e-12)
     # outside the smoothing window the primitives follow phi and f exactly
     r = 2.0
     np.testing.assert_allclose(t.nu(r) - t.nu(0.5),
                                POROUS.phi(r) - POROUS.phi(0.5), atol=1e-9)
-    f = BURGERS.components[0].f
-    np.testing.assert_allclose(t.zeta(r)[0] - t.zeta(0.5)[0],
+    f = BURGERS.f
+    np.testing.assert_allclose(t.zeta(r) - t.zeta(0.5),
                                f(r) - f(0.5), atol=1e-9)
 
 

@@ -17,10 +17,10 @@ def separable_spec(sigma_kind="const", sigma_scale=1.0, g_kind="bump",
                         g_width=1.0, sigma_kind=sigma_kind,
                         sigma_scale=sigma_scale, h_kind=h_kind)
     return sc.ProblemSpec(
-        phi=sc.phi_family("linear", 0.5), flux=sc.flux_family(flux, 1),
+        phi=sc.phi_family("linear", 0.5), flux=sc.flux_family(flux),
         eta=eta, u0=sc.init_family("bump"),
         levy=levy if levy is not None else atom_intensity(),
-        epsilon=0.1, horizon=1.0, dim=1)
+        epsilon=0.1, horizon=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def test_zero_eta_increment():
     spec = separable_spec()
     spec = sc.ProblemSpec(phi=spec.phi, flux=spec.flux,
                           eta=sc.eta_family("zero"), u0=spec.u0,
-                          levy=spec.levy, epsilon=0.1, horizon=1.0, dim=1)
+                          levy=spec.levy, epsilon=0.1, horizon=1.0)
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
     u = np.ones(32)
     inc = sc.compensated_increment(sc.sample_jump_path(spec.levy, 1.0, 0),
@@ -254,7 +254,7 @@ def test_martingale_zero_eta():
     spec = separable_spec()
     spec0 = sc.ProblemSpec(phi=spec.phi, flux=spec.flux,
                            eta=sc.eta_family("zero"), u0=spec.u0,
-                           levy=spec.levy, epsilon=0.1, horizon=1.0, dim=1)
+                           levy=spec.levy, epsilon=0.1, horizon=1.0)
     grid = sc.Grid(dim=1, half_width=2.0, cells=16)
     path = sc.sample_jump_path(spec0.levy, 1.0, 5)
     traj = sc.solve_path(spec0, grid, 4, path)

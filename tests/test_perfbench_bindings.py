@@ -46,11 +46,11 @@ def test_tracer_counts_one_small_solve():
 
     levy = sc.LevyIntensity(4.0, sc.SizeMeasure("atoms", atoms=((1.0, 1.0),)))
     spec = sc.ProblemSpec(
-        phi=sc.phi_family("stefan"), flux=sc.flux_family("burgers", 1),
+        phi=sc.phi_family("stefan"), flux=sc.flux_family("burgers"),
         eta=sc.eta_family("separable", sigma_kind="compact",
                           sigma_scale=0.8),
         u0=sc.init_family("bump", height=0.5), levy=levy, epsilon=0.05,
-        horizon=0.5, dim=1)
+        horizon=0.5)
     grid = sc.Grid(dim=1, half_width=3.0, cells=16)
     path = sc.sample_jump_path(levy, spec.horizon, 3)
     tracer = tracing.Tracer()

@@ -24,15 +24,15 @@ def atom_levy(mass=2.0):
 
 
 def make_spec(phi="zero", flux="zero", eps=0.0, eta=None, levy=None,
-              u0=None, horizon=0.5, dim=1, phi_scale=1.0, flux_scale=1.0):
+              u0=None, horizon=0.5, phi_scale=1.0, flux_scale=1.0):
     return sc.ProblemSpec(
         phi=sc.phi_family(phi, phi_scale),
-        flux=sc.flux_family(flux, dim, flux_scale),
+        flux=sc.flux_family(flux, flux_scale),
         eta=eta if eta is not None else sc.eta_family("zero"),
         u0=u0 if u0 is not None else sc.init_family("bump", height=0.5,
-                                                    width=1.0, dim=dim),
+                                                    width=1.0),
         levy=levy if levy is not None else silent_levy(),
-        epsilon=eps, horizon=horizon, dim=dim)
+        epsilon=eps, horizon=horizon)
 
 
 def empty_path(levy, horizon=0.5):
@@ -96,8 +96,9 @@ def test_lemma_estimate_checked_when_applicable():
     path = sc.sample_jump_path(levy, 0.5, 5)
     assert path.count > 0
     traj = sc.solve_path(spec, grid, 10, path)
-    assert spec.c_f == 0.0
-    bound = 2.0 * (3.0 + 2.0 * spec.c_phi ** 2 + spec.c_phi / traj.dt)
+    assert spec.flux.c_f == 0.0
+    c_phi = spec.phi.c_phi
+    bound = 2.0 * (3.0 + 2.0 * c_phi ** 2 + c_phi / traj.dt)
     ratios = lemma_ratios(traj)
     assert len(ratios) == 10
     assert all(0.0 < r <= bound for r in ratios)
@@ -142,10 +143,11 @@ def roll_operator_terms(u, spec, grid):
     """lap phi(u), lap u and the Engquist-Osher div f(u), each flux half
     evaluated on the rolled neighbours of u."""
     div = np.zeros_like(u)
-    for ax, comp in enumerate(spec.flux.components):
+    f = spec.flux
+    for ax in range(grid.dim):
         up, um = np.roll(u, -1, axis=ax), np.roll(u, +1, axis=ax)
-        div += (comp.fplus(u) + comp.fminus(up) - comp.fplus(um)
-                - comp.fminus(u)) / grid.h
+        div += (f.fplus(u) + f.fminus(up) - f.fplus(um)
+                - f.fminus(u)) / grid.h
     lap_phi = roll_laplacian(np.asarray(spec.phi.phi(u), dtype=float), grid)
     return lap_phi, roll_laplacian(u, grid), div
 
@@ -156,7 +158,7 @@ def roll_operator_terms(u, spec, grid):
 def test_stencil_matches_roll_oracle_bitwise(phi, flux, dim, cells):
     # the step operator from one stencil pass equals the per-neighbour
     # evaluation bit for bit, across the kinks
-    spec = make_spec(phi=phi, flux=flux, eps=0.07, dim=dim, phi_scale=1.3,
+    spec = make_spec(phi=phi, flux=flux, eps=0.07, phi_scale=1.3,
                      flux_scale=-0.8 if flux == "linear" else 0.8)
     grid = sc.Grid(dim=dim, half_width=2.0, cells=cells)
     u = 1.5 * np.random.default_rng(17).normal(size=grid.shape)
@@ -166,11 +168,10 @@ def test_stencil_matches_roll_oracle_bitwise(phi, flux, dim, cells):
     assert np.array_equal(op, lap_phi + spec.epsilon * lap_u + div)
 
 
-def counting_spec(dim, calls):
+def counting_spec(calls):
     # porous phi and Burgers flux whose every evaluation is counted by name
-    spec = make_spec(phi="porous", flux="burgers", eps=0.05, dim=dim,
-                     u0=sc.init_family("bump", height=1.5, width=1.0,
-                                       dim=dim))
+    spec = make_spec(phi="porous", flux="burgers", eps=0.05,
+                     u0=sc.init_family("bump", height=1.5, width=1.0))
 
     def counted(name, fn):
         def wrapper(u):
@@ -181,22 +182,21 @@ def counting_spec(dim, calls):
     phi = dataclasses.replace(
         spec.phi, phi=counted("phi", spec.phi.phi),
         dphi=counted("dphi", spec.phi.dphi))
-    comp = spec.flux.components[0]
-    comp = dataclasses.replace(comp, **{
-        name: counted(name, getattr(comp, name))
+    flux = dataclasses.replace(spec.flux, **{
+        name: counted(name, getattr(spec.flux, name))
         for name in ("fplus", "fminus", "dfplus", "dfminus")})
-    flux = dataclasses.replace(spec.flux, components=(comp,) * dim)
     return dataclasses.replace(spec, phi=phi, flux=flux)
 
 
 @pytest.mark.parametrize("dim,cells", [(1, 96), (2, 32)])
 def test_step_evaluates_each_coefficient_once_per_field(dim, cells,
                                                         monkeypatch):
-    # one phi and one f+/f- per axis per residual evaluation, one dphi and
-    # one df+/df- per axis per Jacobian, one factorization per Jacobian: no
-    # neighbour is evaluated apart, and chord steps reuse the factors
+    # one phi and one f+/f- per residual evaluation, one dphi and one
+    # df+/df- per Jacobian, whatever the dimension, one factorization per
+    # Jacobian: no neighbour or axis is evaluated apart, and chord steps
+    # reuse the factors
     calls = {}
-    spec = counting_spec(dim, calls)
+    spec = counting_spec(calls)
     grid = sc.Grid(dim=dim, half_width=2.0, cells=cells)
     for name in ("_step_operator", "_operator_jacobian",
                  "_factor_newton_matrix"):
@@ -214,9 +214,9 @@ def test_step_evaluates_each_coefficient_once_per_field(dim, cells,
     assert jacobians <= stats.newton_iterations
     assert jacobians >= 2 and residuals > jacobians
     assert calls["phi"] == residuals
-    assert calls["fplus"] == calls["fminus"] == dim * residuals
+    assert calls["fplus"] == calls["fminus"] == residuals
     assert calls["dphi"] == jacobians
-    assert calls["dfplus"] == calls["dfminus"] == dim * jacobians
+    assert calls["dfplus"] == calls["dfminus"] == jacobians
 
 
 def bundled_case(name, dim, cells, seed):
@@ -233,9 +233,9 @@ def bundled_case(name, dim, cells, seed):
 def porous_case(dim, cells):
     # porous phi at dt = 0.5: chord steps from u_n slow down, so the
     # Jacobian is refreshed within a step
-    spec = make_spec(phi="porous", flux="burgers", eps=0.05, dim=dim,
-                     u0=sc.init_family("bump", height=1.5, width=1.0,
-                                       dim=dim), horizon=1.0)
+    spec = make_spec(phi="porous", flux="burgers", eps=0.05,
+                     u0=sc.init_family("bump", height=1.5, width=1.0),
+                     horizon=1.0)
     return (spec, sc.Grid(dim=dim, half_width=2.0, cells=cells), 2,
             empty_path(silent_levy(), 1.0))
 
@@ -256,7 +256,7 @@ def test_accepted_steps_meet_the_residual_tolerance(case, refresh):
     assert refresh or path.count > 0
     traj = sc.solve_path(spec, grid, n_steps, path)
     dt, u = traj.dt, traj.fields
-    gx = None if spec.eta.is_zero else spec.eta.g(grid.coords())
+    gx = None if spec.silent else spec.eta.g(grid.coords())
     for n, st in enumerate(traj.stats):
         x_rhs = u[n] + sc.compensated_increment(
             path, spec, grid, u[n], n * dt, (n + 1) * dt, gx=gx)
@@ -311,8 +311,8 @@ def test_2d_path_reuses_factors_across_steps():
 def test_stale_factors_are_refreshed(u_scale, dt_scale):
     # factors made at 100 dt, or at a state far from u_n, fail the chord
     # test: the step refactors and still meets its residual tolerance
-    spec = make_spec(phi="porous", flux="burgers", eps=0.05, dim=2,
-                     u0=sc.init_family("bump", height=0.5, width=1.0, dim=2))
+    spec = make_spec(phi="porous", flux="burgers", eps=0.05,
+                     u0=sc.init_family("bump", height=0.5, width=1.0))
     grid = sc.Grid(dim=2, half_width=2.0, cells=32)
     u = sc.discretize_initial(spec, grid)
     dt = 0.02
@@ -350,7 +350,7 @@ def dense_newton_matrix(diag, coefs, grid, dt):
 @pytest.mark.parametrize("dim,cells", [(1, 48), (2, 32)],
                          ids=["1-48-periodic", "2-32-periodic"])
 def test_newton_matrix_matches_finite_difference(dim, cells):
-    spec = make_spec(phi="stefan", flux="burgers", eps=0.05, dim=dim)
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.05)
     grid = sc.Grid(dim=dim, half_width=2.0, cells=cells)
     dt = 0.01
     u = away_from_kinks(np.random.default_rng(3), grid.shape).ravel()
@@ -379,7 +379,7 @@ def test_banded_newton_solve_matches_dense(dim, cells):
     # one band solve of a nonlinear, nonsymmetric Newton matrix on the
     # folded ordering (odd and even fold) against a dense solve with every
     # wrap-around entry in place, in 1D and 2D
-    spec = make_spec(phi="stefan", flux="burgers", eps=0.05, dim=dim)
+    spec = make_spec(phi="stefan", flux="burgers", eps=0.05)
     grid = sc.Grid(dim=dim, half_width=2.0, cells=cells)
     half_bandwidth = solver_mod._stencil(grid)[1][0]
     assert half_bandwidth == (2 if dim == 1 else 2 * cells)
@@ -415,7 +415,7 @@ def test_singular_newton_matrix_fails_the_step(monkeypatch):
     # initial residual in the history and the step index from solve_path
     monkeypatch.setattr(solver_mod, "_factor_newton_matrix", singular)
     for dim, cells in ((1, 32), (2, 16)):
-        spec = make_spec(phi="porous", eps=0.1, dim=dim)
+        spec = make_spec(phi="porous", eps=0.1)
         grid = sc.Grid(dim=dim, half_width=2.0, cells=cells)
         u = sc.discretize_initial(spec, grid)
         res0 = norm_l2(u - 0.01 * solver_mod._step_operator(u, spec, grid)
@@ -507,8 +507,8 @@ def test_comparison_monotonicity_smoke():
 
 
 def test_2d_solver_smoke():
-    spec = make_spec(phi="porous", flux="burgers", eps=0.05, dim=2,
-                     u0=sc.init_family("bump", height=0.5, width=0.8, dim=2),
+    spec = make_spec(phi="porous", flux="burgers", eps=0.05,
+                     u0=sc.init_family("bump", height=0.5, width=0.8),
                      horizon=0.25)
     grid = sc.Grid(dim=2, half_width=2.0, cells=64)
     traj = sc.solve_path(spec, grid, 8, empty_path(silent_levy(), 0.25))
@@ -537,7 +537,7 @@ def barenblatt_orders(dim, ladder):
     porous phi, no flux, no noise, eps = 0 on [-6, 6)^dim, from B(x, 1)
     over t in [0, 3] against B(x, 2), one run per (cells, steps) of
     ``ladder``. Asserts that every run conserves mass."""
-    spec = make_spec(phi="porous", horizon=3.0, dim=dim)
+    spec = make_spec(phi="porous", horizon=3.0)
     path = empty_path(silent_levy(), 3.0)
     errs = []
     for cells, steps in ladder:
