@@ -1,6 +1,7 @@
 """stoclaw: simulation and verification laboratory for degenerate parabolic
 conservation laws driven by compensated Poisson jump noise."""
 
+from .diagnostics import validate_assumptions
 from .entropy import (
     BETA_M1, BETA_M2, EntropyTriple, kirchhoff, make_beta_theta,
     make_quadratic,
@@ -8,7 +9,6 @@ from .entropy import (
 from .model import (
     DomainTooSmallError, Grid, InvalidSpecError, ProblemSpec,
     discretize_initial, eta_family, flux_family, init_family, phi_family,
-    validate_assumptions,
 )
 from .noise import (
     JumpPath, LevyIntensity, SizeMeasure, TruncationRequiredError,

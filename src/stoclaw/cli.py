@@ -56,7 +56,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     return _print_report(run_experiment(_config(args), out_dir=args.out,
-                                        workers=args.workers).checks)
+                                        workers=args.workers))
 
 
 def _cmd_study(args) -> int:
@@ -71,7 +71,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_replay(args) -> int:
     return _print_report(replay(args.manifest, args.out,
-                                workers=args.workers).checks)
+                                workers=args.workers))
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,7 @@
-"""Numerical verification of the quantitative estimates at desk scale:
-entropy-inequality residuals, coupled-step Cauchy rates, weighted-L1
-contraction, moment growth, the sup bound under compactly supported noise,
-and the small-viscosity limit.
+"""Numerical verification of the structural hypotheses and the quantitative
+estimates at desk scale: the assumption rows, entropy-inequality residuals,
+coupled-step Cauchy rates, weighted-L1 contraction, moment growth, the sup
+bound under compactly supported noise, and the small-viscosity limit.
 
 Each Monte-Carlo check is a per-path part (``*_path_*``: the solves along
 one sampled path and their reduction), which the harness runs in its worker
@@ -13,7 +13,8 @@ slack by which the two fits agree. The two rate lanes share ``_rate_test``.
 
 A verdict, a report row's or a ``study`` lane's, is the sign of a signed
 margin (``Verdict.passed``; a None margin is inconclusive), so the
-aggregators return signed slacks, never booleans.
+aggregators return signed slacks, never booleans. A check whose verdict is
+decided here returns its report row (``CheckResult``) itself.
 
 Space-time integrals against a test function use the trajectory's own grid
 (midpoint in space, trapezoid in time at the step knots); test functions
@@ -23,28 +24,29 @@ contracts the whole (N+1, *shape) field stack with b and a knot vector.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .entropy import EntropyTriple, kirchhoff, make_beta_theta
-from .model import Grid, ProblemSpec, discretize_initial
+from .model import (VALIDATION_RANGE, Grid, InvalidSpecError, PhiFamily,
+                    ProblemSpec, discretize_initial)
 from .noise import JumpPath, martingale_term, sample_jump_path
 from .solver import Trajectory, cell_integral, l2_sq, solve_path
 
 __all__ = [
     "TestFunction", "bump_test_function", "uniform_test_function",
     "test_function_catalog", "WeightPhiN", "Verdict", "CheckResult",
-    "DiagnosticsReport", "STATUS_TEXT", "entropy_residual",
+    "at_most", "STATUS_TEXT", "validate_assumptions", "VALIDATION_SAMPLES",
+    "entropy_residual",
     "entropy_tolerance", "calibrate_entropy_tolerance", "ENTROPY_TOL_COEFF",
     "THETA_VALUES", "BAND_SIGMAS", "path_mean_stderr",
     "cauchy_path_errors", "cauchy_rate_test", "RateReport", "GrowthReport",
     "growth_test", "contraction_path_distances", "contraction_test",
     "moment_path_rows", "moment_bound_test", "linear_moment_rate",
-    "max_principle_test", "BoundReport", "viscosity_path_errors",
+    "max_principle_test", "viscosity_path_errors",
     "viscosity_convergence_test",
 ]
 
@@ -57,8 +59,9 @@ class TestFunction:
     """Separable psi(t, x) = a(t) b(x) >= 0 with analytic derivatives.
 
     Compactly supported in [0, t_cut) x domain interior; the spatial factor
-    is C^2, the time factor C^1. At an array of times, psi and its
-    derivatives are outer products of the time and the spatial factor.
+    is C^2, the time factor C^1. At an array of times, psi is the outer
+    product of the time and the spatial factor; the residual reads the
+    factors and their derivatives (``da``, ``grad_b``, ``lap_b``) directly.
     """
 
     name: str
@@ -70,15 +73,6 @@ class TestFunction:
 
     def __call__(self, t, coords):
         return np.multiply.outer(self.a(t), self.b(coords))
-
-    def dt(self, t, coords):
-        return np.multiply.outer(self.da(t), self.b(coords))
-
-    def grad(self, t, coords):
-        return np.multiply.outer(self.a(t), self.grad_b(coords))
-
-    def lap(self, t, coords):
-        return np.multiply.outer(self.a(t), self.lap_b(coords))
 
 
 def _time_cutoff(t_cut: float):
@@ -194,29 +188,10 @@ class CheckResult(Verdict):
     statement: str
 
 
-@dataclass
-class DiagnosticsReport:
-    checks: List[CheckResult] = field(default_factory=list)
-
-    def add(self, check: CheckResult) -> None:
-        self.checks.append(check)
-
-    def rows(self) -> List[dict]:
-        return [{"check": c.name,
-                 "value": "%.17g" % c.value,
-                 "bound": "%.17g" % c.bound,
-                 "margin": "%.17g" % (math.nan if c.margin is None
-                                      else c.margin),
-                 "status": STATUS_TEXT[c.passed],
-                 "statement": c.statement} for c in self.checks]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["check", "value", "bound", "margin", "status",
-                                "statement"])
-            writer.writeheader()
-            writer.writerows(self.rows())
+def at_most(name, value, bound, statement):
+    """The row of an upper-bound condition value <= bound."""
+    return CheckResult(name=name, value=value, bound=bound,
+                       margin=bound - value, statement=statement)
 
 
 BAND_SIGMAS = 3.0  # half-width of every Monte-Carlo band, in standard errors
@@ -230,6 +205,151 @@ def path_mean_stderr(per_path):
     if len(rows) < 2:
         return mean, np.zeros_like(mean)
     return mean, rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
+
+
+# ---------------------------------------------------------------------------
+# Structural assumptions
+
+TOL_VALIDATE = 1e-8
+# Sample count of the coefficient validators in ``validate`` and ``run``.
+VALIDATION_SAMPLES = 2000
+
+
+def _require_finite(name, values, inputs):
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise InvalidSpecError(
+            "%s returned a non-finite value at input %r" % (name, inputs[i]))
+    return values
+
+
+def _ratio(num, den):
+    out = np.zeros_like(num)
+    mask = den > 0.0
+    out[mask] = num[mask] / den[mask]
+    # a positive increment against a zero budget can never pass
+    out[(~mask) & (num > 1e-14)] = np.inf
+    return out
+
+
+def _modulus_trend(phi: PhiFamily, r_mesh: np.ndarray) -> tuple:
+    """omega(r), omega / r^(2/3), and the trend's slack: each ratio rises by
+    at most 1e-12 + 5 percent, the last is at most half the first."""
+    base = np.linspace(-VALIDATION_RANGE, VALIDATION_RANGE, 2001)
+    near = [k + np.linspace(-2.0, 2.0, 81) for k in phi.kinks]
+    a = np.concatenate([base] + near) if near else base
+    root = np.sqrt(np.maximum(phi.dphi(a), 0.0))
+    omegas = []
+    for r in r_mesh:
+        worst = 0.0
+        for frac in (1.0, 0.5, 0.1):
+            d = r * frac
+            for sgn in (1.0, -1.0):
+                shifted = np.sqrt(np.maximum(phi.dphi(a + sgn * d), 0.0))
+                worst = max(worst, float(np.max(np.abs(shifted - root))))
+        omegas.append(worst)
+    omega = np.asarray(omegas)
+    ratio = omega / r_mesh ** (2.0 / 3.0)
+    slack = min(float(np.min(1e-12 + 0.05 * ratio[:-1] - np.diff(ratio))),
+                0.5 * float(ratio[0]) - float(ratio[-1]))
+    return omega, ratio, slack
+
+
+def _assumption_row(name, worst, margin):
+    return CheckResult(
+        name="assumption_%s" % name.lower(), value=worst,
+        bound=1.0 + TOL_VALIDATE, margin=margin,
+        statement="worst sampled ratio of %s against its declared "
+                  "constant stays <= 1" % name)
+
+
+def validate_assumptions(spec: ProblemSpec, grid: Grid, samples: int,
+                         seed: int) -> List[CheckResult]:
+    """The ``assumption_*`` rows, which ``run`` reports and ``validate``
+    prints: a sample-based check of the structural assumptions on the
+    coefficients, with x drawn from the box of ``grid``.
+
+    Per assumption A1, A2, A3, A5: the worst sampled ratio against its
+    declared constant, with the smallest slack of its conditions as margin
+    (ratio <= 1 + 1e-8, and phi monotone for A1, lambda_star < 1 for A3).
+    Then the trend of the continuity modulus of sqrt(phi') against r^(2/3)
+    on a dyadic mesh, which binds only when eta depends on x; it is
+    reported as observed, since a finite sample cannot certify the limit.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    R = VALIDATION_RANGE
+    u = rng.uniform(-R, R, samples)
+    v = rng.uniform(-R, R, samples)
+    L = grid.half_width
+    x = rng.uniform(-L, L, (samples, grid.dim))
+    y = rng.uniform(-L, L, (samples, grid.dim))
+
+    rows = []
+
+    # A1: phi nondecreasing, Lipschitz, phi(0) = 0
+    phi_u = _require_finite("phi", spec.phi.phi(u), u)
+    phi_v = _require_finite("phi", spec.phi.phi(v), v)
+    phi0 = float(np.asarray(spec.phi.phi(np.zeros(1)))[0])
+    if abs(phi0) > TOL_VALIDATE:
+        rows.append(_assumption_row("A1", np.inf, -np.inf))
+    else:
+        mono = float(np.min((phi_u - phi_v) * (u - v)))
+        lip = _ratio(np.abs(phi_u - phi_v), spec.phi.c_phi * np.abs(u - v))
+        worst = float(np.max(lip))
+        rows.append(_assumption_row("A1", worst, min(
+            1.0 + TOL_VALIDATE - worst, mono + TOL_VALIDATE)))
+
+    # A2: the flux law Lipschitz with f(0) = 0
+    if abs(float(np.asarray(spec.flux.f(np.zeros(1)))[0])) > TOL_VALIDATE:
+        worst_a2 = np.inf
+    else:
+        fu = _require_finite("flux", spec.flux.f(u), u)
+        fv = _require_finite("flux", spec.flux.f(v), v)
+        worst_a2 = float(np.max(
+            _ratio(np.abs(fu - fv), spec.flux.c_f * np.abs(u - v))))
+    rows.append(_assumption_row("A2", worst_a2, 1.0 + TOL_VALIDATE - worst_a2))
+
+    # A3 / A5 on sampled (x, u, z) tuples
+    if spec.silent:
+        rows += [_assumption_row(name, 0.0, 1.0 + TOL_VALIDATE)
+                 for name in ("A3", "A5")]
+    else:
+        marks = spec.levy.size.sample(rng, samples)
+        h_vals = _require_finite("eta h", spec.eta.h(marks), marks)
+        h_sup = spec.h_max()
+        h1 = np.abs(h_vals) / h_sup if h_sup > 0 else np.zeros_like(h_vals)
+        gx = _require_finite("eta g", spec.eta.g(x), x)
+        gy = _require_finite("eta g", spec.eta.g(y), y)
+        eta_xu = gx * spec.eta.sigma(u) * h_vals
+        eta_yv = gy * spec.eta.sigma(v) * h_vals
+        dist = (np.linalg.norm(x - y, axis=-1))
+        budget = (spec.lambda_star * np.abs(u - v) + spec.k_x * dist) * h1
+        worst3 = float(np.max(_ratio(np.abs(eta_xu - eta_yv), budget)))
+        # strict lambda_star < 1: lambda_star = 1 has slack below 0
+        lam_slack = float(np.nextafter(1.0, 0.0)) - spec.lambda_star
+        rows.append(_assumption_row(
+            "A3", worst3, min(1.0 + TOL_VALIDATE - worst3, lam_slack)))
+
+        env = np.abs(gx) * (1.0 + np.abs(u)) * np.abs(h_vals)
+        worst5 = float(np.max(_ratio(np.abs(eta_xu), env)))
+        rows.append(_assumption_row("A5", worst5,
+                                    1.0 + TOL_VALIDATE - worst5))
+
+    r_mesh = 2.0 ** -np.arange(0, 11, dtype=float)
+    _, ratio, slack = _modulus_trend(spec.phi, r_mesh)
+    # the trend binds only when eta depends on x; otherwise no bound applies
+    required = spec.eta.g_lip > 0.0
+    rows.append(CheckResult(
+        name="assumption_a1_modulus_trend", value=float(ratio[-1]),
+        bound=float(ratio[0]) if required else math.inf,
+        margin=slack if required else math.inf,
+        statement="sampled sup |sqrt(phi')(a)-sqrt(phi')(b)| / r^(2/3) "
+                  "trends to 0 (finite-sample trend, never a certification)"))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -503,66 +623,60 @@ def moment_bound_test(spec: ProblemSpec, p: int, per_path: Sequence[tuple],
     return rep
 
 
-def linear_moment_rate(spec: ProblemSpec, p: int, dt: float) -> float:
-    """Exact per-step growth rate of E int |u|^p for the linear noise case.
+def linear_moment_rate(spec: ProblemSpec, p: int,
+                       dt: float) -> Optional[float]:
+    """Exact per-step growth rate of E int |u|^p for the linear noise case,
+    None where no closed form applies.
 
-    Requires spatially constant g and initial data and sigma(u) = a u, so
-    each cell evolves as u -> u (1 + a Y) with Y the compensated jump sum of
-    one window; the rate is log E (1 + a Y)^p / dt from the compound-Poisson
-    cumulants.
+    Needs spatially constant g and initial data, sigma(u) = s u and p in
+    {2, 4}: each cell then evolves as u -> u (1 + a Y), with a = s g the
+    signed amplitude and Y the compensated jump sum of one window; the rate
+    is log E (1 + a Y)^p / dt from the compound-Poisson cumulants.
     """
-    if spec.eta.sigma_kind != "linear":
-        raise ValueError("closed-form rate needs the linear sigma family")
-    if spec.eta.g_lip != 0.0:
-        raise ValueError("closed-form rate needs spatially constant g")
-    if spec.u0.support_radius is not None:
-        raise ValueError("closed-form rate needs spatially constant u0")
-    a = spec.eta.sigma_scale * spec.eta.g_inf
+    if (spec.eta.sigma_kind != "linear" or spec.eta.g_lip != 0.0
+            or spec.u0.support_radius is not None or p not in (2, 4)):
+        return None
+    g = float(spec.eta.g(np.zeros((1, 1)))[0])
+    a = spec.eta.sigma_scale * g
     r = {j: spec.levy.h_moment(spec.eta.h_power, j) for j in (1, 2, 3, 4)}
     k2 = dt * r[2]
     if p == 2:
         growth = 1.0 + a * a * k2
-    elif p == 4:
+    else:
         k3 = dt * r[3]
         k4 = dt * r[4]
         growth = (1.0 + 6.0 * a * a * k2 + 4.0 * a ** 3 * k3
                   + a ** 4 * (k4 + 3.0 * k2 * k2))
-    else:
-        raise ValueError("closed-form rate implemented for p in {2, 4}")
     return math.log(growth) / dt
 
 
 # ---------------------------------------------------------------------------
 # Sup bound under compactly supported noise
 
-@dataclass
-class BoundReport:
-    bound: float
-    tolerance: float
-    worst: float
-
-    @property
-    def slack(self) -> float:
-        return self.bound + self.tolerance - self.worst
-
-
 def max_principle_test(spec: ProblemSpec,
-                       per_path_max: Sequence[float]) -> BoundReport:
-    """Cellwise |u_n| <= max(M + M1, ||u0||_inf) + tol at every step and path.
+                       per_path_max: Sequence[float]) -> CheckResult:
+    """The ``max_principle`` row: cellwise |u_n| <= max(M + M1, ||u0||_inf)
+    + tol at every step and path.
 
     ``per_path_max`` holds each path's max |u_n(x)| over cells and steps.
-    Needs a noise amplitude with compact u-support: M is sigma's cap, or 0
-    for silent noise, which leaves the deterministic bound ||u0||_inf; M1 is
-    the declared sup of |eta|.
+    M is sigma's cap, or 0 for silent noise, which leaves the deterministic
+    bound ||u0||_inf; M1 is the declared sup of |eta|. Without a noise
+    amplitude of compact u-support (``spec.m1`` None) no sup bound applies
+    and the row is inconclusive.
     """
     m1 = spec.m1
     if m1 is None:
-        raise ValueError("max principle test needs bounded noise amplitude")
+        return CheckResult(
+            name="max_principle", value=math.nan, bound=math.nan, margin=None,
+            statement="sup bound requires a noise amplitude with compact "
+                      "u-support")
     m_cap = 0.0 if spec.silent else spec.eta.sigma_cap
     bound = max(m_cap + m1, spec.u0.linf)
-    tol = 1e-6 * bound
-    worst = float(np.max(np.asarray(per_path_max, dtype=float)))
-    return BoundReport(bound=bound, tolerance=tol, worst=worst)
+    return at_most(
+        "max_principle", float(np.max(np.asarray(per_path_max, dtype=float))),
+        bound + 1e-6 * bound,
+        "|u_n(x)| <= max(M + M1, ||u0||_inf) cellwise at every step on "
+        "every path")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Batch driver: resolves a config, runs the Monte-Carlo path loop across
 workers, assembles the diagnostics report (each row's margin is the signed
 slack of its condition, which alone decides the row's status), and writes
-the run artifacts (manifest, report CSV, energy CSV, field snapshots).
+the run artifacts (manifest, and through one CSV writer the report, energy
+means, field snapshots and rate tables).
 
 Every solve of ``run`` and ``study`` is one pool job, a pure function of
 (config, seed, checks): one lane of checks on one path, or one of the two
@@ -21,23 +22,25 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .diagnostics import (BAND_SIGMAS, STATUS_TEXT, THETA_VALUES,
-                          CheckResult, DiagnosticsReport, cauchy_path_errors,
-                          cauchy_rate_test, contraction_path_distances,
-                          contraction_test, entropy_residual,
-                          entropy_tolerance, linear_moment_rate,
-                          max_principle_test, moment_bound_test,
-                          moment_path_rows, path_mean_stderr,
-                          test_function_catalog,
-                          viscosity_convergence_test, viscosity_path_errors)
+                          VALIDATION_SAMPLES, CheckResult, at_most,
+                          cauchy_path_errors, cauchy_rate_test,
+                          contraction_path_distances, contraction_test,
+                          entropy_residual, entropy_tolerance,
+                          linear_moment_rate, max_principle_test,
+                          moment_bound_test, moment_path_rows,
+                          path_mean_stderr, test_function_catalog,
+                          validate_assumptions, viscosity_convergence_test,
+                          viscosity_path_errors)
 from .entropy import (BETA_M1, BETA_M2, identity_check_batch, kirchhoff,
                       make_beta_theta)
-from .model import VALIDATION_SAMPLES, discretize_initial, validate_assumptions
+from .model import discretize_initial
 from .noise import sample_jump_path
 from .solver import (discrete_energy_report, lemma_ratios, mass_outside,
                      norm_l1, solve_path)
 
 __all__ = ["run_experiment", "convergence_study", "replay", "path_seed",
-           "assumption_rows", "resolve_problem"]
+           "assumption_rows", "resolve_problem", "write_csv", "report_rows",
+           "REPORT_COLUMNS"]
 
 
 # Half-width of the box the exchange-identity pairs are drawn from.
@@ -154,28 +157,8 @@ def _merge_by_seed(jobs: Sequence[tuple], results: List[dict]) -> List[dict]:
 def assumption_rows(cfg, spec, grid) -> List[CheckResult]:
     """The ``assumption_*`` rows, which ``run`` reports and ``validate``
     prints: A1-A5 and the modulus trend of sqrt(phi')."""
-    rep = validate_assumptions(spec, grid, VALIDATION_SAMPLES,
-                               cfg.get("run", "seed"))
-    rows = [CheckResult(
-        name="assumption_%s" % e.name.lower(),
-        value=e.worst_ratio, bound=1.0 + 1e-8, margin=e.margin,
-        statement="worst sampled ratio of %s against its declared "
-                  "constant stays <= 1" % e.name) for e in rep.entries]
-    # the trend binds only when eta depends on x; otherwise no bound applies
-    required = rep.modulus_required
-    return rows + [CheckResult(
-        name="assumption_a1_modulus_trend",
-        value=float(rep.modulus_ratio[-1]),
-        bound=float(rep.modulus_ratio[0]) if required else math.inf,
-        margin=rep.modulus_slack if required else math.inf,
-        statement="sampled sup |sqrt(phi')(a)-sqrt(phi')(b)| / r^(2/3) "
-                  "trends to 0 (finite-sample trend, never a certification)")]
-
-
-def _at_most(name, value, bound, statement):
-    """The row of an upper-bound condition value <= bound."""
-    return CheckResult(name=name, value=value, bound=bound,
-                       margin=bound - value, statement=statement)
+    return validate_assumptions(spec, grid, VALIDATION_SAMPLES,
+                                cfg.get("run", "seed"))
 
 
 def _check_sandwich(report):
@@ -198,7 +181,7 @@ def _check_sandwich(report):
              "beta_theta(r) <= |r| on a 10^4-point mesh"),
             ("sandwich_curvature", worst_d2,
              "|beta_theta''| <= (M2/theta) 1_{|r| <= theta}")):
-        report.add(_at_most(name, worst, bound, statement))
+        report.append(at_most(name, worst, bound, statement))
 
 
 def _check_identities(cfg, spec, report):
@@ -226,7 +209,7 @@ def _check_identities(cfg, spec, report):
             ("ibeta_identity2", worst_id2,
              "2 I + both entropy-flux differences equal the nonnegative "
              "square-difference double integral")):
-        report.add(_at_most(name, worst, bound, statement))
+        report.append(at_most(name, worst, bound, statement))
 
 
 def _check_energy(cfg, spec, grid, results, report):
@@ -237,7 +220,7 @@ def _check_energy(cfg, spec, grid, results, report):
     total = (float(np.max(means["u_norm_sq"]))
              + spec.epsilon * dt * float(np.sum(means["grad_u_sq"]))
              + dt * float(np.sum(means["grad_g_sq"][1:])))
-    report.add(CheckResult(
+    report.append(CheckResult(
         name="energy_bound", value=total, bound=math.inf,
         margin=math.inf if np.isfinite(total) else -math.inf,
         statement="sup_n E||u_n||^2 + eps dt sum E||grad u_n||^2 + dt sum "
@@ -250,37 +233,19 @@ def _check_residual(cfg, spec, grid, results, report):
     dt = spec.horizon / n_steps
     tol = entropy_tolerance(spec, grid, dt)
     worst = min(r["residual_min"] for r in results)
-    report.add(CheckResult(
+    report.append(CheckResult(
         name="entropy_residual", value=worst, bound=-tol, margin=worst + tol,
         statement="entropy-inequality residual >= -C (eps + h + dt) for "
                   "every path, test function, and smoothing scale"))
 
 
-def _check_max_principle(spec, results, report):
-    if spec.m1 is None:
-        report.add(CheckResult(
-            name="max_principle", value=math.nan, bound=math.nan, margin=None,
-            statement="sup bound requires a noise amplitude with compact "
-                      "u-support"))
-        return
-    rep = max_principle_test(spec, [r["max_abs"] for r in results])
-    report.add(CheckResult(
-        name="max_principle", value=rep.worst,
-        bound=rep.bound + rep.tolerance, margin=rep.slack,
-        statement="|u_n(x)| <= max(M + M1, ||u0||_inf) cellwise at every "
-                  "step on every path"))
-
-
 def _check_moments(cfg, spec, results, report):
     for i, p in enumerate(cfg.get("diagnostics", "moment_orders")):
-        try:
-            oracle = linear_moment_rate(
-                spec, p, spec.horizon / cfg.get("run", "steps"))
-        except ValueError:
-            oracle = None
+        oracle = linear_moment_rate(
+            spec, p, spec.horizon / cfg.get("run", "steps"))
         rep = moment_bound_test(spec, p, [r["moments"][i] for r in results],
                                 oracle_rate=oracle)
-        report.add(CheckResult(
+        report.append(CheckResult(
             name="moment_p%d" % p, value=rep.fit, bound=rep.fit_half,
             margin=min(rep.slack, rep.oracle_slack),
             statement="finite growth rate K with E int |u|^p <= exp(K t) "
@@ -289,12 +254,12 @@ def _check_moments(cfg, spec, results, report):
 
 def _check_isometry(cfg, spec, grid, report):
     if spec.silent:
-        report.add(CheckResult(
+        report.append(CheckResult(
             name="isometry", value=0.0, bound=0.0, margin=0.0,
             statement="silent noise: compensated sums vanish identically"))
         return
     if spec.eta.sigma_kind != "const":
-        report.add(CheckResult(
+        report.append(CheckResult(
             name="isometry", value=math.nan, bound=math.nan, margin=None,
             statement="isometry check applies to state-independent noise "
                       "amplitudes (constant sigma)"))
@@ -310,7 +275,7 @@ def _check_isometry(cfg, spec, grid, report):
     var_pred = spec.horizon * spec.levy.h_moment(spec.eta.h_power, 2)
     band = BAND_SIGMAS * float(path_mean_stderr((w - np.mean(w)) ** 2)[1])
     dev = abs(var_emp - var_pred)
-    report.add(CheckResult(
+    report.append(CheckResult(
         name="isometry", value=dev * sig ** 2, bound=band * sig ** 2,
         margin=(band - dev) * sig ** 2,
         statement="per-cell variance of the compensated sum matches "
@@ -321,7 +286,7 @@ def _check_boundary_mass(cfg, spec, grid, results, report):
     u0 = discretize_initial(spec, grid)
     budget = 1e-6 * max(norm_l1(u0, grid), 1e-300)
     worst = max(r["boundary_mass"] for r in results)
-    report.add(_at_most(
+    report.append(at_most(
         "boundary_mass", worst, budget,
         "L1 mass inside the truncation margin stays below "
         "1e-6 ||u0||_1 (domain truncation is inert)"))
@@ -333,11 +298,11 @@ def _check_contraction(spec, grid, results, report):
         worst = float(np.max(rep.mean))
         bound = 1e-8 * max(norm_l1(discretize_initial(spec, grid), grid),
                            1e-300)
-        report.add(_at_most(
+        report.append(at_most(
             "contraction_zero", worst, bound,
             "equal initial data under one noise stay identical "
             "in weighted L1"))
-    report.add(CheckResult(
+    report.append(CheckResult(
         name="contraction_growth", value=rep.fit, bound=rep.fit_half,
         margin=rep.slack,
         statement="weighted-L1 distance obeys exp(C t) with C stable under "
@@ -345,7 +310,7 @@ def _check_contraction(spec, grid, results, report):
 
 
 def _check_determinism(same, report):
-    report.add(_at_most(
+    report.append(at_most(
         "determinism", 0.0 if same else 1.0, 0.0,
         "identical seeds reproduce bitwise-identical paths and "
         "trajectories"))
@@ -354,23 +319,40 @@ def _check_determinism(same, report):
 # ---------------------------------------------------------------------------
 # Artifact writing
 
-def _write_energy_csv(path, means, dt):
-    n = len(means["increment_sq"])
+REPORT_COLUMNS = ("check", "value", "bound", "margin", "status", "statement")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each row of the iterable ``rows`` as it
+    comes: a float as %.17g and, by the csv module's rule, a missing value
+    (None) as an empty cell and anything else with str. The one writer of
+    every CSV artifact."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "time", "u_norm_sq", "increment_sq",
-                         "grad_phi_sq", "grad_u_sq", "grad_g_sq"])
-        for k in range(n + 1):
-            row = [k, "%.17g" % (k * dt),
-                   "%.17g" % means["u_norm_sq"][k]]
-            if k < n:
-                row += ["%.17g" % means["increment_sq"][k],
-                        "%.17g" % means["grad_phi_sq"][k],
-                        "%.17g" % means["grad_u_sq"][k]]
-            else:
-                row += ["", "", ""]
-            row.append("%.17g" % means["grad_g_sq"][k])
-            writer.writerow(row)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["%.17g" % v if isinstance(v, float) else v
+                             for v in row])
+
+
+def report_rows(checks):
+    """The ``report.csv`` rows of ``checks``; a None margin (inconclusive)
+    reads nan."""
+    for c in checks:
+        yield (c.name, c.value, c.bound,
+               math.nan if c.margin is None else c.margin,
+               STATUS_TEXT[c.passed], c.statement)
+
+
+def _energy_rows(means, dt):
+    """``energy.csv``: the path means of the energy terms at every knot; the
+    step terms have no value at the last knot."""
+    n = len(means["increment_sq"])
+    for k in range(n + 1):
+        yield ([k, k * dt, means["u_norm_sq"][k]]
+               + [means[key][k] if k < n else None
+                  for key in ("increment_sq", "grad_phi_sq", "grad_u_sq")]
+               + [means["grad_g_sq"][k]])
 
 
 def _write_snapshots(out_dir, cfg, spec, snapshot):
@@ -380,21 +362,16 @@ def _write_snapshots(out_dir, cfg, spec, snapshot):
     n_steps = cfg.get("run", "steps")
     dt = spec.horizon / n_steps
     os.makedirs(os.path.join(out_dir, "fields"), exist_ok=True)
-    fname = os.path.join(out_dir, "fields", "u_path0000.csv")
-    with open(fname, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "index", "u"])
-        for s, field in zip((0, n_steps // 2, n_steps), fields):
-            for i, val in enumerate(field.ravel()):
-                writer.writerow(["%.17g" % (s * dt), i, "%.17g" % val])
-    sname = os.path.join(out_dir, "fields", "stats_path0000.csv")
-    with open(sname, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "newton_iterations", "jacobians",
-                         "residual", "lemma_ratio"])
-        for s, (st, ratio) in enumerate(zip(stats, ratios)):
-            writer.writerow([s + 1, st.newton_iterations, st.jacobians,
-                             "%.17g" % st.residual, "%.17g" % ratio])
+    write_csv(os.path.join(out_dir, "fields", "u_path0000.csv"),
+              ("t", "index", "u"),
+              ((s * dt, i, val)
+               for s, field in zip((0, n_steps // 2, n_steps), fields)
+               for i, val in enumerate(field.ravel())))
+    write_csv(os.path.join(out_dir, "fields", "stats_path0000.csv"),
+              ("step", "newton_iterations", "jacobians", "residual",
+               "lemma_ratio"),
+              ((s + 1, st.newton_iterations, st.jacobians, st.residual, ratio)
+               for s, (st, ratio) in enumerate(zip(stats, ratios))))
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +404,9 @@ def _open_out_dir(cfg: ExperimentConfig, out_dir: Optional[str]) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
-                   workers: int = 1) -> DiagnosticsReport:
-    """Execute every selected check and write the run artifacts.
+                   workers: int = 1) -> List[CheckResult]:
+    """Execute every selected check, write the run artifacts and return the
+    report's rows.
 
     Deterministic given the resolved config: the manifest written next to
     the report is sufficient to reproduce every output byte for byte.
@@ -436,7 +414,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     spec, grid = resolve_problem(cfg)
     out_dir = _open_out_dir(cfg, out_dir)
     selected = list(cfg.get("diagnostics", "checks"))
-    report = DiagnosticsReport()
+    report = []
 
     seeds = [path_seed(cfg.get("run", "seed"), k)
              for k in range(cfg.get("run", "paths"))]
@@ -447,7 +425,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     results = _merge_by_seed(jobs, _run_paths(cfg, jobs, workers))
 
     if "assumptions" in selected:
-        report.checks += assumption_rows(cfg, spec, grid)
+        report += assumption_rows(cfg, spec, grid)
     if "sandwich" in selected:
         _check_sandwich(report)
     if "identities" in selected:
@@ -458,7 +436,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     if "entropy_residual" in selected:
         _check_residual(cfg, spec, grid, results, report)
     if "max_principle" in selected:
-        _check_max_principle(spec, results, report)
+        report.append(max_principle_test(
+            spec, [r["max_abs"] for r in results]))
     if "moments" in selected:
         _check_moments(cfg, spec, results, report)
     if "isometry" in selected:
@@ -470,10 +449,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     if "determinism" in selected:
         _check_determinism(results[0]["determinism"], report)
 
-    report.write_csv(os.path.join(out_dir, "report.csv"))
+    write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS,
+              report_rows(report))
     if means is not None:
-        _write_energy_csv(os.path.join(out_dir, "energy.csv"), means,
-                          spec.horizon / cfg.get("run", "steps"))
+        write_csv(os.path.join(out_dir, "energy.csv"),
+                  ("step", "time", "u_norm_sq", "increment_sq",
+                   "grad_phi_sq", "grad_u_sq", "grad_g_sq"),
+                  _energy_rows(means, spec.horizon / cfg.get("run", "steps")))
     _write_snapshots(out_dir, cfg, spec, results[0]["snapshot"])
     return report
 
@@ -502,22 +484,18 @@ def convergence_study(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     if eps_list:
         reports.append(viscosity_convergence_test(
             eps_list, [r["viscosity"] for r in results]))
-    with open(os.path.join(out_dir, "rates.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lane", "parameter", "error", "stderr", "ratio",
-                         "slope", "status"])
-        for rep in reports:
-            for i, p in enumerate(rep.parameters):
-                writer.writerow([
-                    rep.lane, "%.17g" % p, "%.17g" % rep.errors_sq[i],
-                    "%.17g" % rep.stderr[i],
-                    "%.17g" % rep.ratios[i - 1] if i > 0 else "",
-                    "%.17g" % rep.slope, STATUS_TEXT[rep.passed]])
+    write_csv(os.path.join(out_dir, "rates.csv"),
+              ("lane", "parameter", "error", "stderr", "ratio", "slope",
+               "status"),
+              ((rep.lane, p, rep.errors_sq[i], rep.stderr[i],
+                rep.ratios[i - 1] if i > 0 else None, rep.slope,
+                STATUS_TEXT[rep.passed])
+               for rep in reports for i, p in enumerate(rep.parameters)))
     return reports
 
 
 def replay(manifest_path: str, out_dir: str,
-           workers: int = 1) -> DiagnosticsReport:
+           workers: int = 1) -> List[CheckResult]:
     """Re-execute a run from its manifest. Paths are re-sampled from their
     seeds, so outputs are byte-identical under the same numpy build."""
     cfg = ExperimentConfig.from_file(manifest_path)

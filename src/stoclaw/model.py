@@ -1,5 +1,6 @@
-"""Problem catalog: coefficient families, grids, initial data, and numerical
-validation of the structural assumptions on (phi, f, eta).
+"""Problem catalog: coefficient families, grids and initial data, with the
+structural constants the assumption rows (``diagnostics.validate_assumptions``)
+judge each family against.
 
 Coefficients come from a closed set of named analytic families selected by
 name, never from user code, so every run is reproducible from its config.
@@ -20,16 +21,12 @@ __all__ = [
     "PhiFamily", "FluxFamily", "EtaFamily", "InitFamily",
     "Grid", "ProblemSpec",
     "phi_family", "flux_family", "eta_family", "init_family",
-    "validate_assumptions", "discretize_initial", "ValidationReport",
-    "VALIDATION_SAMPLES",
+    "discretize_initial", "VALIDATION_RANGE",
 ]
 
 # Sampling box for the coefficient validators; Lipschitz constants of the
 # unbounded families are declared over this range.
 VALIDATION_RANGE = 10.0
-TOL_VALIDATE = 1e-8
-# Sample count of the coefficient validators in ``validate`` and ``run``.
-VALIDATION_SAMPLES = 2000
 
 
 class InvalidSpecError(ValueError):
@@ -88,9 +85,6 @@ class EtaFamily:
     sigma_cap: Optional[float]  # sigma vanishes for |u| > cap, if not None
     h: Callable
     h_power: Optional[int]  # h(v) = v^h_power; None for the zero family
-
-    def depends_on_x(self) -> bool:
-        return self.g_lip > 0.0
 
 
 @dataclass(frozen=True)
@@ -257,7 +251,7 @@ def _sigma_compact_profile(scale, cap):
         return scale * u * v * v
 
     # max |u (1-(u/cap)^2)^2| is attained at u = cap/sqrt(5)
-    sup = scale * cap * (1.0 / math.sqrt(5.0)) * (0.8) ** 2
+    sup = abs(scale) * cap * (1.0 / math.sqrt(5.0)) * (0.8) ** 2
     return sigma, sup
 
 
@@ -420,156 +414,6 @@ class ProblemSpec:
 
     def with_epsilon(self, epsilon: float) -> "ProblemSpec":
         return replace(self, epsilon=float(epsilon))
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-@dataclass
-class CheckEntry:
-    name: str
-    worst_ratio: float
-    margin: float  # smallest slack of the assumption's conditions; pass >= 0
-
-
-@dataclass
-class ValidationReport:
-    entries: list
-    modulus_r: np.ndarray
-    modulus_omega: np.ndarray
-    modulus_ratio: np.ndarray
-    modulus_slack: float  # the trend's slack; decreasing when >= 0
-    modulus_required: bool
-
-    def entry(self, name: str) -> CheckEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-
-def _require_finite(name, values, inputs):
-    values = np.asarray(values, dtype=float)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise InvalidSpecError(
-            "%s returned a non-finite value at input %r" % (name, inputs[i]))
-    return values
-
-
-def _ratio(num, den):
-    out = np.zeros_like(num)
-    mask = den > 0.0
-    out[mask] = num[mask] / den[mask]
-    # a positive increment against a zero budget can never pass
-    out[(~mask) & (num > 1e-14)] = np.inf
-    return out
-
-
-def _modulus_trend(phi: PhiFamily, r_mesh: np.ndarray) -> tuple:
-    """omega(r), omega / r^(2/3), and the trend's slack: each ratio rises by
-    at most 1e-12 + 5 percent, the last is at most half the first."""
-    base = np.linspace(-VALIDATION_RANGE, VALIDATION_RANGE, 2001)
-    near = [k + np.linspace(-2.0, 2.0, 81) for k in phi.kinks]
-    a = np.concatenate([base] + near) if near else base
-    root = np.sqrt(np.maximum(phi.dphi(a), 0.0))
-    omegas = []
-    for r in r_mesh:
-        worst = 0.0
-        for frac in (1.0, 0.5, 0.1):
-            d = r * frac
-            for sgn in (1.0, -1.0):
-                shifted = np.sqrt(np.maximum(phi.dphi(a + sgn * d), 0.0))
-                worst = max(worst, float(np.max(np.abs(shifted - root))))
-        omegas.append(worst)
-    omega = np.asarray(omegas)
-    ratio = omega / r_mesh ** (2.0 / 3.0)
-    slack = min(float(np.min(1e-12 + 0.05 * ratio[:-1] - np.diff(ratio))),
-                0.5 * float(ratio[0]) - float(ratio[-1]))
-    return omega, ratio, slack
-
-
-def validate_assumptions(spec: ProblemSpec, grid: Grid, samples: int,
-                         seed: int) -> ValidationReport:
-    """Sample-based check of the structural assumptions on the coefficients,
-    with x drawn from the box of ``grid``.
-
-    Reports, per assumption, the worst sampled ratio against its declared
-    constant and the smallest slack of its conditions (ratio <= 1 + 1e-8,
-    and phi monotone for A1, lambda_star < 1 for A3), plus the trend of the
-    continuity modulus of sqrt(phi') against r^(2/3) on a dyadic mesh. The
-    trend is reported as observed; a finite sample cannot certify the limit.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    R = VALIDATION_RANGE
-    u = rng.uniform(-R, R, samples)
-    v = rng.uniform(-R, R, samples)
-    L = grid.half_width
-    x = rng.uniform(-L, L, (samples, grid.dim))
-    y = rng.uniform(-L, L, (samples, grid.dim))
-
-    entries = []
-
-    # A1: phi nondecreasing, Lipschitz, phi(0) = 0
-    phi_u = _require_finite("phi", spec.phi.phi(u), u)
-    phi_v = _require_finite("phi", spec.phi.phi(v), v)
-    phi0 = float(np.asarray(spec.phi.phi(np.zeros(1)))[0])
-    if abs(phi0) > TOL_VALIDATE:
-        entries.append(CheckEntry("A1", np.inf, -np.inf))
-    else:
-        mono = float(np.min((phi_u - phi_v) * (u - v)))
-        lip = _ratio(np.abs(phi_u - phi_v), spec.phi.c_phi * np.abs(u - v))
-        worst = float(np.max(lip))
-        entries.append(CheckEntry("A1", worst, min(1.0 + TOL_VALIDATE - worst,
-                                                   mono + TOL_VALIDATE)))
-
-    # A2: the flux law Lipschitz with f(0) = 0
-    if abs(float(np.asarray(spec.flux.f(np.zeros(1)))[0])) > TOL_VALIDATE:
-        worst_a2 = np.inf
-    else:
-        fu = _require_finite("flux", spec.flux.f(u), u)
-        fv = _require_finite("flux", spec.flux.f(v), v)
-        worst_a2 = float(np.max(
-            _ratio(np.abs(fu - fv), spec.flux.c_f * np.abs(u - v))))
-    entries.append(CheckEntry("A2", worst_a2, 1.0 + TOL_VALIDATE - worst_a2))
-
-    # A3 / A5 on sampled (x, u, z) tuples
-    if spec.silent:
-        entries += [CheckEntry(name, 0.0, 1.0 + TOL_VALIDATE)
-                    for name in ("A3", "A5")]
-    else:
-        marks = spec.levy.size.sample(rng, samples)
-        h_vals = _require_finite("eta h", spec.eta.h(marks), marks)
-        h_sup = spec.h_max()
-        h1 = np.abs(h_vals) / h_sup if h_sup > 0 else np.zeros_like(h_vals)
-        gx = _require_finite("eta g", spec.eta.g(x), x)
-        gy = _require_finite("eta g", spec.eta.g(y), y)
-        eta_xu = gx * spec.eta.sigma(u) * h_vals
-        eta_yv = gy * spec.eta.sigma(v) * h_vals
-        dist = (np.linalg.norm(x - y, axis=-1))
-        budget = (spec.lambda_star * np.abs(u - v) + spec.k_x * dist) * h1
-        ratio3 = _ratio(np.abs(eta_xu - eta_yv), budget)
-        worst3 = float(np.max(ratio3))
-        # strict lambda_star < 1: lambda_star = 1 has slack below 0
-        lam_slack = float(np.nextafter(1.0, 0.0)) - spec.lambda_star
-        entries.append(CheckEntry(
-            "A3", worst3, min(1.0 + TOL_VALIDATE - worst3, lam_slack)))
-
-        h2 = np.abs(h_vals)
-        env = gx * (1.0 + np.abs(u)) * h2
-        ratio5 = _ratio(np.abs(eta_xu), env)
-        worst5 = float(np.max(ratio5))
-        entries.append(CheckEntry("A5", worst5, 1.0 + TOL_VALIDATE - worst5))
-
-    r_mesh = 2.0 ** -np.arange(0, 11, dtype=float)
-    omega, ratio, slack = _modulus_trend(spec.phi, r_mesh)
-    return ValidationReport(
-        entries=entries, modulus_r=r_mesh, modulus_omega=omega,
-        modulus_ratio=ratio, modulus_slack=slack,
-        modulus_required=spec.eta.depends_on_x())
 
 
 def discretize_initial(spec: ProblemSpec, grid: Grid) -> np.ndarray:

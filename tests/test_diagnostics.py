@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 
@@ -7,7 +8,7 @@ import pytest
 import stoclaw as sc
 from stoclaw import diagnostics as dg
 from stoclaw.config import ExperimentConfig
-from stoclaw.harness import path_seed
+from stoclaw.harness import REPORT_COLUMNS, path_seed, report_rows, write_csv
 from stoclaw.noise import JumpPath, LevyIntensity, SizeMeasure
 from stoclaw.solver import l2_sq
 
@@ -45,18 +46,32 @@ def sampled_paths(spec, seeds):
 # ---------------------------------------------------------------------------
 # Test functions and weights
 
+def psi_dt(psi, t, x):
+    return np.multiply.outer(psi.da(t), psi.b(x))
+
+
+def psi_grad(psi, t, x):
+    return np.multiply.outer(psi.a(t), psi.grad_b(x))
+
+
+def psi_lap(psi, t, x):
+    return np.multiply.outer(psi.a(t), psi.lap_b(x))
+
+
 def test_bump_derivatives_match_finite_differences():
+    # d/dt psi, grad psi and lap psi, outer products of the factors the
+    # residual reads, against finite differences of psi
     psi = dg.bump_test_function(np.array([0.3]), 0.8, 0.4)
     x = np.linspace(-0.45, 1.05, 31)[:, None]
     t, eps = 0.12, 1e-5
     np.testing.assert_allclose(
-        psi.dt(t, x), (psi(t + eps, x) - psi(t - eps, x)) / (2 * eps),
+        psi_dt(psi, t, x), (psi(t + eps, x) - psi(t - eps, x)) / (2 * eps),
         atol=1e-8)
     np.testing.assert_allclose(
-        psi.grad(t, x)[..., 0],
+        psi_grad(psi, t, x)[..., 0],
         (psi(t, x + eps) - psi(t, x - eps)) / (2 * eps), atol=1e-8)
     np.testing.assert_allclose(
-        psi.lap(t, x),
+        psi_lap(psi, t, x),
         (psi(t, x + eps) - 2 * psi(t, x) + psi(t, x - eps)) / eps ** 2,
         atol=2e-5)
 
@@ -72,7 +87,7 @@ def test_bump_2d_laplacian():
         shift[ax] = eps
         num += (psi(t, pts + shift) - 2 * psi(t, pts)
                 + psi(t, pts - shift)) / eps ** 2
-    np.testing.assert_allclose(psi.lap(t, pts), num, atol=5e-5)
+    np.testing.assert_allclose(psi_lap(psi, t, pts), num, atol=5e-5)
 
 
 def test_catalog_properties():
@@ -101,7 +116,8 @@ def test_separable_tables_match_per_time_values():
     ]
     times = np.linspace(0.0, 0.6, 13)
     for psi, x in cases:
-        for fn in (psi, psi.dt, psi.grad, psi.lap):
+        for fn in (psi, *(functools.partial(d, psi)
+                          for d in (psi_dt, psi_grad, psi_lap))):
             table = fn(times, x)
             assert table.shape == times.shape + fn(0.1, x).shape
             for k, t in enumerate(times):
@@ -279,13 +295,13 @@ def _oracle_entropy_residual(traj, path, triple, psi, kirchhoff_fn):
         u = traj.fields[k]
         tk = traj.times[k]
         t_time += w_t[k] * float(np.sum(triple.beta(u)
-                                        * psi.dt(tk, coords))) * vol
+                                        * psi_dt(psi, tk, coords))) * vol
         if triple.nu is not None:
             t_lap += w_t[k] * float(np.sum(triple.nu(u)
-                                           * psi.lap(tk, coords))) * vol
+                                           * psi_lap(psi, tk, coords))) * vol
         if triple.zeta is not None:
             t_flux -= w_t[k] * float(np.sum(np.sum(
-                triple.zeta(u)[..., None] * psi.grad(tk, coords),
+                triple.zeta(u)[..., None] * psi_grad(psi, tk, coords),
                 axis=-1))) * vol
         g_u = np.asarray(kirchhoff_fn(u), dtype=float)
         t_diss += w_t[k] * _oracle_face_dissipation(g_u, u, triple, psi, tk,
@@ -439,14 +455,28 @@ def test_moment_noiseless_nonincreasing():
 
 def test_moment_oracle_requires_linear_family():
     spec = make_spec()
-    with pytest.raises(ValueError):
-        dg.linear_moment_rate(spec, 2, 0.01)
+    assert dg.linear_moment_rate(spec, 2, 0.01) is None
 
 
-def linear_moment_spec(u0):
-    eta = sc.eta_family("separable", g_kind="const", g_height=1.0,
+def linear_moment_spec(u0, g_height=1.0):
+    eta = sc.eta_family("separable", g_kind="const", g_height=g_height,
                         sigma_kind="linear", sigma_scale=0.5)
     return make_spec(eta=eta, levy=atom_levy(), u0=u0)
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("g_height", [1.0, -1.0])
+def test_moment_oracle_matches_poisson_sum(g_height, p):
+    # unit jumps at rate 2: Y = N - mu with N ~ Poisson(mu), mu = 2 dt, and
+    # each cell moves by 1 + a Y with the signed amplitude a = sigma_scale g,
+    # so the odd cumulant of the p = 4 rate sees g's sign
+    spec = linear_moment_spec(sc.init_family("constant"), g_height)
+    dt = 1.0 / 64.0
+    mu, a = 2.0 * dt, 0.5 * g_height
+    growth = math.fsum(math.exp(-mu) * mu ** k / math.factorial(k)
+                       * (1.0 + a * (k - mu)) ** p for k in range(40))
+    assert dg.linear_moment_rate(spec, p, dt) == pytest.approx(
+        math.log(growth) / dt, rel=1e-12)
 
 
 @pytest.mark.parametrize("u0", [sc.init_family("bump", height=1.0),
@@ -457,8 +487,7 @@ def test_moment_oracle_requires_constant_u0(u0):
     # behind the closed-form rate does not hold
     assert dg.linear_moment_rate(
         linear_moment_spec(sc.init_family("constant")), 2, 0.01) > 0.0
-    with pytest.raises(ValueError, match="constant u0"):
-        dg.linear_moment_rate(linear_moment_spec(u0), 2, 0.01)
+    assert dg.linear_moment_rate(linear_moment_spec(u0), 2, 0.01) is None
 
 
 def test_moment_oracle_skipped_at_knot_zero():
@@ -545,18 +574,40 @@ def test_max_principle_bound_value():
     spec = make_spec(phi="stefan", flux="burgers", eps=0.05, eta=eta,
                      levy=levy,
                      u0=sc.init_family("bump", height=5.0, width=1.0))
-    rep = dg.max_principle_test(spec, [4.9, 5.0 + 1e-7])
-    # ||u0||_inf = 5 dominates M + M1 = 1.5
-    assert rep.bound == pytest.approx(5.0)
-    assert rep.worst == 5.0 + 1e-7 and rep.slack >= 0.0
+    row = dg.max_principle_test(spec, [4.9, 5.0 + 1e-7])
+    # ||u0||_inf = 5 dominates M + M1 = 1.5; the row's bound carries the
+    # relative tolerance 1e-6
+    assert row.name == "max_principle"
+    assert row.bound == 5.0 + 5e-6
+    assert row.value == 5.0 + 1e-7 and row.margin >= 0.0
+    assert row.margin == row.bound - row.value
     # sigma's own cap is M
     small = spec.with_u0(sc.init_family("bump", height=0.2, width=1.0))
-    assert dg.max_principle_test(small, [0.1]).bound == pytest.approx(1.5)
+    assert dg.max_principle_test(small, [0.1]).bound == pytest.approx(
+        1.5 * (1.0 + 1e-6), rel=1e-15)
     # silent noise: M = M1 = 0 leaves the deterministic bound ||u0||_inf
     silent = make_spec(u0=sc.init_family("bump", height=0.5, width=1.0))
-    rep = dg.max_principle_test(silent, [0.1, 0.51])
-    assert rep.bound == 0.5
-    assert rep.slack == pytest.approx(0.5e-6 - 0.01)
+    row = dg.max_principle_test(silent, [0.1, 0.51])
+    assert row.bound == 0.5 + 0.5e-6
+    assert row.margin == pytest.approx(0.5e-6 - 0.01)
+    assert row.passed is False
+
+
+def test_compact_sigma_sup_is_unsigned():
+    # sigma(u) = s u (1 - u^2)^2 has sup |sigma| = |s| 0.8^2 / sqrt(5) for
+    # either sign of s, and so do M1, k_x and the sup bound built on it
+    specs = [make_spec(eta=sc.eta_family(
+        "separable", g_kind="bump", g_height=1.0, g_width=1.0,
+        sigma_kind="compact", sigma_scale=s, sigma_cap=1.0),
+        levy=atom_levy()) for s in (0.8, -0.8)]
+    facts = [(sp.eta.sigma_sup_box, sp.m1, sp.k_x,
+              dg.max_principle_test(sp, [0.0]).bound) for sp in specs]
+    assert facts[0] == facts[1]
+    mesh = np.linspace(-1.0, 1.0, 200001)
+    sampled = float(np.max(np.abs(specs[1].eta.sigma(mesh))))
+    assert facts[1][0] == pytest.approx(sampled, rel=1e-9)
+    assert facts[1][1] > 0.0 and facts[1][2] > 0.0
+    assert facts[1][3] == pytest.approx((1.0 + facts[1][1]) * (1.0 + 1e-6))
 
 
 def test_max_principle_requires_bounded_noise():
@@ -566,23 +617,24 @@ def test_max_principle_requires_bounded_noise():
                             sigma_kind=sigma_kind, sigma_scale=0.5)
         spec = make_spec(eta=eta, levy=atom_levy())
         assert spec.m1 is None
-        with pytest.raises(ValueError):
-            dg.max_principle_test(spec, [0.0])
+        row = dg.max_principle_test(spec, [0.0])
+        assert row.name == "max_principle"
+        assert row.margin is None and row.passed is None
+        assert math.isnan(row.value) and math.isnan(row.bound)
 
 
 # ---------------------------------------------------------------------------
 # Reports
 
 def test_report_rows_and_csv(tmp_path):
-    rep = dg.DiagnosticsReport()
-    rep.add(dg.CheckResult("a", 1.0, 2.0, 1.0, "first"))
-    rep.add(dg.CheckResult("b", 3.0, 2.0, -1.0, "second"))
-    rep.add(dg.CheckResult("c", 0.0, 0.0, None, "third"))
-    rep.add(dg.CheckResult("d", 0.0, 0.0, math.nan, "fourth"))
+    rows = [dg.CheckResult("a", 1.0, 2.0, 1.0, "first"),
+            dg.CheckResult("b", 3.0, 2.0, -1.0, "second"),
+            dg.CheckResult("c", 0.0, 0.0, None, "third"),
+            dg.CheckResult("d", 0.0, 0.0, math.nan, "fourth")]
     # the status is the sign of the margin; a NaN margin fails
-    assert [c.passed for c in rep.checks] == [True, False, None, False]
+    assert [c.passed for c in rows] == [True, False, None, False]
     out = tmp_path / "report.csv"
-    rep.write_csv(out)
+    write_csv(out, REPORT_COLUMNS, report_rows(rows))
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "check,value,bound,margin,status,statement"
     assert len(lines) == 5

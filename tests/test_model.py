@@ -1,10 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
 import stoclaw as sc
-from stoclaw.model import (DomainTooSmallError, InvalidSpecError, PhiFamily,
-                           ValidationReport)
+from stoclaw.config import ExperimentConfig
+from stoclaw.diagnostics import _modulus_trend
+from stoclaw.harness import assumption_rows
+from stoclaw.model import DomainTooSmallError, InvalidSpecError, PhiFamily
 from stoclaw.noise import LevyIntensity, SizeMeasure
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def silent_levy():
@@ -28,6 +34,14 @@ def make_spec(phi="linear", flux="zero", eta=None, u0=None, levy=None,
 
 # the box the validator draws x from
 UNIT_GRID = sc.Grid(dim=1, half_width=1.0, cells=8)
+# the dyadic mesh of the modulus trend
+R_MESH = 2.0 ** -np.arange(0, 11, dtype=float)
+
+
+def validate(spec, grid, samples, seed):
+    """The assumption rows by assumption: A1, A2, A3, A5 and the trend."""
+    rows = sc.validate_assumptions(spec, grid, samples, seed=seed)
+    return {r.name[len("assumption_"):].upper(): r for r in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -88,65 +102,86 @@ def test_grid_invariants():
 
 def test_linear_case_all_pass_with_unit_ratio():
     spec = make_spec()
-    rep = sc.validate_assumptions(spec, UNIT_GRID, 1000, seed=3)
-    assert all(e.margin >= 0.0 for e in rep.entries)
-    assert rep.entry("A1").worst_ratio == pytest.approx(1.0, abs=1e-9)
+    rows = validate(spec, UNIT_GRID, 1000, seed=3)
+    assert list(rows) == ["A1", "A2", "A3", "A5", "A1_MODULUS_TREND"]
+    assert all(r.margin >= 0.0 for r in rows.values())
+    assert rows["A1"].value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phi_offset_fails_a1():
     bad = PhiFamily("offset", phi=lambda u: np.asarray(u) + 1.0,
                     dphi=lambda u: np.ones_like(np.asarray(u)), c_phi=1.0)
     spec = make_spec(phi=bad)
-    rep = sc.validate_assumptions(spec, UNIT_GRID, 100, seed=0)
-    entry = rep.entry("A1")
+    row = validate(spec, UNIT_GRID, 100, seed=0)["A1"]
     # phi(0) != 0 reads an infinite ratio with a -inf margin
-    assert entry.worst_ratio == np.inf and entry.margin == -np.inf
+    assert row.value == np.inf and row.margin == -np.inf
+    assert row.passed is False
 
 
 def test_stefan_modulus_against_sampling_oracle():
     spec = make_spec(phi="stefan")
-    rep = sc.validate_assumptions(spec, UNIT_GRID, 500, seed=1)
-    assert rep.entry("A1").margin >= 0.0
+    assert validate(spec, UNIT_GRID, 500, seed=1)["A1"].margin >= 0.0
     # brute-force oracle: the jump of sqrt(phi') keeps the modulus at 1
-    np.testing.assert_allclose(rep.modulus_omega, 1.0, atol=1e-12)
-    expected_ratio = 1.0 / rep.modulus_r ** (2.0 / 3.0)
-    np.testing.assert_allclose(rep.modulus_ratio, expected_ratio, atol=1e-10)
-    assert rep.modulus_slack < 0.0
+    omega, ratio, slack = _modulus_trend(spec.phi, R_MESH)
+    np.testing.assert_allclose(omega, 1.0, atol=1e-12)
+    expected_ratio = 1.0 / R_MESH ** (2.0 / 3.0)
+    np.testing.assert_allclose(ratio, expected_ratio, atol=1e-10)
+    assert slack < 0.0
 
 
 def test_porous_modulus_decreases():
     spec = make_spec(phi="porous")
-    rep = sc.validate_assumptions(spec, UNIT_GRID, 500, seed=1)
     # omega(r) = r for the clipped cubic family
-    np.testing.assert_allclose(rep.modulus_omega, rep.modulus_r, rtol=1e-8)
-    assert rep.modulus_slack >= 0.0
+    omega, ratio, slack = _modulus_trend(spec.phi, R_MESH)
+    np.testing.assert_allclose(omega, R_MESH, rtol=1e-8)
+    assert slack >= 0.0
+    # the trend row reports that ratio; it binds only for x-dependent eta
+    trend = validate(spec, UNIT_GRID, 500, seed=1)["A1_MODULUS_TREND"]
+    assert trend.value == ratio[-1]
+    assert trend.bound == np.inf and trend.margin == np.inf
 
 
 def test_validator_deterministic():
     spec = make_spec(phi="stefan", flux="burgers")
     r1 = sc.validate_assumptions(spec, UNIT_GRID, 700, seed=9)
     r2 = sc.validate_assumptions(spec, UNIT_GRID, 700, seed=9)
-    for e1, e2 in zip(r1.entries, r2.entries):
-        assert e1.worst_ratio == e2.worst_ratio
+    for e1, e2 in zip(r1, r2):
+        assert e1.value == e2.value
 
 
 def test_a3_flags_large_lambda_star():
     eta = sc.eta_family("separable", g_kind="const", g_height=1.0,
                         sigma_kind="linear", sigma_scale=1.5)
     spec = make_spec(eta=eta, levy=atom_levy())
-    rep = sc.validate_assumptions(spec, UNIT_GRID, 500, seed=2)
-    assert rep.entry("A3").margin < 0.0
+    assert validate(spec, UNIT_GRID, 500, seed=2)["A3"].margin < 0.0
 
 
 def test_a3_a5_pass_for_compact_noise():
     eta = sc.eta_family("separable", g_kind="bump", g_height=0.8, g_width=1.5,
                         sigma_kind="compact", sigma_scale=0.9, sigma_cap=1.0)
     spec = make_spec(eta=eta, levy=atom_levy())
-    rep = sc.validate_assumptions(
-        spec, sc.Grid(dim=1, half_width=2.0, cells=32), 2000, seed=4)
-    assert rep.entry("A3").margin >= 0.0
-    assert rep.entry("A5").margin >= 0.0
+    rows = validate(spec, sc.Grid(dim=1, half_width=2.0, cells=32), 2000,
+                    seed=4)
+    assert rows["A3"].margin >= 0.0
+    assert rows["A5"].margin >= 0.0
     assert spec.lambda_star < 1.0
+    # eta depends on x, so the modulus trend binds, with its own bound
+    assert rows["A1_MODULUS_TREND"].bound < np.inf
+
+
+def test_a5_envelope_reads_the_size_of_g():
+    # stochastic-default with g = -1: the envelope |g| (1 + |u|) |h| is the
+    # one of g = +1, so the A5 row is the same, and it passes
+    rows = {}
+    for height in (1.0, -1.0):
+        cfg = ExperimentConfig.from_file(
+            os.path.join(CONFIG_DIR, "stochastic-default.cfg"))
+        cfg.set("noise", "g_height", height)
+        (rows[height],) = [r for r in assumption_rows(
+            cfg, cfg.build_spec(), cfg.build_grid())
+            if r.name == "assumption_a5"]
+    assert rows[-1.0] == rows[1.0]
+    assert rows[-1.0].passed is True and rows[-1.0].value <= 1.0
 
 
 def test_nonfinite_coefficient_identified():
