@@ -192,10 +192,19 @@ class ExperimentConfig:
             if self.get(section, key) < least:
                 raise ConfigError("%s.%s must be >= %d, got %d" % (
                     section, key, least, self.get(section, key)))
-        if any(n < 1 for n in self.get("run", "steps_list")):
-            raise ConfigError("run.steps_list entries must be >= 1")
-        if any(not 0.0 < e < inf for e in self.get("run", "eps_list")):
-            raise ConfigError("run.eps_list entries must be finite and > 0")
+        for key in ("checks", "moment_orders"):
+            entries = self.get("diagnostics", key)
+            if len(set(entries)) < len(entries):
+                raise ConfigError("diagnostics.%s repeats an entry" % key)
+        steps = self.get("run", "steps_list")
+        if any(n < 1 for n in steps) or list(steps) != sorted(set(steps)):
+            raise ConfigError("run.steps_list entries must be >= 1, in "
+                              "strictly increasing order")
+        eps = self.get("run", "eps_list")
+        if any(not 0.0 < e < inf for e in eps) or \
+                list(eps) != sorted(set(eps), reverse=True):
+            raise ConfigError("run.eps_list entries must be finite and > 0, "
+                              "in strictly decreasing order")
         orders = self.get("diagnostics", "moment_orders")
         if any(p < 2 or p % 2 for p in orders) or (
                 not orders and "moments" in self.get("diagnostics", "checks")):

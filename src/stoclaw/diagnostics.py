@@ -13,8 +13,8 @@ slack by which the two fits agree. The two rate lanes share ``_rate_test``.
 
 A verdict, a report row's or a ``study`` lane's, is the sign of a signed
 margin (``Verdict.passed``; a None margin is inconclusive), so the
-aggregators return signed slacks, never booleans. A check whose verdict is
-decided here returns its report row (``CheckResult``) itself.
+aggregators return signed slacks, never booleans, in the report rows
+(``CheckResult``) that they build and the harness only collects.
 
 Space-time integrals against a test function use the trajectory's own grid
 (midpoint in space, trapezoid in time at the step knots); test functions
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,19 +34,20 @@ from .entropy import EntropyTriple, kirchhoff, make_beta_theta
 from .model import (VALIDATION_RANGE, Grid, InvalidSpecError, PhiFamily,
                     ProblemSpec, discretize_initial)
 from .noise import JumpPath, martingale_term, sample_jump_path
-from .solver import Trajectory, cell_integral, l2_sq, solve_path
+from .solver import Trajectory, cell_integral, l2_sq, norm_l1, solve_path
 
 __all__ = [
     "TestFunction", "bump_test_function", "uniform_test_function",
     "test_function_catalog", "WeightPhiN", "Verdict", "CheckResult",
     "at_most", "STATUS_TEXT", "validate_assumptions", "VALIDATION_SAMPLES",
-    "entropy_residual",
+    "entropy_residual", "entropy_residual_test", "energy_bound_test",
     "entropy_tolerance", "calibrate_entropy_tolerance", "ENTROPY_TOL_COEFF",
     "THETA_VALUES", "BAND_SIGMAS", "path_mean_stderr",
     "cauchy_path_errors", "cauchy_rate_test", "RateReport", "GrowthReport",
     "growth_test", "contraction_path_distances", "contraction_test",
     "moment_path_rows", "moment_bound_test", "linear_moment_rate",
-    "max_principle_test", "viscosity_path_errors",
+    "max_principle_test", "boundary_mass_test", "isometry_test",
+    "determinism_test", "viscosity_path_errors",
     "viscosity_convergence_test",
 ]
 
@@ -194,17 +195,23 @@ def at_most(name, value, bound, statement):
                        margin=bound - value, statement=statement)
 
 
+def _u0_l1(spec: ProblemSpec, grid: Grid) -> float:
+    return max(norm_l1(discretize_initial(spec, grid), grid), 1e-300)
+
+
 BAND_SIGMAS = 3.0  # half-width of every Monte-Carlo band, in standard errors
 
 
 def path_mean_stderr(per_path):
     """Seed-order mean over axis 0, the paths, of ``per_path`` and its
-    standard error std (ddof 1) / sqrt(P), which is 0 at one path."""
+    standard error std (ddof 1) / sqrt(P), which is 0 at one path and nan
+    where a path's value is not finite."""
     rows = np.asarray(per_path, dtype=float)
     mean = rows.mean(axis=0)
     if len(rows) < 2:
         return mean, np.zeros_like(mean)
-    return mean, rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
+    with np.errstate(invalid="ignore"):
+        return mean, rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +425,7 @@ def entropy_residual(traj: Trajectory, path: JumpPath, triple: EntropyTriple,
             diff * diff * 0.5 * (b + np.roll(b, -1, axis=ax))
             * 0.5 * (d2 + np.roll(d2, -1, axis=ax)), grid)
 
-    t_noise = martingale_term(path, traj.spec, grid, traj, triple, psi)
+    t_noise = martingale_term(path, traj, triple, psi)
     t_init = psi.a(0.0) * beta_b[0]
     return float(t_time + t_lap + t_flux + t_noise - t_diss + t_init)
 
@@ -446,6 +453,81 @@ def calibrate_entropy_tolerance(samples: Sequence[tuple]) -> float:
                 scale = spec.epsilon + grid.h + traj.dt
                 worst = max(worst, -r / scale)
     return max(worst * 3.0, 0.05)
+
+
+def entropy_residual_test(spec: ProblemSpec, grid: Grid, dt: float,
+                          per_path_min: Sequence[float]) -> CheckResult:
+    """The ``entropy_residual`` row: every residual >= -tolerance."""
+    tol = entropy_tolerance(spec, grid, dt)
+    worst = min(per_path_min)
+    return CheckResult(
+        name="entropy_residual", value=worst, bound=-tol, margin=worst + tol,
+        statement="entropy-inequality residual >= -C (eps + h + dt) for "
+                  "every path, test function, and smoothing scale")
+
+
+# ---------------------------------------------------------------------------
+# Energy bound, boundary mass, isometry and determinism
+
+def energy_bound_test(spec: ProblemSpec,
+                      per_path: Sequence[dict]) -> Tuple[CheckResult, dict]:
+    """The ``energy_bound`` row, which passes when finite, and the path
+    means of ``per_path``, each path's ``discrete_energy_report``."""
+    means = {k: path_mean_stderr([r[k] for r in per_path])[0]
+             for k in per_path[0]}
+    dt = spec.horizon / means["increment_sq"].size
+    total = (float(np.max(means["u_norm_sq"]))
+             + spec.epsilon * dt * float(np.sum(means["grad_u_sq"]))
+             + dt * float(np.sum(means["grad_g_sq"][1:])))
+    return CheckResult(
+        name="energy_bound", value=total, bound=math.inf,
+        margin=math.inf if np.isfinite(total) else -math.inf,
+        statement="sup_n E||u_n||^2 + eps dt sum E||grad u_n||^2 + dt sum "
+                  "E||grad G(u_n)||^2 stays bounded"), means
+
+
+def boundary_mass_test(spec: ProblemSpec, grid: Grid,
+                       per_path_mass: Sequence[float]) -> CheckResult:
+    """The ``boundary_mass`` row from each path's largest margin mass."""
+    return at_most(
+        "boundary_mass", max(per_path_mass), 1e-6 * _u0_l1(spec, grid),
+        "L1 mass inside the truncation margin stays below "
+        "1e-6 ||u0||_1 (domain truncation is inert)")
+
+
+def isometry_test(spec: ProblemSpec, seeds: Sequence[int]) -> CheckResult:
+    """The ``isometry`` row: the variance of the compensated jump sum over
+    the paths of ``seeds`` matches T int h^2 dm within ``BAND_SIGMAS``
+    standard errors; inconclusive unless sigma is constant."""
+    if spec.silent:
+        return CheckResult(
+            name="isometry", value=0.0, bound=0.0, margin=0.0,
+            statement="silent noise: compensated sums vanish identically")
+    if spec.eta.sigma_kind != "const":
+        return CheckResult(
+            name="isometry", value=math.nan, bound=math.nan, margin=None,
+            statement="isometry check applies to state-independent noise "
+                      "amplitudes (constant sigma)")
+    sig = spec.eta.sigma_scale * spec.eta.g_inf
+    total = np.array([np.sum(spec.eta.h(sample_jump_path(
+        spec.levy, spec.horizon, seed).sizes)) for seed in seeds])
+    w = total - spec.horizon * spec.levy.h_moment(spec.eta.h_power)
+    var_emp = float(np.var(w, ddof=1))
+    var_pred = spec.horizon * spec.levy.h_moment(spec.eta.h_power, 2)
+    band = BAND_SIGMAS * float(path_mean_stderr((w - np.mean(w)) ** 2)[1])
+    dev = abs(var_emp - var_pred)
+    return CheckResult(
+        name="isometry", value=dev * sig ** 2, bound=band * sig ** 2,
+        margin=(band - dev) * sig ** 2,
+        statement="per-cell variance of the compensated sum matches "
+                  "T g(x)^2 int h^2 dm within 3 sigma")
+
+
+def determinism_test(same: bool) -> CheckResult:
+    """The ``determinism`` row: one seed solved twice is bitwise ``same``."""
+    return at_most("determinism", 0.0 if same else 1.0, 0.0,
+                   "identical seeds reproduce bitwise-identical paths and "
+                   "trajectories")
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +588,13 @@ def cauchy_rate_test(spec: ProblemSpec, n_steps_list: Sequence[int],
     the ratios are coarse over fine. The margin is the slope's distance
     inside its window: the stochastic lane passes on slope inside
     (0.8, 1.3). Silent noise (``ProblemSpec.silent``) gives every path the
-    same errors: the deterministic lane reads the first path (slope ~ 2 for
-    the squared error) and is judged against (1.7, 2.3).
+    same errors, so ``study`` solves one path: the deterministic lane
+    (slope ~ 2 for the squared error) is judged against (1.7, 2.3).
     """
     lane, lo, hi = (("deterministic", 1.7, 2.3) if spec.silent
                     else ("stochastic", 0.8, 1.3))
     return _rate_test(
-        lane, np.array([spec.horizon / n for n in n_steps_list]),
-        per_path[:1] if spec.silent else per_path,
+        lane, np.array([spec.horizon / n for n in n_steps_list]), per_path,
         lambda err: err[:-1] / np.maximum(err[1:], 1e-300),
         lambda slope, _: min(slope - lo, hi - slope))
 
@@ -532,8 +613,6 @@ class GrowthReport:
     fit_half: float       # C at 2n steps
     knot: int             # the knot that binds ``fit``
     slack: float          # tolerance minus |fit - fit_half|; stable if >= 0
-    oracle_band: Optional[float] = None    # moments with a closed-form rate
-    oracle_slack: float = math.inf  # band - |fit - rate|; inf without a rate
 
 
 def _fit_growth(times, dist, floor=1e-14):
@@ -580,14 +659,29 @@ def contraction_path_distances(spec: ProblemSpec, grid: Grid, path: JumpPath,
     return tuple(out)
 
 
-def contraction_test(spec: ProblemSpec,
-                     per_path: Sequence[tuple]) -> GrowthReport:
+def contraction_test(spec: ProblemSpec, grid: Grid,
+                     per_path: Sequence[tuple]) -> List[CheckResult]:
     """Two solutions under one noise per path: weighted-L1 distance growth.
 
     ``per_path`` holds ``contraction_path_distances`` of each path, in seed
-    order; stability within 20 percent under dt halving passes.
+    order. ``contraction_growth`` passes on stability within 20 percent
+    under dt halving; equal data (distance 0 at t = 0) add a first row,
+    ``contraction_zero``: the distance stays below 1e-8 ||u0||_1.
     """
-    return growth_test(spec.horizon, per_path, 0.2)
+    rep = growth_test(spec.horizon, per_path, 0.2)
+    rows = []
+    if rep.mean[0] == 0.0:
+        rows.append(at_most(
+            "contraction_zero", float(np.max(rep.mean)),
+            1e-8 * _u0_l1(spec, grid),
+            "equal initial data under one noise stay identical "
+            "in weighted L1"))
+    rows.append(CheckResult(
+        name="contraction_growth", value=rep.fit, bound=rep.fit_half,
+        margin=rep.slack,
+        statement="weighted-L1 distance obeys exp(C t) with C stable under "
+                  "dt halving"))
+    return rows
 
 
 def moment_path_rows(spec: ProblemSpec, grid: Grid, path: JumpPath, p: int,
@@ -601,26 +695,27 @@ def moment_path_rows(spec: ProblemSpec, grid: Grid, path: JumpPath, p: int,
                  for n in (n_steps, 2 * n_steps))
 
 
-def moment_bound_test(spec: ProblemSpec, p: int, per_path: Sequence[tuple],
-                      oracle_rate: Optional[float] = None) -> GrowthReport:
-    """Monte-Carlo L^p moment growth with an exponential-envelope fit.
-
-    ``per_path`` holds ``moment_path_rows`` of each path, in seed order.
-    Fits the smallest K with E int |u_n|^p <= exp(K t) E int |u_0|^p, checks
-    stability of K within 25 percent under dt halving, and optionally
-    compares against a closed-form rate with a ``BAND_SIGMAS`` band
-    propagated from the standard error at the binding knot, when that knot
-    is past t = 0.
-    """
+def moment_bound_test(spec: ProblemSpec, p: int,
+                      per_path: Sequence[tuple]) -> CheckResult:
+    """The ``moment_p<p>`` row: the smallest K with E int |u_n|^p <=
+    exp(K t) E int |u_0|^p, fitted to ``moment_path_rows`` of each path in
+    seed order. Its margin is the slack of K's stability within 25 percent
+    under dt halving and, where ``linear_moment_rate`` has a closed form and
+    the binding knot is past t = 0, of K's distance to it within a
+    ``BAND_SIGMAS`` band propagated from the standard error at that knot."""
     rep = growth_test(spec.horizon, per_path, 0.25)
-    j = rep.knot
+    dt = spec.horizon / (rep.mean.size - 1)
+    oracle_rate = linear_moment_rate(spec, p, dt)
+    margin, j = rep.slack, rep.knot
     if oracle_rate is not None and j > 0:
-        t_j = spec.horizon / (rep.mean.size - 1) * j
-        rep.oracle_band = BAND_SIGMAS * float(rep.stderr[j]) / max(
-            rep.mean[j], 1e-300) / t_j
-        rep.oracle_slack = (rep.oracle_band + 1e-12
-                            - abs(rep.fit - oracle_rate))
-    return rep
+        band = BAND_SIGMAS * float(rep.stderr[j]) / max(
+            rep.mean[j], 1e-300) / (dt * j)
+        margin = min(margin, band + 1e-12 - abs(rep.fit - oracle_rate))
+    return CheckResult(
+        name="moment_p%d" % p, value=rep.fit, bound=rep.fit_half,
+        margin=margin,
+        statement="finite growth rate K with E int |u|^p <= exp(K t) "
+                  "E int |u0|^p, stable under dt halving")
 
 
 def linear_moment_rate(spec: ProblemSpec, p: int,

@@ -1,8 +1,7 @@
-"""Batch driver: resolves a config, runs the Monte-Carlo path loop across
-workers, assembles the diagnostics report (each row's margin is the signed
-slack of its condition, which alone decides the row's status), and writes
-the run artifacts (manifest, and through one CSV writer the report, energy
-means, field snapshots and rate tables).
+"""Batch driver: resolves a config, plans the Monte-Carlo path jobs and runs
+them across workers, collects the report rows that the diagnostics
+aggregators return, and writes the run artifacts (manifest, and through one
+CSV writer the report, energy means, field snapshots and rate tables).
 
 Every solve of ``run`` and ``study`` is one pool job, a pure function of
 (config, seed, checks): one lane of checks on one path, or one of the two
@@ -21,22 +20,22 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .diagnostics import (BAND_SIGMAS, STATUS_TEXT, THETA_VALUES,
-                          VALIDATION_SAMPLES, CheckResult, at_most,
+from .diagnostics import (STATUS_TEXT, THETA_VALUES, VALIDATION_SAMPLES,
+                          CheckResult, at_most, boundary_mass_test,
                           cauchy_path_errors, cauchy_rate_test,
                           contraction_path_distances, contraction_test,
-                          entropy_residual, entropy_tolerance,
-                          linear_moment_rate, max_principle_test,
+                          determinism_test, energy_bound_test,
+                          entropy_residual, entropy_residual_test,
+                          isometry_test, max_principle_test,
                           moment_bound_test, moment_path_rows,
-                          path_mean_stderr, test_function_catalog,
-                          validate_assumptions, viscosity_convergence_test,
-                          viscosity_path_errors)
+                          test_function_catalog, validate_assumptions,
+                          viscosity_convergence_test, viscosity_path_errors)
 from .entropy import (BETA_M1, BETA_M2, identity_check_batch, kirchhoff,
                       make_beta_theta)
 from .model import discretize_initial
 from .noise import sample_jump_path
 from .solver import (discrete_energy_report, lemma_ratios, mass_outside,
-                     norm_l1, solve_path)
+                     solve_path)
 
 __all__ = ["run_experiment", "convergence_study", "replay", "path_seed",
            "assumption_rows", "resolve_problem", "write_csv", "report_rows",
@@ -55,10 +54,10 @@ def path_seed(base: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Per-path reductions
 
-# Lanes in job order: groups of per-path checks that read the same
-# trajectories; the first reduces the run.steps solve
+# The lanes of ``run`` in job order: groups of per-path checks that read the
+# same trajectories; the first reduces the run.steps solve
 _LANES = (("energy", "entropy_residual", "max_principle", "boundary_mass"),
-          ("moments",), ("contraction",), ("cauchy",), ("viscosity",))
+          ("moments",), ("contraction",))
 
 
 def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
@@ -102,13 +101,11 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
         return out
 
     traj = solve_path(spec, grid, n_steps, path)
-    need_energy = "energy" in selected
-    need_residual = "entropy_residual" in selected
-    G = kirchhoff(spec.phi) if (need_energy or need_residual) else None
-
-    if need_energy:
+    G = (kirchhoff(spec.phi)
+         if {"energy", "entropy_residual"} & set(selected) else None)
+    if "energy" in selected:
         out["energy"] = discrete_energy_report(traj, G)
-    if need_residual:
+    if "entropy_residual" in selected:
         psis = test_function_catalog(grid.half_width, spec.horizon)
         worst = math.inf
         for th in THETA_VALUES:
@@ -125,8 +122,8 @@ def _path_reductions(cfg: ExperimentConfig, seed: int, selected) -> dict:
 
 def _worker(args):
     cfg_text, seed, selected = args
-    cfg = ExperimentConfig.from_text(cfg_text)
-    return _path_reductions(cfg, seed, selected)
+    return _path_reductions(ExperimentConfig.from_text(cfg_text), seed,
+                            selected)
 
 
 def _run_paths(cfg: ExperimentConfig, jobs: Sequence[tuple],
@@ -161,7 +158,7 @@ def assumption_rows(cfg, spec, grid) -> List[CheckResult]:
                                 cfg.get("run", "seed"))
 
 
-def _check_sandwich(report):
+def _check_sandwich() -> List[CheckResult]:
     mesh = np.linspace(-3.0, 3.0, 10001)
     worst_low = worst_high = worst_d2 = 0.0
     for th in THETA_VALUES:
@@ -173,18 +170,17 @@ def _check_sandwich(report):
         d2 = np.abs(triple.d2beta(mesh))
         allowed = np.where(np.abs(mesh) <= th, BETA_M2 / th, 0.0)
         worst_d2 = max(worst_d2, float(np.max(d2 - allowed)))
-    bound = 1e-12
-    for name, worst, statement in (
-            ("sandwich_lower", worst_low,
-             "|r| - M1 theta <= beta_theta(r) on a 10^4-point mesh"),
-            ("sandwich_upper", worst_high,
-             "beta_theta(r) <= |r| on a 10^4-point mesh"),
-            ("sandwich_curvature", worst_d2,
-             "|beta_theta''| <= (M2/theta) 1_{|r| <= theta}")):
-        report.append(at_most(name, worst, bound, statement))
+    return [at_most(name, worst, 1e-12, statement)
+            for name, worst, statement in (
+                ("sandwich_lower", worst_low,
+                 "|r| - M1 theta <= beta_theta(r) on a 10^4-point mesh"),
+                ("sandwich_upper", worst_high,
+                 "beta_theta(r) <= |r| on a 10^4-point mesh"),
+                ("sandwich_curvature", worst_d2,
+                 "|beta_theta''| <= (M2/theta) 1_{|r| <= theta}"))]
 
 
-def _check_identities(cfg, spec, report):
+def _check_identities(cfg, spec) -> List[CheckResult]:
     rng = np.random.default_rng(path_seed(cfg.get("run", "seed"), 977))
     n = cfg.get("diagnostics", "identity_pairs")
     a = rng.uniform(-IDENTITY_RANGE, IDENTITY_RANGE, n)
@@ -199,121 +195,16 @@ def _check_identities(cfg, spec, report):
             np.abs(res["i_ab"] - res["identity1_ref"]))))
         worst_id2 = max(worst_id2, float(np.max(
             np.abs(res["identity2_lhs"] - res["identity2_ref"]))))
-    bound = 1e-7
-    for name, worst, statement in (
-            ("ibeta_symmetry", worst_sym,
-             "interaction form is symmetric in its arguments"),
-            ("ibeta_identity1", worst_id1,
-             "nested interaction form equals -1/2 of the shifted double "
-             "integral"),
-            ("ibeta_identity2", worst_id2,
-             "2 I + both entropy-flux differences equal the nonnegative "
-             "square-difference double integral")):
-        report.append(at_most(name, worst, bound, statement))
-
-
-def _check_energy(cfg, spec, grid, results, report):
-    n_steps = cfg.get("run", "steps")
-    dt = spec.horizon / n_steps
-    means = {k: np.mean([r["energy"][k] for r in results], axis=0)
-             for k in results[0]["energy"]}
-    total = (float(np.max(means["u_norm_sq"]))
-             + spec.epsilon * dt * float(np.sum(means["grad_u_sq"]))
-             + dt * float(np.sum(means["grad_g_sq"][1:])))
-    report.append(CheckResult(
-        name="energy_bound", value=total, bound=math.inf,
-        margin=math.inf if np.isfinite(total) else -math.inf,
-        statement="sup_n E||u_n||^2 + eps dt sum E||grad u_n||^2 + dt sum "
-                  "E||grad G(u_n)||^2 stays bounded"))
-    return means
-
-
-def _check_residual(cfg, spec, grid, results, report):
-    n_steps = cfg.get("run", "steps")
-    dt = spec.horizon / n_steps
-    tol = entropy_tolerance(spec, grid, dt)
-    worst = min(r["residual_min"] for r in results)
-    report.append(CheckResult(
-        name="entropy_residual", value=worst, bound=-tol, margin=worst + tol,
-        statement="entropy-inequality residual >= -C (eps + h + dt) for "
-                  "every path, test function, and smoothing scale"))
-
-
-def _check_moments(cfg, spec, results, report):
-    for i, p in enumerate(cfg.get("diagnostics", "moment_orders")):
-        oracle = linear_moment_rate(
-            spec, p, spec.horizon / cfg.get("run", "steps"))
-        rep = moment_bound_test(spec, p, [r["moments"][i] for r in results],
-                                oracle_rate=oracle)
-        report.append(CheckResult(
-            name="moment_p%d" % p, value=rep.fit, bound=rep.fit_half,
-            margin=min(rep.slack, rep.oracle_slack),
-            statement="finite growth rate K with E int |u|^p <= exp(K t) "
-                      "E int |u0|^p, stable under dt halving"))
-
-
-def _check_isometry(cfg, spec, grid, report):
-    if spec.silent:
-        report.append(CheckResult(
-            name="isometry", value=0.0, bound=0.0, margin=0.0,
-            statement="silent noise: compensated sums vanish identically"))
-        return
-    if spec.eta.sigma_kind != "const":
-        report.append(CheckResult(
-            name="isometry", value=math.nan, bound=math.nan, margin=None,
-            statement="isometry check applies to state-independent noise "
-                      "amplitudes (constant sigma)"))
-        return
-    sig = spec.eta.sigma_scale * spec.eta.g_inf
-    n_paths = cfg.get("diagnostics", "isometry_paths")
-    base = path_seed(cfg.get("run", "seed"), 40739)
-    total = np.array([np.sum(spec.eta.h(sample_jump_path(
-        spec.levy, spec.horizon, path_seed(base, k)).sizes))
-        for k in range(n_paths)])
-    w = total - spec.horizon * spec.levy.h_moment(spec.eta.h_power)
-    var_emp = float(np.var(w, ddof=1))
-    var_pred = spec.horizon * spec.levy.h_moment(spec.eta.h_power, 2)
-    band = BAND_SIGMAS * float(path_mean_stderr((w - np.mean(w)) ** 2)[1])
-    dev = abs(var_emp - var_pred)
-    report.append(CheckResult(
-        name="isometry", value=dev * sig ** 2, bound=band * sig ** 2,
-        margin=(band - dev) * sig ** 2,
-        statement="per-cell variance of the compensated sum matches "
-                  "T g(x)^2 int h^2 dm within 3 sigma"))
-
-
-def _check_boundary_mass(cfg, spec, grid, results, report):
-    u0 = discretize_initial(spec, grid)
-    budget = 1e-6 * max(norm_l1(u0, grid), 1e-300)
-    worst = max(r["boundary_mass"] for r in results)
-    report.append(at_most(
-        "boundary_mass", worst, budget,
-        "L1 mass inside the truncation margin stays below "
-        "1e-6 ||u0||_1 (domain truncation is inert)"))
-
-
-def _check_contraction(spec, grid, results, report):
-    rep = contraction_test(spec, [r["contraction"] for r in results])
-    if rep.mean[0] == 0.0:
-        worst = float(np.max(rep.mean))
-        bound = 1e-8 * max(norm_l1(discretize_initial(spec, grid), grid),
-                           1e-300)
-        report.append(at_most(
-            "contraction_zero", worst, bound,
-            "equal initial data under one noise stay identical "
-            "in weighted L1"))
-    report.append(CheckResult(
-        name="contraction_growth", value=rep.fit, bound=rep.fit_half,
-        margin=rep.slack,
-        statement="weighted-L1 distance obeys exp(C t) with C stable under "
-                  "dt halving"))
-
-
-def _check_determinism(same, report):
-    report.append(at_most(
-        "determinism", 0.0 if same else 1.0, 0.0,
-        "identical seeds reproduce bitwise-identical paths and "
-        "trajectories"))
+    return [at_most(name, worst, 1e-7, statement)
+            for name, worst, statement in (
+                ("ibeta_symmetry", worst_sym,
+                 "interaction form is symmetric in its arguments"),
+                ("ibeta_identity1", worst_id1,
+                 "nested interaction form equals -1/2 of the shifted double "
+                 "integral"),
+                ("ibeta_identity2", worst_id2,
+                 "2 I + both entropy-flux differences equal the nonnegative "
+                 "square-difference double integral"))]
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +305,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     spec, grid = resolve_problem(cfg)
     out_dir = _open_out_dir(cfg, out_dir)
     selected = list(cfg.get("diagnostics", "checks"))
+    dt = spec.horizon / cfg.get("run", "steps")
     report = []
 
     seeds = [path_seed(cfg.get("run", "seed"), k)
@@ -424,30 +316,38 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     jobs.append((seeds[0], ("snapshot",)))
     results = _merge_by_seed(jobs, _run_paths(cfg, jobs, workers))
 
+    def each(key):
+        return [r[key] for r in results]
+
     if "assumptions" in selected:
         report += assumption_rows(cfg, spec, grid)
     if "sandwich" in selected:
-        _check_sandwich(report)
+        report += _check_sandwich()
     if "identities" in selected:
-        _check_identities(cfg, spec, report)
+        report += _check_identities(cfg, spec)
     means = None
     if "energy" in selected:
-        means = _check_energy(cfg, spec, grid, results, report)
+        row, means = energy_bound_test(spec, each("energy"))
+        report.append(row)
     if "entropy_residual" in selected:
-        _check_residual(cfg, spec, grid, results, report)
+        report.append(entropy_residual_test(spec, grid, dt,
+                                            each("residual_min")))
     if "max_principle" in selected:
-        report.append(max_principle_test(
-            spec, [r["max_abs"] for r in results]))
+        report.append(max_principle_test(spec, each("max_abs")))
     if "moments" in selected:
-        _check_moments(cfg, spec, results, report)
+        report += [
+            moment_bound_test(spec, p, [m[i] for m in each("moments")])
+            for i, p in enumerate(cfg.get("diagnostics", "moment_orders"))]
     if "isometry" in selected:
-        _check_isometry(cfg, spec, grid, report)
+        base = path_seed(cfg.get("run", "seed"), 40739)
+        report.append(isometry_test(spec, [path_seed(base, k) for k in range(
+            cfg.get("diagnostics", "isometry_paths"))]))
     if "boundary_mass" in selected:
-        _check_boundary_mass(cfg, spec, grid, results, report)
+        report.append(boundary_mass_test(spec, grid, each("boundary_mass")))
     if "contraction" in selected:
-        _check_contraction(spec, grid, results, report)
+        report += contraction_test(spec, grid, each("contraction"))
     if "determinism" in selected:
-        _check_determinism(results[0]["determinism"], report)
+        report.append(determinism_test(results[0]["determinism"]))
 
     write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS,
               report_rows(report))
@@ -455,7 +355,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         write_csv(os.path.join(out_dir, "energy.csv"),
                   ("step", "time", "u_norm_sq", "increment_sq",
                    "grad_phi_sq", "grad_u_sq", "grad_g_sq"),
-                  _energy_rows(means, spec.horizon / cfg.get("run", "steps")))
+                  _energy_rows(means, dt))
     _write_snapshots(out_dir, cfg, spec, results[0]["snapshot"])
     return report
 
@@ -472,15 +372,15 @@ def convergence_study(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     out_dir = _open_out_dir(cfg, out_dir)
     lanes = ([("cauchy",)] * bool(steps_list)
              + [("viscosity",)] * bool(eps_list))
-    # silent noise gives every path the same Cauchy ladder: solve one
+    # silent noise gives every path the same solves: solve one path
     jobs = [(path_seed(cfg.get("run", "seed"), k), lane)
-            for k in range(cfg.get("run", "paths")) for lane in lanes
-            if not (lane == ("cauchy",) and spec.silent and k > 0)]
+            for k in range(1 if spec.silent else cfg.get("run", "paths"))
+            for lane in lanes]
     results = _merge_by_seed(jobs, _run_paths(cfg, jobs, workers))
     reports = []
     if steps_list:
         reports.append(cauchy_rate_test(
-            spec, steps_list, [r["cauchy"] for r in results if "cauchy" in r]))
+            spec, steps_list, [r["cauchy"] for r in results]))
     if eps_list:
         reports.append(viscosity_convergence_test(
             eps_list, [r["viscosity"] for r in results]))

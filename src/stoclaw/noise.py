@@ -212,7 +212,7 @@ def compensated_increment(path: JumpPath, spec, grid, u_n: np.ndarray,
     return gx * sig * (jump_factor - (t1 - t0) * rate)
 
 
-def martingale_term(path: JumpPath, spec, grid, traj, triple, psi) -> float:
+def martingale_term(path: JumpPath, traj, triple, psi) -> float:
     """Noise term of the entropy inequality along one path: the compensated
     jump integral plus the Ito correction.
 
@@ -225,6 +225,7 @@ def martingale_term(path: JumpPath, spec, grid, traj, triple, psi) -> float:
     lambda(O) int h dmu that ``compensated_increment`` subtracts. Both sums
     are one array expression each, over (events, cells) and (N, cells).
     """
+    spec, grid = traj.spec, traj.grid
     if spec.silent:
         return 0.0
     coords = grid.coords()

@@ -150,22 +150,16 @@ def _operator_jacobian(u: np.ndarray, spec: ProblemSpec, grid: Grid):
     eps = spec.epsilon
     uf = u.ravel()
     dphi = np.asarray(spec.phi.dphi(uf), dtype=float)
-    with_flux = spec.flux.c_f > 0.0
-    if with_flux:
-        dfp = np.asarray(spec.flux.dfplus(uf), dtype=float)
-        dfm = np.asarray(spec.flux.dfminus(uf), dtype=float)
+    dfp = np.asarray(spec.flux.dfplus(uf), dtype=float)
+    dfm = np.asarray(spec.flux.dfminus(uf), dtype=float)
 
     diag = np.zeros(uf.size)
     coefs = []
     for cols_p, cols_m in axes:
-        plus = (dphi[cols_p] + eps) / h2
-        minus = (dphi[cols_m] + eps) / h2
         diag += -2.0 * (dphi + eps) / h2
-
-        if with_flux:
-            diag += (dfp - dfm) / h
-            plus = plus + dfm[cols_p] / h
-            minus = minus - dfp[cols_m] / h
+        diag += (dfp - dfm) / h
+        plus = (dphi[cols_p] + eps) / h2 + dfm[cols_p] / h
+        minus = (dphi[cols_m] + eps) / h2 - dfp[cols_m] / h
         coefs.append((plus, minus))
     return diag, coefs
 

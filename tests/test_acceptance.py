@@ -15,12 +15,13 @@ import stoclaw as sc
 from stoclaw.config import ExperimentConfig
 from stoclaw.diagnostics import (ENTROPY_TOL_COEFF, THETA_VALUES,
                                  cauchy_rate_test, contraction_test,
-                                 entropy_tolerance, linear_moment_rate,
-                                 max_principle_test, moment_bound_test,
+                                 energy_bound_test, entropy_residual_test,
+                                 linear_moment_rate, max_principle_test,
+                                 moment_bound_test,
                                  viscosity_convergence_test)
 from stoclaw.entropy import BETA_M1, BETA_M2, identity_check_batch
 from stoclaw.harness import _run_paths, path_seed, replay, run_experiment
-from stoclaw.solver import norm_l1, norm_l2
+from stoclaw.solver import norm_l2
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 # every artifact a run writes besides its manifest
@@ -145,37 +146,27 @@ def test_criterion_03_banded_oracle_2d():
     assert _report(3, "banded_oracle_2d", ok, "worst L2 gap %.2e" % worst)
 
 
-def _energy_total(results, spec, dt):
-    u_norm = np.mean([r["energy"]["u_norm_sq"] for r in results], axis=0)
-    grad_u = np.mean([r["energy"]["grad_u_sq"] for r in results], axis=0)
-    grad_g = np.mean([r["energy"]["grad_g_sq"] for r in results], axis=0)
-    return (float(np.max(u_norm))
-            + spec.epsilon * dt * float(np.sum(grad_u))
-            + dt * float(np.sum(grad_g[1:])))
-
-
 def test_criterion_04_energy_estimate(bundled, bundled_reductions):
-    cfg, spec, grid, _ = bundled
-    results, results_half = bundled_reductions
-    n = cfg.get("run", "steps")
-    q = _energy_total(results, spec, spec.horizon / n)
-    q_half = _energy_total(results_half, spec, spec.horizon / (2 * n))
-    rel = abs(q - q_half) / q
-    ok = np.isfinite(q) and rel < 0.10
+    # the energy_bound rows of the run at N and at 2N steps
+    _, spec, _, _ = bundled
+    row, row_half = [energy_bound_test(spec, [r["energy"] for r in res])[0]
+                     for res in bundled_reductions]
+    rel = abs(row.value - row_half.value) / row.value
+    ok = row.passed is True and row_half.passed is True and rel < 0.10
     assert _report(4, "energy_estimate", ok,
-                   "Q=%.5f Q_half=%.5f drift %.2f%%" % (q, q_half, 100 * rel))
+                   "Q=%.5f Q_half=%.5f drift %.2f%%"
+                   % (row.value, row_half.value, 100 * rel))
 
 
 def test_criterion_05_entropy_residual(bundled, bundled_reductions):
     cfg, spec, grid, _ = bundled
     results, _ = bundled_reductions
-    dt = spec.horizon / cfg.get("run", "steps")
-    tol = entropy_tolerance(spec, grid, dt)
-    worst = min(r["residual_min"] for r in results)
-    ok = worst >= -tol
-    assert _report(5, "entropy_residual", ok,
-                   "worst R %.5f vs -%.5f (C=%.3f)"
-                   % (worst, tol, ENTROPY_TOL_COEFF))
+    row = entropy_residual_test(spec, grid,
+                                spec.horizon / cfg.get("run", "steps"),
+                                [r["residual_min"] for r in results])
+    assert _report(5, "entropy_residual", row.passed is True,
+                   "worst R %.5f vs %.5f (C=%.3f)"
+                   % (row.value, row.bound, ENTROPY_TOL_COEFF))
 
 
 def test_criterion_06_cauchy_rate(bundled):
@@ -202,16 +193,16 @@ def test_criterion_07_contraction():
     for key in ("height", "center", "width"):
         cfg_same.set("diagnostics", "v0_" + key,
                      cfg.get("model", "u0_" + key))
-    same = contraction_test(spec, [r["contraction"] for r in _run_paths(
-        cfg_same, [(s, ("contraction",)) for s in seeds[:10]], workers=2)])
-    rep = contraction_test(spec, [r["contraction"] for r in _run_paths(
-        cfg, [(s, ("contraction",)) for s in seeds], workers=2)])
-    zero = float(np.max(same.mean))
-    u0_l1 = norm_l1(sc.discretize_initial(spec, grid), grid)
-    ok = same.mean[0] == 0.0 and zero <= 1e-8 * u0_l1 and rep.slack >= 0.0
+    same, rows = [
+        {row.name: row for row in contraction_test(spec, grid, [
+            r["contraction"] for r in _run_paths(
+                c, [(s, ("contraction",)) for s in paths], workers=2)])}
+        for c, paths in ((cfg_same, seeds[:10]), (cfg, seeds))]
+    zero, growth = same["contraction_zero"], rows["contraction_growth"]
+    ok = zero.passed is True and growth.passed is True
     assert _report(7, "contraction", ok,
                    "zero max %.1e; C %.4f vs %.4f"
-                   % (zero, rep.fit, rep.fit_half))
+                   % (zero.value, growth.value, growth.bound))
 
 
 def test_criterion_08_max_principle():
@@ -238,12 +229,12 @@ def test_criterion_09_moments():
     ok = True
     details = []
     for i, p in enumerate((2, 4)):
+        # the row's margin compares K with this closed-form rate
         oracle = linear_moment_rate(spec, p, spec.horizon / n)
-        rep = moment_bound_test(spec, p, [r["moments"][i] for r in results],
-                                oracle_rate=oracle)
-        ok = ok and min(rep.slack, rep.oracle_slack) >= 0.0
-        details.append("p%d K=%.3f oracle=%.3f band=%.3f"
-                       % (p, rep.fit, oracle, rep.oracle_band))
+        row = moment_bound_test(spec, p, [r["moments"][i] for r in results])
+        ok = ok and oracle is not None and row.passed is True
+        details.append("p%d K=%.3f oracle=%.3f margin=%.3g"
+                       % (p, row.value, oracle, row.margin))
     assert _report(9, "moments", ok, "; ".join(details))
 
 

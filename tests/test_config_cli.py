@@ -13,7 +13,7 @@ import stoclaw.harness as harness
 import stoclaw.solver as solver_mod
 from stoclaw.cli import main
 from stoclaw.config import _SCHEMA, ConfigError, ExperimentConfig
-from stoclaw.diagnostics import STATUS_TEXT
+from stoclaw.diagnostics import STATUS_TEXT, determinism_test
 from stoclaw.harness import (convergence_study, path_seed, replay,
                              run_experiment)
 from stoclaw.model import (InvalidSpecError, eta_family, flux_family,
@@ -54,13 +54,15 @@ def test_every_name_imported_across_modules_is_exported():
     assert missing == []
 
 
-def test_float_format_has_one_csv_writer():
-    # every CSV artifact goes through harness.write_csv, and the manifest
-    # renderer keeps its own format: no other code spells out "%.17g"
+def find_in_package(allowed, matches, skip=()):
+    """The (module, function) pairs of ``allowed`` that hold a node which
+    ``matches``, and the (module, line) of every matching node outside
+    them, over the package's modules but those in ``skip``."""
     import stoclaw
-    allowed = {("harness", "write_csv"), ("config", "_render_value")}
     found, outside = set(), []
     for info in pkgutil.iter_modules(stoclaw.__path__):
+        if info.name in skip:
+            continue
         with open(os.path.join(stoclaw.__path__[0], info.name + ".py")) as fh:
             tree = ast.parse(fh.read())
         inside = {}
@@ -69,12 +71,40 @@ def test_float_format_has_one_csv_writer():
                     (info.name, fn.name) in allowed:
                 inside.update((id(n), fn.name) for n in ast.walk(fn))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and \
-                    isinstance(node.value, str) and "%.17g" in node.value:
+            if matches(node):
                 if id(node) in inside:
                     found.add((info.name, inside[id(node)]))
                 else:
                     outside.append((info.name, node.lineno))
+    return found, outside
+
+
+def test_float_format_has_one_csv_writer():
+    # every CSV artifact goes through harness.write_csv, and the manifest
+    # renderer keeps its own format: no other code spells out "%.17g"
+    allowed = {("harness", "write_csv"), ("config", "_render_value")}
+    found, outside = find_in_package(
+        allowed, lambda node: isinstance(node, ast.Constant)
+        and isinstance(node.value, str) and "%.17g" in node.value)
+    assert outside == []
+    assert found == allowed
+
+
+def test_report_rows_are_built_in_diagnostics():
+    # every report row comes from the diagnostics aggregator that decides
+    # its verdict; the sandwich and identity rows are still built in the
+    # harness until both checks become unit tests (ROADMAP D23)
+    allowed = {("harness", "_check_sandwich"),
+               ("harness", "_check_identities")}
+
+    def builds_a_row(node):
+        callee = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and getattr(
+            callee, "id", getattr(callee, "attr", None)) in (
+            "CheckResult", "at_most")
+
+    found, outside = find_in_package(allowed, builds_a_row,
+                                     skip=("diagnostics",))
     assert outside == []
     assert found == allowed
 
@@ -536,22 +566,19 @@ def test_nonfinite_energy_total_fails_with_negative_margin(tmp_path,
 
 def test_failed_determinism_row_has_negative_margin():
     for same, margin in ((True, 0.0), (False, -1.0)):
-        report = []
-        harness._check_determinism(same, report)
-        (row,) = report
+        row = determinism_test(same)
         assert row.passed is same and row.margin == row.bound - row.value
         assert row.margin == margin
 
 
-def test_isometry_with_vanishing_amplitude_is_silent():
+def test_isometry_with_vanishing_amplitude_is_silent(tmp_path):
     # sigma_scale = 0 makes eta vanish identically; at this seed the bare
     # h sums stray beyond their 3-sigma band, which must not fail the row
     cfg = ExperimentConfig.from_text(
         "[noise]\neta = separable\nsigma = const\nsigma_scale = 0\n"
-        "[run]\nseed = 32\n[diagnostics]\nisometry_paths = 30\n")
-    report = []
-    harness._check_isometry(cfg, cfg.build_spec(), cfg.build_grid(), report)
-    (row,) = report
+        "[run]\nseed = 32\n[diagnostics]\nchecks = isometry\n"
+        "isometry_paths = 30\n")
+    (row,) = run_experiment(cfg, out_dir=str(tmp_path))
     assert row.passed is True and row.margin == 0.0
     assert row.statement.startswith("silent noise")
 
@@ -830,6 +857,30 @@ def test_cli_invalid_problem_exit_2_before_any_artifact(tmp_path, capsys,
         assert not out.exists(), verb
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("diagnostics", "checks", ("energy", "determinism", "energy")),
+    ("diagnostics", "moment_orders", (2, 2)),
+    ("run", "steps_list", (8, 8, 16)),
+    ("run", "steps_list", (16, 8)),
+    ("run", "eps_list", (0.1, 0.1, 0.05)),
+    ("run", "eps_list", (0.05, 0.1))],
+    ids=["checks-repeated", "moment-orders-repeated", "steps-repeated",
+         "steps-decreasing", "eps-repeated", "eps-increasing"])
+def test_cli_repeated_or_unordered_list_exit_2_before_any_artifact(
+        tmp_path, capsys, section, key, value):
+    # a repeated check or moment order would report its rows twice, and
+    # the rate lanes need strictly refining ladders: steps up, eps down
+    cfg = small_default_config()
+    cfg.set(section, key, value)
+    p = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    for verb, flags in (("validate", []), ("run", ["--out", str(out)]),
+                        ("study", ["--out", str(out)])):
+        assert main([verb, "--config", p] + flags) == 2, verb
+        assert_one_error_line(capsys, "%s.%s" % (section, key))
+        assert not out.exists(), verb
+
+
 def test_cli_validate_pass(tmp_path):
     cfg = small_config()
     assert main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
@@ -977,6 +1028,25 @@ def test_silent_noise_studies_on_the_deterministic_lane(tmp_path, capsys):
         rates[key] = (out / "rates.csv").read_bytes()
     assert rates["eta"].splitlines()[1].startswith(b"deterministic,")
     assert {rates[key] for key in SILENT_NOISE} == {rates["eta"]}
+
+
+def test_silent_noise_study_solves_one_path_per_lane(tmp_path, monkeypatch):
+    # every path of a silent study solves the same ladders: both lanes
+    # plan the first path alone
+    calls = []
+    real = harness._path_reductions
+
+    def counted(cfg, seed, selected):
+        calls.append((seed, tuple(selected)))
+        return real(cfg, seed, selected)
+
+    monkeypatch.setattr(harness, "_path_reductions", counted)
+    cfg = silent_default_config("eta")
+    cfg.set("run", "paths", 8)
+    cfg.set("run", "eps_list", (0.2, 0.1, 0.05))
+    convergence_study(cfg, out_dir=str(tmp_path), workers=1)
+    seed = path_seed(cfg.get("run", "seed"), 0)
+    assert calls == [(seed, ("cauchy",)), (seed, ("viscosity",))]
 
 
 @pytest.mark.parametrize("key", sorted(SILENT_NOISE))

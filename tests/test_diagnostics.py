@@ -318,7 +318,7 @@ def _assert_residuals_match_oracle(spec, grid, traj, path):
     for theta in dg.THETA_VALUES:
         triple = sc.make_beta_theta(theta, phi=spec.phi, flux=spec.flux)
         for psi in psis:
-            assert abs(sc.martingale_term(path, spec, grid, traj, triple, psi)
+            assert abs(sc.martingale_term(path, traj, triple, psi)
                        - _oracle_martingale_term(path, spec, grid, traj,
                                                  triple, psi)) <= 1e-12
             assert abs(dg.entropy_residual(traj, path, triple, psi, G)
@@ -438,9 +438,11 @@ def test_moment_absorbing_zero():
     grid = sc.Grid(dim=1, half_width=2.0, cells=32)
     per_path = [dg.moment_path_rows(spec, grid, path, 2, 8)
                 for path in sampled_paths(spec, [0, 1, 2])]
-    rep = dg.moment_bound_test(spec, 2, per_path)
-    np.testing.assert_array_equal(rep.mean, 0.0)
-    assert rep.fit == 0.0 and rep.knot == 0
+    fit = dg.growth_test(spec.horizon, per_path, 0.25)
+    np.testing.assert_array_equal(fit.mean, 0.0)
+    assert fit.knot == 0
+    row = dg.moment_bound_test(spec, 2, per_path)
+    assert row.value == 0.0 and row.passed is True
 
 
 def test_moment_noiseless_nonincreasing():
@@ -448,9 +450,9 @@ def test_moment_noiseless_nonincreasing():
     grid = sc.Grid(dim=1, half_width=2.0, cells=64)
     per_path = [dg.moment_path_rows(spec, grid, path, 2, 16)
                 for path in sampled_paths(spec, [0])]
-    rep = dg.moment_bound_test(spec, 2, per_path)
-    assert np.all(np.diff(rep.mean) <= 1e-12)
-    assert rep.fit <= 1e-9  # K = 0 is admissible
+    mean = dg.growth_test(spec.horizon, per_path, 0.25).mean
+    assert np.all(np.diff(mean) <= 1e-12)
+    assert dg.moment_bound_test(spec, 2, per_path).value <= 1e-9  # K = 0
 
 
 def test_moment_oracle_requires_linear_family():
@@ -497,10 +499,12 @@ def test_moment_oracle_skipped_at_knot_zero():
     grid = sc.Grid(dim=1, half_width=2.0, cells=16)
     per_path = [dg.moment_path_rows(spec, grid, path, 2, 4)
                 for path in sampled_paths(spec, [0, 1, 2])]
-    rep = dg.moment_bound_test(spec, 2, per_path,
-                               oracle_rate=dg.linear_moment_rate(spec, 2, 0.1))
-    assert rep.knot == 0 and rep.slack >= 0.0
-    assert rep.oracle_band is None and rep.oracle_slack == math.inf
+    assert dg.linear_moment_rate(spec, 2, spec.horizon / 4) is not None
+    fit = dg.growth_test(spec.horizon, per_path, 0.25)
+    assert fit.knot == 0 and fit.slack >= 0.0
+    # the margin is the dt-halving slack alone
+    row = dg.moment_bound_test(spec, 2, per_path)
+    assert row.margin == fit.slack and row.passed is True
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +524,10 @@ def test_contraction_identical_data_exact_zero():
     per_path = [dg.contraction_path_distances(spec, grid, path, spec.u0,
                                               1.5, 8)
                 for path in sampled_paths(spec, [0, 1])]
-    rep = dg.contraction_test(spec, per_path)
-    assert float(np.max(rep.mean)) == 0.0
-    assert rep.fit == 0.0 and rep.fit_half == 0.0 and rep.slack >= 0.0
+    zero, growth = dg.contraction_test(spec, grid, per_path)
+    assert zero.name == "contraction_zero"
+    assert zero.value == 0.0 and zero.passed is True
+    assert growth.value == 0.0 and growth.bound == 0.0 and growth.margin >= 0.0
 
 
 def test_contraction_deterministic_l1_nonincreasing():
@@ -533,9 +538,10 @@ def test_contraction_deterministic_l1_nonincreasing():
     per_path = [dg.contraction_path_distances(spec, grid, path, v0, 50.0,
                                               16)
                 for path in sampled_paths(spec, [0])]
-    rep = dg.contraction_test(spec, per_path)
-    assert np.all(np.diff(rep.mean) <= 1e-10)
-    assert rep.fit <= 1e-8
+    assert np.all(np.diff(dg.growth_test(spec.horizon, per_path, 0.2).mean)
+                  <= 1e-10)
+    (growth,) = dg.contraction_test(spec, grid, per_path)
+    assert growth.value <= 1e-8
 
 
 def test_contraction_weight_monotone_toward_unweighted():

@@ -259,8 +259,7 @@ def test_martingale_zero_eta():
     path = sc.sample_jump_path(spec0.levy, 1.0, 5)
     traj = sc.solve_path(spec0, grid, 4, path)
     triple = sc.make_quadratic(phi=spec0.phi, flux=spec0.flux)
-    assert sc.martingale_term(path, spec0, grid, traj, triple,
-                              make_uniform_psi()) == 0.0
+    assert sc.martingale_term(path, traj, triple, make_uniform_psi()) == 0.0
 
 
 def test_martingale_single_jump_closed_form():
@@ -276,7 +275,7 @@ def test_martingale_single_jump_closed_form():
 
     from stoclaw.diagnostics import uniform_test_function
     psi = uniform_test_function(1000.0)  # flat over the horizon
-    got = sc.martingale_term(path, spec, grid, traj, triple, psi)
+    got = sc.martingale_term(path, traj, triple, psi)
 
     gx = spec.eta.g(grid.coords())
     u_pre = traj.fields[1]  # t_jump lies in the second window
@@ -320,12 +319,12 @@ def test_event_on_knot_lands_in_one_step():
 
     triple = sc.make_quadratic(phi=spec.phi, flux=spec.flux)
     psi = make_uniform_psi()
-    on_knot = sc.martingale_term(path, spec, grid, traj, triple, psi)
+    on_knot = sc.martingale_term(path, traj, triple, psi)
     inside = JumpPath(np.array([np.nextafter(t_knot, 1.0)]), np.array([0.7]),
                       1.0, levy)
     assert int(inside.times[0] / dt) == k
     np.testing.assert_allclose(
-        on_knot, sc.martingale_term(inside, spec, grid, traj, triple, psi),
+        on_knot, sc.martingale_term(inside, traj, triple, psi),
         rtol=1e-12)
 
 
@@ -337,7 +336,7 @@ def test_martingale_empty_path_sign():
     traj = sc.solve_path(spec, grid, 4, empty)
     triple = sc.make_quadratic(phi=spec.phi, flux=spec.flux)
     psi = make_uniform_psi()
-    val = sc.martingale_term(empty, spec, grid, traj, triple, psi)
+    val = sc.martingale_term(empty, traj, triple, psi)
     # pure compensator: sign opposite to the (positive) integrand here
     assert val < 0.0
 
@@ -391,7 +390,7 @@ def test_noise_term_matches_two_loop_form():
         traj = sc.solve_path(spec, grid, 8, path)
         for theta in (1.0, 0.1, 0.01):
             triple = sc.make_beta_theta(theta, phi=spec.phi, flux=spec.flux)
-            got = sc.martingale_term(path, spec, grid, traj, triple, psi)
+            got = sc.martingale_term(path, traj, triple, psi)
             ref = _two_loop_noise_term(path, spec, grid, traj, triple, psi,
                                        nodes, weights)
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
